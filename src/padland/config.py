@@ -9,6 +9,7 @@ to pad-side units when the profile is built.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,6 +104,8 @@ def _number(doc: dict, path: str, positive=False, nonnegative=False) -> float:
     value = _get(doc, path)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite (got {value})")
     if positive and value <= 0:
         raise ConfigError(f"{path}: must be strictly positive (got {value})")
     if nonnegative and value < 0:
@@ -112,8 +115,8 @@ def _number(doc: dict, path: str, positive=False, nonnegative=False) -> float:
 
 def _pair(doc: dict, path: str) -> tuple[float, float]:
     value = _get(doc, path, list)
-    if len(value) != 2 or not all(isinstance(v, (int, float)) for v in value):
-        raise ConfigError(f"{path}: expected a pair of numbers")
+    if len(value) != 2 or not all(type(v) in (int, float) and math.isfinite(v) for v in value):
+        raise ConfigError(f"{path}: expected a pair of finite numbers")
     return float(value[0]), float(value[1])
 
 
@@ -210,7 +213,7 @@ def build_campaign(doc: dict) -> CampaignSpec:
         x_range=x_range,
         y_range=y_range,
         altitude_set=tuple(float(z) for z in altitudes),
-        seed=int(_number(doc, "trials.seed")),
+        seed=int(_number(doc, "trials.seed", nonnegative=True)),
         n_trials=int(_number(doc, "trials.n_trials", positive=True)),
         max_steps=int(_number(doc, "trials.max_steps", positive=True)),
         commit_altitude=_number(doc, "trials.commit_altitude", positive=True),

@@ -11,7 +11,7 @@ per-expert seed streams so the modes see common random numbers.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -63,6 +63,8 @@ class TrialConfig:
     def __post_init__(self):
         if not self.altitude_set:
             raise ValueError("altitude_set must be nonempty")
+        if self.n_trials < 1:
+            raise ValueError("n_trials must be >= 1")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
         if self.commit_altitude <= 0:
@@ -97,7 +99,6 @@ class TrialResult:
     termination_reason: TerminationReason
     steps: int
     expert_usage: dict[str, int]
-    trajectory_log_path: str | None = None
 
 
 @dataclass
@@ -278,7 +279,6 @@ def run_campaign(
     scenario: Scenario,
     config: TrialConfig,
     modes: list[Mode] | None = None,
-    n_trials: int | None = None,
     n_workers: int = 1,
 ) -> CampaignResult:
     """Run every requested mode over one shared list of initial states.
@@ -291,9 +291,7 @@ def run_campaign(
     """
     if modes is None:
         modes = [Mode.NEAR_ONLY, Mode.FAR_ONLY, Mode.DUAL]
-    n = config.n_trials if n_trials is None else n_trials
-    if n < 1:
-        raise ValueError("n_trials must be >= 1")
+    n = config.n_trials
 
     root = np.random.SeedSequence(config.seed)
     init_ss, *trial_ss = root.spawn(n + 1)
@@ -336,7 +334,3 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def attach_log_path(result: TrialResult, path: str) -> TrialResult:
-    return replace(result, trajectory_log_path=path)

@@ -12,11 +12,16 @@ import json
 from pathlib import Path
 
 from .experts import write_detection_log
-from .harness import CampaignResult, Mode, TrialResult, attach_log_path, write_trajectory_csv
+from .harness import CampaignResult, Mode, TrialResult, write_trajectory_csv
 from .stats import ModeComparison, compare_modes, format_comparison_table
 
 
-def trial_result_dict(result: TrialResult) -> dict:
+def _log_name(trial_id: int, mode: Mode) -> str:
+    """File name of one trial's trajectory and detection CSVs."""
+    return f"trial_{trial_id:03d}_{mode.value}.csv"
+
+
+def trial_result_dict(result: TrialResult, mode: Mode) -> dict:
     return {
         "trial_id": result.trial_id,
         "initial_position": list(result.initial_position),
@@ -26,7 +31,7 @@ def trial_result_dict(result: TrialResult) -> dict:
         "termination_reason": result.termination_reason.value,
         "steps": result.steps,
         "expert_usage": dict(result.expert_usage),
-        "trajectory_log_path": result.trajectory_log_path,
+        "trajectory_log_path": f"trajectories/{_log_name(result.trial_id, mode)}",
     }
 
 
@@ -35,7 +40,7 @@ def campaign_summary(campaign: CampaignResult, comparison: ModeComparison) -> di
     for mode, runs in campaign.runs.items():
         summary = comparison.summaries[mode.value]
         modes_block[mode.value] = {
-            "trials": [trial_result_dict(r.result) for r in runs],
+            "trials": [trial_result_dict(r.result, mode) for r in runs],
             "summary": {
                 "n": summary.n,
                 "mean_error": summary.mean_error,
@@ -82,11 +87,9 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
 
     for mode, runs in campaign.runs.items():
         for run in runs:
-            stem = f"trial_{run.result.trial_id:03d}_{mode.value}.csv"
-            traj_path = traj_dir / stem
-            write_trajectory_csv(run.trajectory_rows, traj_path)
-            write_detection_log(run.detections, det_dir / stem)
-            run.result = attach_log_path(run.result, f"trajectories/{stem}")
+            name = _log_name(run.result.trial_id, mode)
+            write_trajectory_csv(run.trajectory_rows, traj_dir / name)
+            write_detection_log(run.detections, det_dir / name)
 
     comparison = compare_modes({m: campaign.results(m) for m in campaign.runs})
     summary = campaign_summary(campaign, comparison)
@@ -115,7 +118,6 @@ def rebuild_results(summary: dict) -> dict[Mode, list[TrialResult]]:
                     termination_reason=TerminationReason(t["termination_reason"]),
                     steps=t["steps"],
                     expert_usage=dict(t["expert_usage"]),
-                    trajectory_log_path=t.get("trajectory_log_path"),
                 )
             )
         results[Mode(mode_name)] = trials

@@ -9,11 +9,11 @@ error; nothing is excluded.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .harness import Mode, TrialResult
 
@@ -57,18 +57,33 @@ def summarize(errors: list[float], successes: list[bool], mode: str = "") -> Err
     )
 
 
-def _signed_rank_pmf_counts(doubled_ranks: list[int]) -> np.ndarray:
+def _doubled_ranks(values: list[float]) -> tuple[list[int], list[int]]:
+    """Twice the tied-average ranks of values, as exact integers, plus the
+    tie-group sizes. A tie group at sorted 1-based positions i..j gets i + j."""
+    order = sorted(range(len(values)), key=values.__getitem__)
+    doubled = [0] * len(values)
+    sizes = []
+    j = 0
+    for _, group in itertools.groupby(order, key=values.__getitem__):
+        group = list(group)
+        i, j = j + 1, j + len(group)
+        for k in group:
+            doubled[k] = i + j
+        sizes.append(len(group))
+    return doubled, sizes
+
+
+def _signed_rank_pmf_counts(doubled_ranks: list[int]) -> list[int]:
     """Counts of sign assignments producing each doubled positive-rank-sum.
 
     counts[w] = number of the 2^n assignments with sum of positive doubled
     ranks equal to w. Generating-function recursion; exact integers.
     """
-    total = sum(doubled_ranks)
-    counts = np.zeros(total + 1, dtype=object)
-    counts[0] = 1
+    counts = [1] + [0] * sum(doubled_ranks)
     upper = 0
     for r in doubled_ranks:
-        counts[r : upper + r + 1] = counts[r : upper + r + 1] + counts[: upper + 1]
+        for w in range(upper, -1, -1):
+            counts[w + r] += counts[w]
         upper += r
     return counts
 
@@ -93,36 +108,28 @@ def wilcoxon_signed_rank(errors_a: list[float], errors_b: list[float]) -> Wilcox
             p_two_sided=1.0, degenerate=True,
         )
 
-    ranks = rankdata([abs(d) for d in nonzero])
-    w_plus = float(sum(r for r, d in zip(ranks, nonzero) if d > 0))
-    total = n * (n + 1) / 2.0
-    w_minus = total - w_plus
-    stat = min(w_plus, w_minus)
+    doubled, tie_sizes = _doubled_ranks([abs(d) for d in nonzero])
+    total2 = n * (n + 1)
+    w2_plus = sum(r for r, d in zip(doubled, nonzero) if d > 0)
+    w_plus, w_minus = w2_plus / 2, (total2 - w2_plus) / 2
 
     if n <= EXACT_ENUMERATION_LIMIT:
-        # average ranks are multiples of 1/2, so doubled ranks are integers
-        doubled = [round(2 * r) for r in ranks]
+        stat2 = min(w2_plus, total2 - w2_plus)
         counts = _signed_rank_pmf_counts(doubled)
-        total2 = sum(doubled)
-        stat2 = round(2 * stat)
-        hits = sum(
-            int(c) for w, c in enumerate(counts) if min(w, total2 - w) <= stat2
-        )
+        hits = sum(c for w, c in enumerate(counts) if min(w, total2 - w) <= stat2)
         p = hits / 2**n
         exact = True
     else:
         # normal approximation with tie correction for large n
-        mean = total / 2.0
-        tie_term = sum(
-            t**3 - t for t in np.unique(ranks, return_counts=True)[1].tolist()
-        )
+        mean = total2 / 4
+        tie_term = sum(t**3 - t for t in tie_sizes)
         var = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term / 48.0
         z = (w_plus - mean) / math.sqrt(var)
         p = float(min(1.0, 2.0 * _normal_sf(abs(z))))
         exact = False
 
     return WilcoxonResult(
-        n_effective=n, w_plus=w_plus, w_minus=w_minus, statistic=stat,
+        n_effective=n, w_plus=w_plus, w_minus=w_minus, statistic=min(w_plus, w_minus),
         p_two_sided=p, exact=exact,
     )
 
@@ -205,12 +212,6 @@ def format_comparison_table(report: ModeComparison) -> str:
             f"{name:<12} {s.mean_error:>15.3f} {s.std_error:>12.3f} "
             f"{int(round(s.success_rate * s.n)):>5d}/{s.n}"
         )
-    for name, s in report.summaries.items():
-        if name not in ("dual", "near_only", "far_only"):
-            lines.append(
-                f"{name:<12} {s.mean_error:>15.3f} {s.std_error:>12.3f} "
-                f"{int(round(s.success_rate * s.n)):>5d}/{s.n}"
-            )
     if report.comparisons:
         lines.append("")
         lines.append("Paired Wilcoxon signed-rank (two-sided):")

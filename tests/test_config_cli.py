@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from padland.cli import main
-from padland.config import ConfigError, build_campaign, default_config, load_config
-from padland.harness import Mode
+from padland.config import CampaignSpec, ConfigError, build_campaign, default_config, load_config
+from padland.harness import Mode, Scenario, TrialConfig
 
 
 @pytest.fixture
@@ -53,6 +53,9 @@ class TestConfig:
         doc["trials"]["x_range"] = [-65.0, -95.0]
         with pytest.raises(ConfigError, match="trials.x_range"):
             build_campaign(doc)
+
+    def test_default_config_matches_dataclass_defaults(self):
+        assert build_campaign(default_config()) == CampaignSpec(Scenario(), TrialConfig(), tuple(Mode))
 
     def test_distractor_offset_converted_to_pad_units(self):
         spec = build_campaign(default_config())
@@ -145,14 +148,26 @@ class TestCliValidate:
         assert main(["validate-config", "--config", str(config_path)]) == 0
         assert "config OK" in capsys.readouterr().out
 
-    def test_negative_gain_rejected_with_key_name(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("gains.k_xy", -0.5, id="gains.k_xy"),
+            pytest.param("trials.seed", -1, id="trials.seed"),
+            pytest.param("dynamics.dt", float("nan"), id="dynamics.dt-nan"),
+            pytest.param("dynamics.dt", float("inf"), id="dynamics.dt-inf"),
+            pytest.param("helipad.center", [float("nan"), 75.0], id="helipad.center-nan"),
+            pytest.param("helipad.center", [True, 75.0], id="helipad.center-bool"),
+        ],
+    )
+    def test_bad_value_rejected_with_key_name(self, tmp_path, capsys, key, value):
         doc = default_config()
-        doc["gains"]["k_xy"] = -0.5
+        section, name = key.split(".")
+        doc[section][name] = value
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
         code = main(["validate-config", "--config", str(path)])
-        assert code != 0
-        assert "gains.k_xy" in capsys.readouterr().err
+        assert code == 2
+        assert key in capsys.readouterr().err
 
 
 class TestCliReplay:

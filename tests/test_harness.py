@@ -160,9 +160,7 @@ class TestCampaign:
             assert len(set(positions.values())) == 1
 
     def test_trial_count_and_modes(self):
-        camp = run_campaign(
-            Scenario(), TrialConfig(seed=5), modes=[Mode.DUAL], n_trials=4
-        )
+        camp = run_campaign(Scenario(), TrialConfig(seed=5, n_trials=4), modes=[Mode.DUAL])
         assert list(camp.runs) == [Mode.DUAL]
         assert len(camp.results(Mode.DUAL)) == 4
 
@@ -211,6 +209,8 @@ class TestConfigValidation:
     def test_trial_config_invariants(self):
         with pytest.raises(ValueError):
             TrialConfig(altitude_set=())
+        with pytest.raises(ValueError):
+            TrialConfig(n_trials=0)
         with pytest.raises(ValueError):
             TrialConfig(max_steps=0)
         with pytest.raises(ValueError):

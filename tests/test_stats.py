@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from padland.harness import Mode, TerminationReason, TrialResult
 from padland.stats import (
+    _doubled_ranks,
     compare_modes,
     format_comparison_table,
     summarize,
@@ -89,6 +92,24 @@ class TestWilcoxonExamples:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             wilcoxon_signed_rank([1.0], [1.0, 2.0])
+
+
+class TestDoubledRanks:
+    # small integers and halves force ties and zeros; wide floats do not
+    values = st.lists(
+        st.one_of(
+            st.integers(0, 4).map(lambda k: k / 2),
+            st.floats(0.0, 1e6, allow_nan=False, allow_subnormal=False),
+        ),
+        max_size=40,
+    )
+
+    @given(values)
+    def test_doubled_ranks_are_twice_scipy_average_ranks(self, values):
+        doubled, sizes = _doubled_ranks(values)
+        assert all(type(r) is int for r in doubled)
+        assert doubled == (2 * rankdata(values)).tolist()
+        assert sorted(sizes) == sorted(np.unique(values, return_counts=True)[1].tolist())
 
 
 class TestWilcoxonProperties:
