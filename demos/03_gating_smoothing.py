@@ -11,6 +11,8 @@ buys on the raw selected stream.
 import numpy as np
 
 from padland import (
+    SELECTION_LABELS,
+    TRAJECTORY_COLUMNS,
     Mode,
     Scenario,
     TrialConfig,
@@ -32,14 +34,14 @@ print(f"outcome: {r.termination_reason.value} after {r.steps} steps, "
 print(f"expert usage: FAR {r.expert_usage['FAR']} frames, NEAR {r.expert_usage['NEAR']} frames")
 print()
 
-# where did the handoff happen?
-rows = run.trajectory_rows
+# where did the handoff happen? one array per trajectory column
+col = dict(zip(TRAJECTORY_COLUMNS, run.trajectory.T))
+selected = [SELECTION_LABELS[int(c)] for c in col["selected"].tolist()]
 switches = []
 prev = None
-for row in rows:
-    sel = row[11]
+for step, z, sel in zip(col["step"].tolist(), col["z"].tolist(), selected):
     if sel and sel != prev:
-        switches.append((row[0], row[4], sel))
+        switches.append((int(step), z, sel))
         prev = sel
 print("selection changes (step, altitude, expert):")
 for step, z, sel in switches[:12]:
@@ -48,8 +50,10 @@ if len(switches) > 12:
     print(f"  ... {len(switches) - 12} more")
 
 # jitter: raw selected center vs smoothed center, frame-to-frame deltas
-raw_u = [row[5] if row[11] == "FAR" else row[8] for row in rows if row[11]]
-hat_u = [row[12] for row in rows if row[12] != ""]
+tracked = col["selected"] > 0
+far_selected = col["selected"] == SELECTION_LABELS.index("FAR")
+raw_u = np.where(far_selected, col["u_far"], col["u_near"])[tracked]
+hat_u = col["u_hat"][~np.isnan(col["u_hat"])]
 raw_jitter = np.std(np.diff(raw_u))
 hat_jitter = np.std(np.diff(hat_u))
 print()

@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from padland import (
+    SELECTION_LABELS,
+    TRAJECTORY_COLUMNS,
     GateState,
     Mode,
     Scenario,
@@ -47,7 +49,8 @@ with tempfile.TemporaryDirectory() as tmp:
         out = select_expert(det_far, det_near, gate, scenario.camera)
         replayed.append(out.selected_expert.value if out.selected_expert else "")
 
-original = [row[11] for row in run.trajectory_rows]
+selected_codes = run.trajectory[:, TRAJECTORY_COLUMNS.index("selected")].tolist()
+original = [SELECTION_LABELS[int(c)] for c in selected_codes]
 print(f"selection sequences identical: {replayed == original}")
 
 sample = [(i, sel) for i, sel in enumerate(replayed) if sel][:5]

@@ -30,6 +30,8 @@ from .geometry import (
     project_helipad,
 )
 from .harness import (
+    SELECTION_LABELS,
+    TRAJECTORY_COLUMNS,
     CampaignResult,
     Mode,
     Scenario,

@@ -100,24 +100,56 @@ def _get(doc: dict, path: str, expected=None):
     return node
 
 
-def _number(doc: dict, path: str, positive=False, nonnegative=False) -> float:
-    value = _get(doc, path)
+_INT_LIMIT = 2**63  # integer keys must lie strictly inside +/- this
+
+
+def _finite(value) -> float | None:
+    """value as a finite float, or None if it is not a finite number
+    (booleans are not numbers; integers too large for a float are not finite)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite (got {value})")
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
+def _check_sign(path: str, value, positive: bool, nonnegative: bool) -> None:
     if positive and value <= 0:
         raise ConfigError(f"{path}: must be strictly positive (got {value})")
     if nonnegative and value < 0:
         raise ConfigError(f"{path}: must be >= 0 (got {value})")
-    return float(value)
+
+
+def _number(doc: dict, path: str, positive=False, nonnegative=False) -> float:
+    value = _get(doc, path)
+    number = _finite(value)
+    if number is None:
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    _check_sign(path, number, positive, nonnegative)
+    return number
+
+
+def _integer(doc: dict, path: str, positive=False, nonnegative=False) -> int:
+    """A whole number; a float is accepted only when it has no fraction."""
+    value = _get(doc, path)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if not -_INT_LIMIT < value < _INT_LIMIT:
+        raise ConfigError(f"{path}: integer out of range (magnitude must be below 2**63)")
+    _check_sign(path, value, positive, nonnegative)
+    return value
 
 
 def _pair(doc: dict, path: str) -> tuple[float, float]:
     value = _get(doc, path, list)
-    if len(value) != 2 or not all(type(v) in (int, float) and math.isfinite(v) for v in value):
+    pair = [_finite(v) for v in value]
+    if len(pair) != 2 or None in pair:
         raise ConfigError(f"{path}: expected a pair of finite numbers")
-    return float(value[0]), float(value[1])
+    return pair[0], pair[1]
 
 
 def _probability(doc: dict, path: str) -> float:
@@ -187,8 +219,8 @@ def build_campaign(doc: dict) -> CampaignSpec:
         dt=_number(doc, "dynamics.dt", positive=True),
         tau=_number(doc, "dynamics.tau", nonnegative=True),
     )
-    window_size = int(_number(doc, "gate.window_size", positive=True))
-    coast_limit = int(_number(doc, "gate.coast_limit", nonnegative=True))
+    window_size = _integer(doc, "gate.window_size", positive=True)
+    coast_limit = _integer(doc, "gate.coast_limit", nonnegative=True)
 
     scenario = Scenario(
         camera=camera,
@@ -201,9 +233,15 @@ def build_campaign(doc: dict) -> CampaignSpec:
         coast_limit=coast_limit,
     )
 
-    altitudes = _get(doc, "trials.altitude_set", list)
-    if not altitudes or not all(isinstance(z, (int, float)) and z > 0 for z in altitudes):
-        raise ConfigError("trials.altitude_set: expected a nonempty list of positive numbers")
+    altitudes = [_finite(z) for z in _get(doc, "trials.altitude_set", list)]
+    if not altitudes or any(z is None or z <= 0 for z in altitudes):
+        raise ConfigError("trials.altitude_set: expected a nonempty list of positive finite numbers")
+    commit_altitude = _number(doc, "trials.commit_altitude", positive=True)
+    if commit_altitude >= min(altitudes):
+        raise ConfigError(
+            f"trials.commit_altitude: must be below the lowest trials.altitude_set entry "
+            f"(got {commit_altitude} >= {min(altitudes)}); those trials would land at once"
+        )
     x_range = _pair(doc, "trials.x_range")
     y_range = _pair(doc, "trials.y_range")
     for name, rng in (("trials.x_range", x_range), ("trials.y_range", y_range)):
@@ -212,11 +250,11 @@ def build_campaign(doc: dict) -> CampaignSpec:
     trials = TrialConfig(
         x_range=x_range,
         y_range=y_range,
-        altitude_set=tuple(float(z) for z in altitudes),
-        seed=int(_number(doc, "trials.seed", nonnegative=True)),
-        n_trials=int(_number(doc, "trials.n_trials", positive=True)),
-        max_steps=int(_number(doc, "trials.max_steps", positive=True)),
-        commit_altitude=_number(doc, "trials.commit_altitude", positive=True),
+        altitude_set=tuple(altitudes),
+        seed=_integer(doc, "trials.seed", nonnegative=True),
+        n_trials=_integer(doc, "trials.n_trials", positive=True),
+        max_steps=_integer(doc, "trials.max_steps", positive=True),
+        commit_altitude=commit_altitude,
     )
 
     mode_names = _get(doc, "trials.modes", list)
@@ -231,6 +269,8 @@ def build_campaign(doc: dict) -> CampaignSpec:
             ) from None
     if not modes:
         raise ConfigError("trials.modes: at least one mode required")
+    if len(set(modes)) != len(modes):
+        raise ConfigError(f"trials.modes: each mode may be listed once (got {mode_names})")
 
     return CampaignSpec(scenario=scenario, trials=trials, modes=tuple(modes))
 
@@ -241,7 +281,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")

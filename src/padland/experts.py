@@ -11,6 +11,7 @@ through the rest of the pipeline verbatim.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -181,55 +182,88 @@ def detect(
 # ---------------------------------------------------------------------------
 
 LOG_HEADER = "frame,expert,u,v,w,h,confidence,present"
+LOG_FIELDS = 6  # u, v, w, h, confidence, present of one expert
+LOG_STRIDE = 2 * LOG_FIELDS  # FAR's fields, then NEAR's
+_ABSENT = (0.0,) * LOG_FIELDS
 
 
 class DetectionLogError(ValueError):
     """Malformed detection log; message carries the offending line number."""
 
 
+def _cells(det: Detection) -> tuple:
+    b = det.box
+    if b is None:
+        return _ABSENT
+    return (b.u, b.v, b.w, b.h, det.confidence, 1.0)
+
+
+def _detection(expert: ExpertId, cells) -> Detection:
+    if not cells[5]:
+        return Detection(expert_id=expert)
+    return Detection(expert_id=expert, box=BoundingBox(*cells[:4]), confidence=cells[4])
+
+
 @dataclass
 class DetectionLog:
-    """In-memory detection log: both experts' outputs for consecutive frames."""
+    """In-memory detection log: both experts' outputs for consecutive frames.
 
-    frames: list[dict[ExpertId, Detection]] = field(default_factory=list)
+    `records` holds LOG_STRIDE float64 values per frame: u, v, w, h,
+    confidence, present for FAR, then the same for NEAR, with zeros for the
+    numeric fields of an absent detection.
+    """
+
+    records: array = field(default_factory=lambda: array("d"))
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.records) // LOG_STRIDE
+
+    @property
+    def frames(self) -> np.ndarray:
+        """The records as a (frames, LOG_STRIDE) view; while a view is
+        alive, append raises BufferError instead of moving the records."""
+        return np.frombuffer(self.records, dtype=np.float64).reshape(-1, LOG_STRIDE)
 
     def append(self, det_far: Detection, det_near: Detection) -> None:
         if det_far.expert_id is not ExpertId.FAR or det_near.expert_id is not ExpertId.NEAR:
             raise ValueError("append expects (FAR, NEAR) detections in that order")
-        self.frames.append({ExpertId.FAR: det_far, ExpertId.NEAR: det_near})
+        self.records.extend(_cells(det_far) + _cells(det_near))
 
 
 def replay_detect(log: DetectionLog, frame_index: int) -> tuple[Detection, Detection]:
     """Return the recorded (FAR, NEAR) detections for one frame, verbatim."""
-    if not 0 <= frame_index < len(log.frames):
+    if not 0 <= frame_index < len(log):
         raise IndexError(
-            f"frame_index {frame_index} out of range (log has {len(log.frames)} frames)"
+            f"frame_index {frame_index} out of range (log has {len(log)} frames)"
         )
-    row = log.frames[frame_index]
-    return row[ExpertId.FAR], row[ExpertId.NEAR]
+    start = frame_index * LOG_STRIDE
+    row = log.records[start : start + LOG_STRIDE]
+    return _detection(ExpertId.FAR, row[:LOG_FIELDS]), _detection(ExpertId.NEAR, row[LOG_FIELDS:])
 
 
-def _format_detection(frame: int, det: Detection) -> str:
-    if det.box is None:
-        return f"{frame},{det.expert_id.value},0,0,0,0,0,0"
-    b = det.box
-    return f"{frame},{det.expert_id.value},{b.u!r},{b.v!r},{b.w!r},{b.h!r},{det.confidence!r},1"
+def _expert_records(expert: ExpertId, columns: list[list[float]]) -> list[str]:
+    """One expert's records without the frame number, formatted column by
+    column: floats via repr, "0" for every field of an absent detection."""
+    *values, present = columns
+    fields = [[repr(x) if p else "0" for x, p in zip(col, present)] for col in values]
+    flags = ["1" if p else "0" for p in present]
+    return [f"{expert.value},{','.join(cells)}" for cells in zip(*fields, flags)]
 
 
 def write_detection_log(log: DetectionLog, path: str | Path) -> None:
     """Write the log in the plain-text record format (floats via repr, so a
     write/read round trip is value-exact)."""
+    columns = log.frames.T.tolist()
+    far = _expert_records(ExpertId.FAR, columns[:LOG_FIELDS])
+    near = _expert_records(ExpertId.NEAR, columns[LOG_FIELDS:])
     lines = [LOG_HEADER]
-    for frame, row in enumerate(log.frames):
-        lines.append(_format_detection(frame, row[ExpertId.FAR]))
-        lines.append(_format_detection(frame, row[ExpertId.NEAR]))
+    for frame, (f, n) in enumerate(zip(far, near)):
+        lines.append(f"{frame},{f}")
+        lines.append(f"{frame},{n}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_record(line: str, lineno: int) -> tuple[int, Detection]:
+def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId, tuple]:
     parts = line.split(",")
     if len(parts) != 8:
         raise DetectionLogError(f"line {lineno}: expected 8 fields, got {len(parts)}")
@@ -243,12 +277,12 @@ def _parse_record(line: str, lineno: int) -> tuple[int, Detection]:
     if present not in (0, 1):
         raise DetectionLogError(f"line {lineno}: present flag must be 0 or 1")
     if present == 0:
-        return frame, Detection(expert_id=expert)
+        return frame, expert, _ABSENT
     if w <= 0 or h <= 0:
         raise DetectionLogError(f"line {lineno}: present detection with non-positive size")
     if not 0.0 <= conf <= 1.0:
         raise DetectionLogError(f"line {lineno}: confidence {conf} outside [0, 1]")
-    return frame, Detection(expert_id=expert, box=BoundingBox(u, v, w, h), confidence=conf)
+    return frame, expert, (u, v, w, h, conf, 1.0)
 
 
 def read_detection_log(path: str | Path) -> DetectionLog:
@@ -258,17 +292,17 @@ def read_detection_log(path: str | Path) -> DetectionLog:
     if not lines or lines[0].strip() != LOG_HEADER:
         raise DetectionLogError("line 1: missing or malformed header")
 
-    by_frame: dict[int, dict[ExpertId, Detection]] = {}
+    by_frame: dict[int, dict[ExpertId, tuple]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        frame, det = _parse_record(line, lineno)
+        frame, expert, cells = _parse_record(line, lineno)
         slot = by_frame.setdefault(frame, {})
-        if det.expert_id in slot:
+        if expert in slot:
             raise DetectionLogError(
-                f"line {lineno}: duplicate {det.expert_id.value} record for frame {frame}"
+                f"line {lineno}: duplicate {expert.value} record for frame {frame}"
             )
-        slot[det.expert_id] = det
+        slot[expert] = cells
 
     log = DetectionLog()
     for frame in range(len(by_frame)):
@@ -278,5 +312,5 @@ def read_detection_log(path: str | Path) -> DetectionLog:
         for expert in ExpertId:
             if expert not in row:
                 raise DetectionLogError(f"frame {frame}: no {expert.value} record")
-        log.frames.append(row)
+        log.records.extend(row[ExpertId.FAR] + row[ExpertId.NEAR])
     return log

@@ -11,6 +11,7 @@ per-expert seed streams so the modes see common random numbers.
 from __future__ import annotations
 
 import concurrent.futures
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -69,6 +70,8 @@ class TrialConfig:
             raise ValueError("max_steps must be positive")
         if self.commit_altitude <= 0:
             raise ValueError("commit_altitude must be positive")
+        if self.commit_altitude >= min(self.altitude_set):
+            raise ValueError("commit_altitude must be below every altitude_set entry")
         for name in ("x_range", "y_range"):
             lo, hi = getattr(self, name)
             if hi < lo:
@@ -101,19 +104,33 @@ class TrialResult:
     expert_usage: dict[str, int]
 
 
-@dataclass
-class TrialRun:
-    """A finished trial plus its raw per-frame records."""
-
-    result: TrialResult
-    trajectory_rows: list[tuple]
-    detections: DetectionLog
-
-
 TRAJECTORY_HEADER = (
     "step,t,x,y,z,u_far,v_far,far_present,u_near,v_near,near_present,"
     "selected,u_hat,v_hat,e_x,e_y,A,e_z,vx_cmd,vy_cmd,vz_cmd"
 )
+TRAJECTORY_COLUMNS = tuple(TRAJECTORY_HEADER.split(","))
+# code of the `selected` column: index into SELECTION_LABELS
+SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
+_SELECTION_CODE = {None: 0.0, ExpertId.FAR: 1.0, ExpertId.NEAR: 2.0}
+_INT_COLUMNS = frozenset(("step", "far_present", "near_present"))
+_BLANKABLE_COLUMNS = frozenset(("u_hat", "v_hat", "e_x", "e_y", "A", "e_z"))
+_BLANKS = (float("nan"),) * len(_BLANKABLE_COLUMNS)
+
+
+@dataclass(eq=False)
+class TrialRun:
+    """A finished trial plus its raw per-frame records.
+
+    `trajectory` is a (steps, len(TRAJECTORY_COLUMNS)) float64 array, one
+    row per frame in TRAJECTORY_HEADER order: blank cells (no smoothed box)
+    are NaN and `selected` holds a code into SELECTION_LABELS. `detections`
+    holds the same frames' raw expert outputs. Runs compare by identity;
+    compare records with `.tobytes()`, since NaN blanks never compare equal.
+    """
+
+    result: TrialResult
+    trajectory: np.ndarray
+    detections: DetectionLog
 
 
 def sample_initial(config: TrialConfig, rng: np.random.Generator, trial_index: int) -> VehicleState:
@@ -128,12 +145,6 @@ def sample_initial(config: TrialConfig, rng: np.random.Generator, trial_index: i
     y = rng.uniform(config.y_range[0], config.y_range[1])
     z = config.altitude_set[trial_index % len(config.altitude_set)]
     return VehicleState(x=x, y=y, z=z)
-
-
-def _detection_fields(det: Detection) -> tuple[float, float, int]:
-    if det.box is None:
-        return 0.0, 0.0, 0
-    return det.box.u, det.box.v, 1
 
 
 def run_trial(
@@ -151,7 +162,7 @@ def run_trial(
     gate = GateState(window_capacity=scenario.window_size, coast_limit=scenario.coast_limit)
 
     state = initial
-    rows: list[tuple] = []
+    traj = array("d")
     log = DetectionLog()
     usage = {ExpertId.FAR.value: 0, ExpertId.NEAR.value: 0}
 
@@ -161,23 +172,20 @@ def run_trial(
 
     run_far = mode in (Mode.FAR_ONLY, Mode.DUAL)
     run_near = mode in (Mode.NEAR_ONLY, Mode.DUAL)
+    absent_far = Detection(expert_id=ExpertId.FAR)
+    absent_near = Detection(expert_id=ExpertId.NEAR)
 
     for k in range(config.max_steps):
         truth = project_helipad(state, pad, cam)
         if truth is None:
-            det_far = Detection(expert_id=ExpertId.FAR)
-            det_near = Detection(expert_id=ExpertId.NEAR)
+            det_far, det_near = absent_far, absent_near
         else:
             s = apparent_width(state, pad, cam)
             det_far = (
-                detect(scenario.far_profile, truth, s, rng_far, cam)
-                if run_far
-                else Detection(expert_id=ExpertId.FAR)
+                detect(scenario.far_profile, truth, s, rng_far, cam) if run_far else absent_far
             )
             det_near = (
-                detect(scenario.near_profile, truth, s, rng_near, cam)
-                if run_near
-                else Detection(expert_id=ExpertId.NEAR)
+                detect(scenario.near_profile, truth, s, rng_near, cam) if run_near else absent_near
             )
         log.append(det_far, det_near)
 
@@ -185,40 +193,23 @@ def run_trial(
         if out.selected_expert is not None:
             usage[out.selected_expert.value] += 1
 
-        if out.smoothed_box is not None:
-            err = compute_errors(out.smoothed_box, cam, scenario.gains)
-            cmd = compute_command(err, scenario.gains)
-        else:
-            err = None
-            cmd = VelocityCommand(0.0, 0.0, 0.0)
-
-        uf, vf, pf = _detection_fields(det_far)
-        un, vn, pn = _detection_fields(det_near)
         sb = out.smoothed_box
-        rows.append(
-            (
-                k,
-                k * scenario.dynamics.dt,
-                state.x,
-                state.y,
-                state.z,
-                uf,
-                vf,
-                pf,
-                un,
-                vn,
-                pn,
-                out.selected_expert.value if out.selected_expert else "",
-                sb.u if sb else "",
-                sb.v if sb else "",
-                err.e_x if err else "",
-                err.e_y if err else "",
-                err.area if err else "",
-                err.e_z if err else "",
-                cmd.v_x,
-                cmd.v_y,
-                cmd.v_z,
-            )
+        if sb is not None:
+            err = compute_errors(sb, cam, scenario.gains)
+            cmd = compute_command(err, scenario.gains)
+            tracked = (sb.u, sb.v, err.e_x, err.e_y, err.area, err.e_z)
+        else:
+            cmd = VelocityCommand(0.0, 0.0, 0.0)
+            tracked = _BLANKS
+
+        bf, bn = det_far.box, det_near.box
+        traj.extend(
+            (k, k * scenario.dynamics.dt, state.x, state.y, state.z)
+            + ((bf.u, bf.v, 1) if bf is not None else (0.0, 0.0, 0))
+            + ((bn.u, bn.v, 1) if bn is not None else (0.0, 0.0, 0))
+            + (_SELECTION_CODE[out.selected_expert],)
+            + tracked
+            + (cmd.v_x, cmd.v_y, cmd.v_z)
         )
         steps = k + 1
 
@@ -246,7 +237,8 @@ def run_trial(
         steps=steps,
         expert_usage=usage,
     )
-    return TrialRun(result=result, trajectory_rows=rows, detections=log)
+    trajectory = np.frombuffer(traj, dtype=np.float64).reshape(-1, len(TRAJECTORY_COLUMNS))
+    return TrialRun(result=result, trajectory=trajectory, detections=log)
 
 
 @dataclass
@@ -321,16 +313,24 @@ def run_campaign(
     return campaign
 
 
-def write_trajectory_csv(rows: list[tuple], path: str | Path) -> None:
-    """Write per-frame trajectory records (floats via repr: round-trippable
-    and byte-stable across identical runs)."""
+def _format_column(name: str, values: list[float]) -> list[str]:
+    if name in _INT_COLUMNS:
+        return [str(int(x)) for x in values]
+    if name == "selected":
+        return [SELECTION_LABELS[int(x)] for x in values]
+    if name in _BLANKABLE_COLUMNS:
+        return ["" if x != x else repr(x) for x in values]
+    return [repr(x) for x in values]
+
+
+def write_trajectory_csv(trajectory: np.ndarray, path: str | Path) -> None:
+    """Write per-frame trajectory records, formatted column by column
+    (floats via repr: round-trippable and byte-stable across identical
+    runs; NaN blanks as empty cells; `selected` as its label)."""
+    columns = [
+        _format_column(name, values)
+        for name, values in zip(TRAJECTORY_COLUMNS, trajectory.T.tolist())
+    ]
     lines = [TRAJECTORY_HEADER]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    lines.extend(",".join(row) for row in zip(*columns))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)

@@ -17,6 +17,8 @@ from padland.experts import Detection, ExpertId, ExpertProfile, write_detection_
 from padland.gating import GateState, l1_center_distance, select_expert
 from padland.geometry import BoundingBox, CameraModel, VehicleState, apparent_width, project_helipad
 from padland.harness import (
+    SELECTION_LABELS,
+    TRAJECTORY_COLUMNS,
     Mode,
     Scenario,
     TerminationReason,
@@ -255,9 +257,8 @@ def test_criterion_8_replay_round_trip(tmp_path):
     rf, rn = (np.random.default_rng(s) for s in root.spawn(2))
     run = run_trial(VehicleState(-88.0, 82.0, 90.0), Mode.DUAL, scen, cfg, rf, rn)
 
-    original = [
-        row[11] for row in run.trajectory_rows
-    ]  # selected-expert column, "" when coasting
+    codes = run.trajectory[:, TRAJECTORY_COLUMNS.index("selected")].tolist()
+    original = [SELECTION_LABELS[int(c)] for c in codes]  # "" when coasting
 
     path = tmp_path / "detections.csv"
     write_detection_log(run.detections, path)

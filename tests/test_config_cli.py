@@ -72,9 +72,11 @@ class TestConfig:
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigError, match="JSON"):
-            load_config(path)
+        # the second is an integer too long for Python to convert
+        for text in ("{not json", '{"seed": 1' + "0" * 5000 + "}"):
+            path.write_text(text)
+            with pytest.raises(ConfigError, match="JSON"):
+                load_config(path)
 
 
 class TestCliRun:
@@ -157,6 +159,13 @@ class TestCliValidate:
             pytest.param("dynamics.dt", float("inf"), id="dynamics.dt-inf"),
             pytest.param("helipad.center", [float("nan"), 75.0], id="helipad.center-nan"),
             pytest.param("helipad.center", [True, 75.0], id="helipad.center-bool"),
+            pytest.param("trials.n_trials", 0.5, id="trials.n_trials-fraction"),
+            pytest.param("gate.window_size", 2.7, id="gate.window_size-fraction"),
+            pytest.param("trials.max_steps", 10**400, id="trials.max_steps-huge"),
+            pytest.param("trials.modes", ["dual", "dual"], id="trials.modes-duplicate"),
+            pytest.param("trials.commit_altitude", 70.0, id="trials.commit_altitude-at-start"),
+            pytest.param("trials.altitude_set", [70.0, True], id="trials.altitude_set-bool"),
+            pytest.param("trials.altitude_set", [70.0, 1e400], id="trials.altitude_set-inf"),
         ],
     )
     def test_bad_value_rejected_with_key_name(self, tmp_path, capsys, key, value):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from padland.experts import Detection, ExpertId
 from padland.gating import GateOutput, GateState, l1_center_distance, select_expert
@@ -202,3 +204,77 @@ class TestGateState:
         for u in range(10):
             select_expert(far(200.0 + u, 224.0), ABSENT_NEAR, state, CAM)
             assert len(state.window) <= 3
+
+
+# -- property tests ---------------------------------------------------------
+
+coord = st.floats(0.0, 448.0)
+size = st.floats(1.0, 100.0)
+boxes = st.builds(BoundingBox, coord, coord, size, size)
+maybe_boxes = st.one_of(st.none(), boxes)
+# a frame: FAR's box and NEAR's box, None when that expert saw nothing
+frames = st.lists(st.tuples(maybe_boxes, maybe_boxes), max_size=40)
+
+
+def detection(expert: ExpertId, box: BoundingBox | None) -> Detection:
+    return Detection(expert) if box is None else Detection(expert, box, 0.5)
+
+
+def play(state: GateState, history) -> list[GateOutput]:
+    return [
+        select_expert(detection(ExpertId.FAR, bf), detection(ExpertId.NEAR, bn), state, CAM)
+        for bf, bn in history
+    ]
+
+
+class TestGateProperties:
+    @given(frames, boxes, boxes)
+    def test_selects_the_l1_argmin(self, history, box_far, box_near):
+        state = GateState()
+        play(state, history)
+        out = play(state, [(box_far, box_near)])[0]
+        d_far = abs(box_far.u - CAM.cx) + abs(box_far.v - CAM.cy)
+        d_near = abs(box_near.u - CAM.cx) + abs(box_near.v - CAM.cy)
+        if d_far != d_near:
+            assert out.selected_expert is (ExpertId.FAR if d_far < d_near else ExpertId.NEAR)
+        assert out.raw_distance == min(d_far, d_near)
+
+    @given(frames, boxes, size)
+    def test_exact_tie_keeps_previous_or_near(self, history, box, near_size):
+        # CAM.cx == CAM.cy, so swapping u and v keeps the L1 distance exactly
+        state = GateState()
+        play(state, history)
+        previous = state.last_selected
+        tied = BoundingBox(box.v, box.u, near_size, near_size)
+        out = play(state, [(box, tied)])[0]
+        assert out.selected_expert is (previous or ExpertId.NEAR)
+
+    @given(frames, st.integers(0, 15), st.integers(1, 8), st.integers(1, 30))
+    def test_tracking_lost_exactly_after_coast_limit(self, history, coast_limit, window, gap):
+        state = GateState(window_capacity=window, coast_limit=coast_limit)
+        play(state, history)
+        start = state.coast_counter  # absent frames already running at the end of history
+        outs = play(state, [(None, None)] * gap)
+        for i, out in enumerate(outs, start=start + 1):
+            assert out.tracking_lost == (i >= coast_limit + 1)
+            assert out.selected_expert is None
+            if out.tracking_lost:
+                assert out.smoothed_box is None
+
+    @given(frames, st.integers(1, 8))
+    def test_smoothed_box_is_sequential_mean_of_window(self, history, window):
+        state = GateState(window_capacity=window)
+        raw: list[BoundingBox] = []
+        for (bf, bn), out in zip(history, play(state, history)):
+            if out.selected_expert is not None:
+                raw.append(bf if out.selected_expert is ExpertId.FAR else bn)
+            if out.smoothed_box is None:
+                continue
+            last = raw[-window:]
+            expected = []
+            for field in ("u", "v", "w", "h"):
+                total = 0.0
+                for b in last:  # chronological order, one addition at a time
+                    total += getattr(b, field)
+                expected.append(total / len(last))
+            assert out.smoothed_box == BoundingBox(*expected)

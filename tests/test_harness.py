@@ -1,11 +1,13 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from padland.experts import ExpertId, ExpertProfile
+from padland.experts import LOG_FIELDS, LOG_STRIDE, ExpertId, ExpertProfile
 from padland.geometry import VehicleState
 from padland.harness import (
+    TRAJECTORY_COLUMNS,
     Mode,
     Scenario,
     TerminationReason,
@@ -14,6 +16,8 @@ from padland.harness import (
     run_trial,
     sample_initial,
 )
+
+COL = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
 
 IDEAL = Scenario(
     far_profile=ExpertProfile.ideal(ExpertId.FAR),
@@ -109,8 +113,8 @@ class TestRunTrial:
         )
         assert run.result.expert_usage["NEAR"] == 0
         assert run.result.expert_usage["FAR"] == run.result.steps
-        for frame in run.detections.frames:
-            assert not frame[ExpertId.NEAR].present
+        # every NEAR field, the present flag included, stays zero
+        assert not run.detections.frames[:, LOG_FIELDS:].any()
 
     def test_timeout_when_descent_never_allowed(self):
         # a huge alignment error that lateral motion cannot fix in time is
@@ -124,8 +128,20 @@ class TestRunTrial:
         run = run_trial(
             VehicleState(-86.0, 75.0, 70.0), Mode.DUAL, IDEAL, TrialConfig(), *rngs()
         )
-        assert len(run.trajectory_rows) == run.result.steps
+        assert run.trajectory.shape == (run.result.steps, len(TRAJECTORY_COLUMNS))
+        assert run.detections.frames.shape == (run.result.steps, LOG_STRIDE)
         assert len(run.detections) == run.result.steps
+
+    def test_pickled_run_is_compact_and_exact(self):
+        run = run_trial(
+            VehicleState(-86.0, 80.0, 90.0), Mode.DUAL, Scenario(), TrialConfig(), *rngs(3)
+        )
+        blob = pickle.dumps(run)
+        assert len(blob) <= 300 * run.result.steps
+        back = pickle.loads(blob)
+        assert back.result == run.result
+        assert back.trajectory.tobytes() == run.trajectory.tobytes()
+        assert back.detections.records.tobytes() == run.detections.records.tobytes()
 
     def test_lateral_error_decreases_monotonically(self):
         # noise-free single-expert loop, 20 m offset at 70 m altitude
@@ -133,8 +149,10 @@ class TestRunTrial:
             VehicleState(-80.0 - 20.0 / math.sqrt(2), 75.0 - 20.0 / math.sqrt(2), 70.0),
             Mode.FAR_ONLY, IDEAL, TrialConfig(), *rngs(),
         )
-        rows = run.trajectory_rows
-        e_mag = [math.hypot(r[14], r[15]) for r in rows if r[14] != ""]
+        e_x = run.trajectory[:, COL["e_x"]]
+        e_y = run.trajectory[:, COL["e_y"]]
+        tracked = ~np.isnan(e_x)
+        e_mag = [math.hypot(x, y) for x, y in zip(e_x[tracked].tolist(), e_y[tracked].tolist())]
         after_warmup = e_mag[5:]
         crossing = next(i for i, e in enumerate(after_warmup) if e < 2.0)
         for a, b in zip(after_warmup[:crossing], after_warmup[1 : crossing + 1]):
@@ -146,7 +164,8 @@ class TestRunTrial:
         run = run_trial(
             VehicleState(-80.0, 75.0, 70.0), Mode.NEAR_ONLY, IDEAL, TrialConfig(), *rngs()
         )
-        e_z = [r[17] for r in run.trajectory_rows if r[17] != ""]
+        e_z = run.trajectory[:, COL["e_z"]]
+        e_z = e_z[~np.isnan(e_z)].tolist()
         assert all(b <= a + 1e-9 for a, b in zip(e_z, e_z[1:]))
         assert e_z[-1] < e_z[0]
 
@@ -170,7 +189,8 @@ class TestCampaign:
         for mode in a.runs:
             assert a.results(mode) == b.results(mode)
             for ra, rb in zip(a.runs[mode], b.runs[mode]):
-                assert ra.trajectory_rows == rb.trajectory_rows
+                assert ra.trajectory.tobytes() == rb.trajectory.tobytes()
+                assert ra.detections.records.tobytes() == rb.detections.records.tobytes()
 
     def test_different_seed_changes_results(self):
         a = run_campaign(Scenario(), TrialConfig(seed=21, n_trials=4), modes=[Mode.DUAL])
@@ -183,7 +203,8 @@ class TestCampaign:
         for mode in serial.runs:
             assert serial.results(mode) == parallel.results(mode)
             for ra, rb in zip(serial.runs[mode], parallel.runs[mode]):
-                assert ra.trajectory_rows == rb.trajectory_rows
+                assert ra.trajectory.tobytes() == rb.trajectory.tobytes()
+                assert ra.detections.records.tobytes() == rb.detections.records.tobytes()
 
     def test_common_noise_streams_across_modes(self):
         # FAR detections in FAR_ONLY and DUAL derive from the same seed
@@ -193,9 +214,9 @@ class TestCampaign:
         )
         far_run = camp.runs[Mode.FAR_ONLY][0]
         dual_run = camp.runs[Mode.DUAL][0]
-        first_far = far_run.detections.frames[0][ExpertId.FAR]
-        first_dual = dual_run.detections.frames[0][ExpertId.FAR]
-        assert first_far == first_dual
+        first_far = far_run.detections.frames[0, :LOG_FIELDS]
+        first_dual = dual_run.detections.frames[0, :LOG_FIELDS]
+        assert first_far.tobytes() == first_dual.tobytes()
 
     def test_every_result_has_reason(self):
         camp = run_campaign(Scenario(), TrialConfig(seed=2, n_trials=4))
@@ -215,5 +236,7 @@ class TestConfigValidation:
             TrialConfig(max_steps=0)
         with pytest.raises(ValueError):
             TrialConfig(commit_altitude=0.0)
+        with pytest.raises(ValueError):
+            TrialConfig(commit_altitude=70.0)
         with pytest.raises(ValueError):
             TrialConfig(x_range=(5.0, -5.0))
