@@ -42,7 +42,7 @@ with tempfile.TemporaryDirectory() as tmp:
           f"({log_path.stat().st_size} bytes)")
 
     log = read_detection_log(log_path)
-    gate = GateState(window_capacity=scenario.window_size, coast_limit=scenario.coast_limit)
+    gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
     replayed = []
     for frame in range(len(log)):
         det_far, det_near = replay_detect(log, frame)

@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import ConfigError, build_campaign, default_config, load_config
 from .experts import DetectionLogError, read_detection_log, replay_detect
 from .gating import GateState, select_expert
-from .harness import Mode, run_campaign
+from .harness import run_campaign
 from .reporting import rebuild_results, write_campaign_outputs
 from .servo import compute_errors
 from .stats import compare_modes, format_comparison_table
@@ -25,31 +25,18 @@ from .stats import compare_modes, format_comparison_table
 REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
 
 
-def _parse_modes(text: str) -> list[Mode]:
-    modes = []
-    for name in text.split(","):
-        name = name.strip()
-        if not name:
-            continue
-        try:
-            modes.append(Mode(name))
-        except ValueError:
-            raise ConfigError(
-                f"--modes: unknown mode {name!r} (expected one of {[m.value for m in Mode]})"
-            ) from None
-    if not modes:
-        raise ConfigError("--modes: at least one mode required")
-    return modes
-
-
 def cmd_run(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers: must be >= 1 (got {args.workers})")
     doc = load_config(args.config)
-    if args.seed is not None:
-        doc.setdefault("trials", {})["seed"] = args.seed
-    if args.trials is not None:
-        doc.setdefault("trials", {})["n_trials"] = args.trials
-    if args.modes is not None:
-        doc.setdefault("trials", {})["modes"] = [m.value for m in _parse_modes(args.modes)]
+    trials = doc.setdefault("trials", {})
+    if isinstance(trials, dict):  # otherwise build_campaign names the bad section
+        if args.seed is not None:
+            trials["seed"] = args.seed
+        if args.trials is not None:
+            trials["n_trials"] = args.trials
+        if args.modes is not None:
+            trials["modes"] = [name.strip() for name in args.modes.split(",")]
     spec = build_campaign(doc)
 
     campaign = run_campaign(
@@ -72,10 +59,7 @@ def cmd_replay(args) -> int:
 
     cam = spec.scenario.camera
     gains = spec.scenario.gains
-    gate = GateState(
-        window_capacity=spec.scenario.window_size,
-        coast_limit=spec.scenario.coast_limit,
-    )
+    gate = GateState(window_size=spec.scenario.window_size, coast_limit=spec.scenario.coast_limit)
 
     lines = [REPLAY_HEADER]
     for frame in range(len(log)):
@@ -139,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override trials.seed")
     p_run.add_argument("--modes", default=None, help="comma-separated mode list")
     p_run.add_argument("--trials", type=int, default=None, help="override trials.n_trials")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel trial workers")
+    p_run.add_argument("--workers", type=int, default=1, help="parallel trial workers (>= 1)")
     p_run.set_defaults(func=cmd_run)
 
     p_replay = sub.add_parser("replay", help="replay a detection log through the gate")

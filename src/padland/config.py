@@ -1,16 +1,20 @@
 """Campaign configuration: one JSON document covering every tunable.
 
-Validation errors name the offending key with a dotted path (for example
-``gains.k_xy``) so a bad config is diagnosable from the message alone.
-The expert distractor offset is configured in world meters and converted
-to pad-side units when the profile is built.
+The defaults are the dataclass defaults, and each range rule lives in the
+dataclass that owns the field. This module parses types, applies the rules
+that span two objects, and prefixes every error with the dotted key (for
+example ``gains.k_xy``) so a bad config is diagnosable from the message
+alone. Two keys are converted when the objects are built: the expert
+distractor offset is configured in world meters (stored in pad-side units)
+and the descent target as the altitude ``gains.z_ref`` (stored as the box
+area seen from it).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import DynamicsParams
@@ -24,75 +28,61 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending key."""
 
 
-DEFAULT_CONFIG: dict = {
-    "camera": {
-        "image_width": 448,
-        "image_height": 448,
-        "focal_length": 224.0,
-    },
-    "helipad": {
-        "center": [-80.0, 75.0],
-        "side_length": 12.0,
-    },
-    "experts": {
-        "far": {
-            "s_center": 8.0,
-            "s_slope": 2.0,
-            "regime": "detects_above",
-            "sigma_center_base": 2.0,
-            "sigma_center_scale": 0.05,
-            "sigma_size_frac": 0.05,
-            "distractor_prob": 0.01,
-            "distractor_offset_m": [25.0, 0.0],
-        },
-        "near": {
-            "s_center": 27.0,
-            "s_slope": 0.75,
-            "regime": "detects_above",
-            "sigma_center_base": 1.5,
-            "sigma_center_scale": 0.0,
-            "sigma_size_frac": 0.03,
-            "distractor_prob": 0.0,
-            "distractor_offset_m": [0.0, 0.0],
-        },
-    },
-    "gate": {
-        "window_size": 5,
-        "coast_limit": 10,
-    },
-    "gains": {
-        "k_xy": 0.02,
-        "k_z": 1.5,
-        "v_lat_max": 2.0,
-        "align_threshold": 30.0,
-        "z_ref": 6.0,
-    },
-    "dynamics": {
-        "dt": 0.05,
-        "tau": 0.4,
-    },
-    "trials": {
-        "n_trials": 10,
-        "x_range": [-95.0, -65.0],
-        "y_range": [60.0, 90.0],
-        "altitude_set": [70.0, 80.0, 90.0, 110.0],
-        "seed": 42,
-        "max_steps": 6000,
-        "commit_altitude": 8.0,
-        "modes": ["near_only", "far_only", "dual"],
-    },
-}
+@dataclass(frozen=True)
+class CampaignSpec:
+    """Validated configuration, ready to run."""
+
+    scenario: Scenario = field(default_factory=Scenario)
+    trials: TrialConfig = field(default_factory=TrialConfig)
+    modes: tuple[Mode, ...] = tuple(Mode)
+
+    def __post_init__(self):
+        if not self.modes or len(set(self.modes)) != len(self.modes):
+            raise ValueError(
+                f"modes: must be nonempty and distinct (got {[m.value for m in self.modes]})"
+            )
+
+
+def _profile_doc(profile: ExpertProfile, pad_side: float) -> dict:
+    doc = asdict(profile)
+    del doc["expert_id"]
+    doc["regime"] = profile.regime.value
+    offset = doc.pop("distractor_offset_pads")
+    doc["distractor_offset_m"] = [offset[0] * pad_side, offset[1] * pad_side]
+    return doc
 
 
 def default_config() -> dict:
-    """A fresh copy of the shipped default configuration."""
-    return json.loads(json.dumps(DEFAULT_CONFIG))
+    """The default configuration document: the dataclass defaults in field
+    order, with build_campaign's two conversions reversed."""
+    spec = CampaignSpec()
+    scenario = spec.scenario
+    camera, pad = scenario.camera, scenario.helipad
+    gains = asdict(scenario.gains)
+    gains["z_ref"] = camera.focal_length * pad.side_length / math.sqrt(gains.pop("area_ref"))
+    doc = {
+        "camera": asdict(camera),
+        "helipad": {"center": [pad.x, pad.y], "side_length": pad.side_length},
+        "experts": {
+            "far": _profile_doc(scenario.far_profile, pad.side_length),
+            "near": _profile_doc(scenario.near_profile, pad.side_length),
+        },
+        "gate": {"window_size": scenario.window_size, "coast_limit": scenario.coast_limit},
+        "gains": gains,
+        "dynamics": asdict(scenario.dynamics),
+        "trials": {**asdict(spec.trials), "modes": [m.value for m in spec.modes]},
+    }
+    return json.loads(json.dumps(doc))  # tuples become lists, as in a loaded file
 
 
 def _get(doc: dict, path: str, expected=None):
     node = doc
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+    parts = path.split(".")
+    for depth, part in enumerate(parts):
+        if not isinstance(node, dict):
+            section = ".".join(parts[:depth])
+            raise ConfigError(f"{section}: expected a JSON object, got {type(node).__name__}")
+        if part not in node:
             raise ConfigError(f"missing key: {path}")
         node = node[part]
     if expected is not None and not isinstance(node, expected):
@@ -115,23 +105,15 @@ def _finite(value) -> float | None:
     return number if math.isfinite(number) else None
 
 
-def _check_sign(path: str, value, positive: bool, nonnegative: bool) -> None:
-    if positive and value <= 0:
-        raise ConfigError(f"{path}: must be strictly positive (got {value})")
-    if nonnegative and value < 0:
-        raise ConfigError(f"{path}: must be >= 0 (got {value})")
-
-
-def _number(doc: dict, path: str, positive=False, nonnegative=False) -> float:
+def _number(doc: dict, path: str) -> float:
     value = _get(doc, path)
     number = _finite(value)
     if number is None:
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    _check_sign(path, number, positive, nonnegative)
     return number
 
 
-def _integer(doc: dict, path: str, positive=False, nonnegative=False) -> int:
+def _integer(doc: dict, path: str) -> int:
     """A whole number; a float is accepted only when it has no fraction."""
     value = _get(doc, path)
     if isinstance(value, float) and value.is_integer():
@@ -140,8 +122,24 @@ def _integer(doc: dict, path: str, positive=False, nonnegative=False) -> int:
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if not -_INT_LIMIT < value < _INT_LIMIT:
         raise ConfigError(f"{path}: integer out of range (magnitude must be below 2**63)")
-    _check_sign(path, value, positive, nonnegative)
     return value
+
+
+def _member(enum, path: str, value):
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigError(
+            f"{path}: unknown value {value!r} (expected one of {[m.value for m in enum]})"
+        ) from None
+
+
+def _numbers(doc: dict, section: str, cls, converted=()) -> dict:
+    """`section.<name>` as a finite number for each field of cls not in
+    converted: the keys of a section are its dataclass's field names."""
+    return {
+        f.name: _number(doc, f"{section}.{f.name}") for f in fields(cls) if f.name not in converted
+    }
 
 
 def _pair(doc: dict, path: str) -> tuple[float, float]:
@@ -152,127 +150,81 @@ def _pair(doc: dict, path: str) -> tuple[float, float]:
     return pair[0], pair[1]
 
 
-def _probability(doc: dict, path: str) -> float:
-    value = _number(doc, path, nonnegative=True)
-    if value > 1:
-        raise ConfigError(f"{path}: must be in [0, 1] (got {value})")
-    return value
+def _checked(section: str, make, *args, **kwargs):
+    """make(*args, **kwargs), re-raising a range rule's ValueError (whose
+    message starts with the field name) as a ConfigError naming the key."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.{exc}") from None
 
 
 def _profile(doc: dict, key: str, expert_id: ExpertId, pad_side: float) -> ExpertProfile:
     base = f"experts.{key}"
-    regime_name = _get(doc, f"{base}.regime", str)
-    try:
-        regime = Regime(regime_name)
-    except ValueError:
-        raise ConfigError(
-            f"{base}.regime: must be 'detects_above' or 'detects_below' (got {regime_name!r})"
-        ) from None
+    regime = _member(Regime, f"{base}.regime", _get(doc, f"{base}.regime"))
     offset_m = _pair(doc, f"{base}.distractor_offset_m")
-    return ExpertProfile(
+    return _checked(
+        base,
+        ExpertProfile,
         expert_id=expert_id,
-        s_center=_number(doc, f"{base}.s_center"),
-        s_slope=_number(doc, f"{base}.s_slope", positive=True),
         regime=regime,
-        sigma_center_base=_number(doc, f"{base}.sigma_center_base", nonnegative=True),
-        sigma_center_scale=_number(doc, f"{base}.sigma_center_scale", nonnegative=True),
-        sigma_size_frac=_number(doc, f"{base}.sigma_size_frac", nonnegative=True),
-        distractor_prob=_probability(doc, f"{base}.distractor_prob"),
         distractor_offset_pads=(offset_m[0] / pad_side, offset_m[1] / pad_side),
+        **_numbers(doc, base, ExpertProfile, {"expert_id", "regime", "distractor_offset_pads"}),
     )
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Validated configuration, ready to run."""
-
-    scenario: Scenario
-    trials: TrialConfig
-    modes: tuple[Mode, ...]
 
 
 def build_campaign(doc: dict) -> CampaignSpec:
     """Validate a config document and construct the runnable objects."""
-    camera = CameraModel(
-        image_width=_number(doc, "camera.image_width", positive=True),
-        image_height=_number(doc, "camera.image_height", positive=True),
-        focal_length=_number(doc, "camera.focal_length", positive=True),
+    camera = _checked("camera", CameraModel, **_numbers(doc, "camera", CameraModel))
+    pad_x, pad_y = _pair(doc, "helipad.center")
+    pad = _checked(
+        "helipad", HelipadSpec, x=pad_x, y=pad_y, side_length=_number(doc, "helipad.side_length")
     )
-    pad_center = _pair(doc, "helipad.center")
-    pad = HelipadSpec(
-        x=pad_center[0],
-        y=pad_center[1],
-        side_length=_number(doc, "helipad.side_length", positive=True),
+    z_ref = _number(doc, "gains.z_ref")
+    area_ref = _checked("gains", area_ref_for_altitude, z_ref, camera.focal_length, pad.side_length)
+    gains = _checked(
+        "gains",
+        ControllerGains,
+        area_ref=area_ref,
+        **_numbers(doc, "gains", ControllerGains, {"area_ref"}),
     )
-    gains = ControllerGains(
-        k_xy=_number(doc, "gains.k_xy", positive=True),
-        k_z=_number(doc, "gains.k_z", positive=True),
-        v_lat_max=_number(doc, "gains.v_lat_max", positive=True),
-        align_threshold=_number(doc, "gains.align_threshold", positive=True),
-        area_ref=area_ref_for_altitude(
-            _number(doc, "gains.z_ref", positive=True),
-            camera.focal_length,
-            pad.side_length,
-        ),
-    )
-    dynamics = DynamicsParams(
-        dt=_number(doc, "dynamics.dt", positive=True),
-        tau=_number(doc, "dynamics.tau", nonnegative=True),
-    )
-    window_size = _integer(doc, "gate.window_size", positive=True)
-    coast_limit = _integer(doc, "gate.coast_limit", nonnegative=True)
-
-    scenario = Scenario(
+    dynamics = _checked("dynamics", DynamicsParams, **_numbers(doc, "dynamics", DynamicsParams))
+    # the gate fields are the only ones Scenario itself checks
+    scenario = _checked(
+        "gate",
+        Scenario,
         camera=camera,
         helipad=pad,
         far_profile=_profile(doc, "far", ExpertId.FAR, pad.side_length),
         near_profile=_profile(doc, "near", ExpertId.NEAR, pad.side_length),
         gains=gains,
         dynamics=dynamics,
-        window_size=window_size,
-        coast_limit=coast_limit,
+        window_size=_integer(doc, "gate.window_size"),
+        coast_limit=_integer(doc, "gate.coast_limit"),
     )
 
     altitudes = [_finite(z) for z in _get(doc, "trials.altitude_set", list)]
-    if not altitudes or any(z is None or z <= 0 for z in altitudes):
-        raise ConfigError("trials.altitude_set: expected a nonempty list of positive finite numbers")
-    commit_altitude = _number(doc, "trials.commit_altitude", positive=True)
-    if commit_altitude >= min(altitudes):
-        raise ConfigError(
-            f"trials.commit_altitude: must be below the lowest trials.altitude_set entry "
-            f"(got {commit_altitude} >= {min(altitudes)}); those trials would land at once"
-        )
-    x_range = _pair(doc, "trials.x_range")
-    y_range = _pair(doc, "trials.y_range")
-    for name, rng in (("trials.x_range", x_range), ("trials.y_range", y_range)):
-        if rng[1] < rng[0]:
-            raise ConfigError(f"{name}: low must not exceed high")
-    trials = TrialConfig(
-        x_range=x_range,
-        y_range=y_range,
+    if None in altitudes:
+        raise ConfigError("trials.altitude_set: expected a list of finite numbers")
+    trials = _checked(
+        "trials",
+        TrialConfig,
+        x_range=_pair(doc, "trials.x_range"),
+        y_range=_pair(doc, "trials.y_range"),
         altitude_set=tuple(altitudes),
-        seed=_integer(doc, "trials.seed", nonnegative=True),
-        n_trials=_integer(doc, "trials.n_trials", positive=True),
-        max_steps=_integer(doc, "trials.max_steps", positive=True),
-        commit_altitude=commit_altitude,
+        seed=_integer(doc, "trials.seed"),
+        n_trials=_integer(doc, "trials.n_trials"),
+        max_steps=_integer(doc, "trials.max_steps"),
+        commit_altitude=_number(doc, "trials.commit_altitude"),
     )
+    if z_ref >= trials.commit_altitude:
+        raise ConfigError(
+            f"gains.z_ref: must be below trials.commit_altitude (got {z_ref} >= "
+            f"{trials.commit_altitude}); the descent would stop at z_ref and every trial time out"
+        )
 
-    mode_names = _get(doc, "trials.modes", list)
-    modes = []
-    for name in mode_names:
-        try:
-            modes.append(Mode(name))
-        except ValueError:
-            raise ConfigError(
-                f"trials.modes: unknown mode {name!r} "
-                f"(expected one of {[m.value for m in Mode]})"
-            ) from None
-    if not modes:
-        raise ConfigError("trials.modes: at least one mode required")
-    if len(set(modes)) != len(modes):
-        raise ConfigError(f"trials.modes: each mode may be listed once (got {mode_names})")
-
-    return CampaignSpec(scenario=scenario, trials=trials, modes=tuple(modes))
+    modes = tuple(_member(Mode, "trials.modes", name) for name in _get(doc, "trials.modes", list))
+    return _checked("trials", CampaignSpec, scenario=scenario, trials=trials, modes=modes)
 
 
 def load_config(path: str | Path) -> dict:

@@ -20,9 +20,9 @@ class DynamicsParams:
 
     def __post_init__(self):
         if self.dt <= 0:
-            raise ValueError("dt must be positive")
+            raise ValueError(f"dt: must be strictly positive (got {self.dt})")
         if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+            raise ValueError(f"tau: must be >= 0 (got {self.tau})")
 
 
 def step(state: VehicleState, cmd: VelocityCommand, params: DynamicsParams) -> VehicleState:

@@ -77,12 +77,12 @@ class ExpertProfile:
 
     def __post_init__(self):
         if self.s_slope <= 0:
-            raise ValueError("s_slope must be positive")
+            raise ValueError(f"s_slope: must be strictly positive (got {self.s_slope})")
         for name in ("sigma_center_base", "sigma_center_scale", "sigma_size_frac"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise ValueError(f"{name}: must be >= 0 (got {getattr(self, name)})")
         if not 0.0 <= self.distractor_prob <= 1.0:
-            raise ValueError("distractor_prob must be in [0, 1]")
+            raise ValueError(f"distractor_prob: must be in [0, 1] (got {self.distractor_prob})")
 
     @classmethod
     def ideal(cls, expert_id: ExpertId) -> "ExpertProfile":

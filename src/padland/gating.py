@@ -27,21 +27,21 @@ class GateState:
     """Mutable per-trial gate memory.
 
     window holds the last raw selected boxes (most recent last), capped at
-    window_capacity; coast_counter counts consecutive frames with no
+    window_size; coast_counter counts consecutive frames with no
     detection from either expert.
     """
 
-    window_capacity: int = 5
+    window_size: int = 5
     coast_limit: int = 10
     window: deque = field(default_factory=deque)
     last_selected: ExpertId | None = None
     coast_counter: int = 0
 
     def __post_init__(self):
-        if self.window_capacity < 1:
-            raise ValueError("window_capacity must be >= 1")
+        if self.window_size < 1:
+            raise ValueError(f"window_size: must be >= 1 (got {self.window_size})")
         if self.coast_limit < 0:
-            raise ValueError("coast_limit must be >= 0")
+            raise ValueError(f"coast_limit: must be >= 0 (got {self.coast_limit})")
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ def select_expert(
             distance = d_far
 
     state.window.append(chosen.box)
-    while len(state.window) > state.window_capacity:
+    while len(state.window) > state.window_size:
         state.window.popleft()
     state.last_selected = chosen.expert_id
     state.coast_counter = 0

@@ -20,10 +20,9 @@ class CameraModel:
     focal_length: float = 224.0
 
     def __post_init__(self):
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
-        if self.focal_length <= 0:
-            raise ValueError("focal_length must be positive")
+        for name in ("image_width", "image_height", "focal_length"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be strictly positive (got {getattr(self, name)})")
 
     @property
     def cx(self) -> float:
@@ -44,7 +43,7 @@ class HelipadSpec:
 
     def __post_init__(self):
         if self.side_length <= 0:
-            raise ValueError("side_length must be positive")
+            raise ValueError(f"side_length: must be strictly positive (got {self.side_length})")
 
 
 @dataclass(frozen=True)

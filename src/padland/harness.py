@@ -62,20 +62,22 @@ class TrialConfig:
     commit_altitude: float = 8.0  # below this the vehicle commits blind
 
     def __post_init__(self):
-        if not self.altitude_set:
-            raise ValueError("altitude_set must be nonempty")
-        if self.n_trials < 1:
-            raise ValueError("n_trials must be >= 1")
-        if self.max_steps <= 0:
-            raise ValueError("max_steps must be positive")
-        if self.commit_altitude <= 0:
-            raise ValueError("commit_altitude must be positive")
-        if self.commit_altitude >= min(self.altitude_set):
-            raise ValueError("commit_altitude must be below every altitude_set entry")
         for name in ("x_range", "y_range"):
             lo, hi = getattr(self, name)
             if hi < lo:
-                raise ValueError(f"{name} must satisfy low <= high")
+                raise ValueError(f"{name}: low must not exceed high (got {lo} > {hi})")
+        if not self.altitude_set or min(self.altitude_set) <= 0:
+            raise ValueError(f"altitude_set: must be nonempty and > 0 (got {self.altitude_set})")
+        if self.seed < 0:
+            raise ValueError(f"seed: must be >= 0 (got {self.seed})")
+        for name in ("n_trials", "max_steps"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be >= 1 (got {getattr(self, name)})")
+        if not 0 < self.commit_altitude < min(self.altitude_set):
+            raise ValueError(
+                f"commit_altitude: must be positive and below the lowest altitude_set entry "
+                f"(got {self.commit_altitude}, lowest {min(self.altitude_set)})"
+            )
 
 
 @dataclass(frozen=True)
@@ -90,6 +92,11 @@ class Scenario:
     dynamics: DynamicsParams = field(default_factory=DynamicsParams)
     window_size: int = 5
     coast_limit: int = 10
+
+    def __post_init__(self):
+        # the gate owns these range rules; building one applies them here,
+        # so a bad scenario fails when it is made, not inside a worker
+        GateState(window_size=self.window_size, coast_limit=self.coast_limit)
 
 
 @dataclass(frozen=True)
@@ -159,7 +166,7 @@ def run_trial(
     """Run one closed-loop trial to termination."""
     cam = scenario.camera
     pad = scenario.helipad
-    gate = GateState(window_capacity=scenario.window_size, coast_limit=scenario.coast_limit)
+    gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
 
     state = initial
     traj = array("d")
@@ -278,9 +285,12 @@ def run_campaign(
     All modes receive identical initial states, and each (trial, expert)
     pair owns a seed stream derived once from the campaign seed, so the
     comparison is paired with common random numbers. Trials are
-    independent; with n_workers > 1 they run in a process pool and are
-    reassembled in trial order, giving output identical to a serial run.
+    independent; with n_workers > 1 they run in a process pool of at most
+    one worker per task and are reassembled in trial order, giving output
+    identical to a serial run.
     """
+    if n_workers < 1:
+        raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
     if modes is None:
         modes = [Mode.NEAR_ONLY, Mode.FAR_ONLY, Mode.DUAL]
     n = config.n_trials
@@ -298,6 +308,7 @@ def run_campaign(
     ]
 
     collected: dict[str, dict[int, TrialRun]] = {mode.value: {} for mode in modes}
+    n_workers = min(n_workers, len(tasks))
     if n_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
             for mode_value, idx, run in pool.map(_trial_task, tasks):

@@ -34,13 +34,13 @@ class ControllerGains:
     def __post_init__(self):
         for name in ("k_xy", "k_z", "v_lat_max", "align_threshold", "area_ref"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+                raise ValueError(f"{name}: must be strictly positive (got {getattr(self, name)})")
 
 
 def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) -> float:
     """Reference area corresponding to hovering at z_ref over the pad."""
     if z_ref <= 0:
-        raise ValueError("z_ref must be positive")
+        raise ValueError(f"z_ref: must be strictly positive (got {z_ref})")
     side = focal_length * pad_side / z_ref
     return side * side
 

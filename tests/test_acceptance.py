@@ -83,7 +83,7 @@ def test_criterion_1_gating_exactness():
 def test_criterion_2_smoothing_exactness_and_variance_reduction():
     # exact windowed mean against independent bookkeeping
     rng = np.random.default_rng(2002)
-    state = GateState(window_capacity=5, coast_limit=10)
+    state = GateState(window_size=5, coast_limit=10)
     raw_selected = []
     for _ in range(2000):
         r = rng.uniform()
@@ -104,7 +104,7 @@ def test_criterion_2_smoothing_exactness_and_variance_reduction():
     # variance reduction through a full N = 5 window
     sigma = 3.0
     rng = np.random.default_rng(2003)
-    state = GateState(window_capacity=5)
+    state = GateState(window_size=5)
     smoothed = []
     for i in range(10_004):
         out = select_expert(far(224.0 + sigma * rng.standard_normal(), 224.0), ABSENT_NEAR, state, CAM)
@@ -264,7 +264,7 @@ def test_criterion_8_replay_round_trip(tmp_path):
     write_detection_log(run.detections, path)
     log = read_detection_log(path)
 
-    state = GateState(window_capacity=scen.window_size, coast_limit=scen.coast_limit)
+    state = GateState(window_size=scen.window_size, coast_limit=scen.coast_limit)
     replayed = []
     for frame in range(len(log)):
         df, dn = replay_detect(log, frame)

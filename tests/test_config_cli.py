@@ -139,6 +139,30 @@ class TestCliRun:
         s2 = json.loads((out2 / "summary.json").read_text())
         assert s1["initial_states"] != s2["initial_states"]
 
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            pytest.param(["--workers", "0"], "--workers", id="workers-zero"),
+            pytest.param(["--modes", "dual,triple"], "trials.modes", id="modes-unknown"),
+            pytest.param(["--modes", "dual,dual"], "trials.modes", id="modes-duplicate"),
+        ],
+    )
+    def test_bad_flag_rejected_with_key_name(self, tmp_path, config_path, capsys, flags, key):
+        out = tmp_path / "o"
+        assert self.run_cli("run", "--config", str(config_path), "--out", str(out), *flags) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_section_that_is_not_an_object_is_named(self, tmp_path, config_path, capsys):
+        doc = default_config()
+        doc["trials"] = [1]
+        config_path.write_text(json.dumps(doc))
+        for argv in (["validate-config"], ["run", "--seed", "3", "--out", str(tmp_path / "o")]):
+            assert self.run_cli(*argv, "--config", str(config_path)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: trials: expected a JSON object, got list")
+            assert "Traceback" not in err
+
     def test_missing_config_is_error(self, tmp_path, capsys):
         code = self.run_cli("run", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path / "o"))
         assert code != 0
@@ -166,12 +190,47 @@ class TestCliValidate:
             pytest.param("trials.commit_altitude", 70.0, id="trials.commit_altitude-at-start"),
             pytest.param("trials.altitude_set", [70.0, True], id="trials.altitude_set-bool"),
             pytest.param("trials.altitude_set", [70.0, 1e400], id="trials.altitude_set-inf"),
+            pytest.param("camera.image_width", 0, id="camera.image_width"),
+            pytest.param("camera.image_height", -448, id="camera.image_height"),
+            pytest.param("camera.focal_length", 0.0, id="camera.focal_length"),
+            pytest.param("helipad.side_length", 0.0, id="helipad.side_length"),
+            pytest.param("gains.k_z", 0.0, id="gains.k_z"),
+            pytest.param("gains.v_lat_max", -2.0, id="gains.v_lat_max"),
+            pytest.param("gains.align_threshold", 0.0, id="gains.align_threshold"),
+            pytest.param("gains.z_ref", 0.0, id="gains.z_ref"),
+            pytest.param("dynamics.dt", 0.0, id="dynamics.dt"),
+            pytest.param("dynamics.tau", -0.1, id="dynamics.tau"),
+            pytest.param("gate.window_size", 0, id="gate.window_size"),
+            pytest.param("gate.coast_limit", -1, id="gate.coast_limit"),
+            *[
+                pytest.param(f"experts.{expert}.{name}", value, id=f"experts.{expert}.{name}")
+                for expert in ("far", "near")
+                for name, value in (
+                    ("s_slope", 0.0),
+                    ("sigma_center_base", -1.0),
+                    ("sigma_center_scale", -0.1),
+                    ("sigma_size_frac", -0.1),
+                    ("distractor_prob", 1.5 if expert == "far" else -0.1),
+                )
+            ],
+            pytest.param("trials.n_trials", 0, id="trials.n_trials"),
+            pytest.param("trials.max_steps", 0, id="trials.max_steps"),
+            pytest.param("trials.commit_altitude", 0.0, id="trials.commit_altitude"),
+            pytest.param("trials.altitude_set", [], id="trials.altitude_set-empty"),
+            pytest.param("trials.altitude_set", [70.0, -5.0], id="trials.altitude_set-negative"),
+            pytest.param("trials.x_range", [-65.0, -95.0], id="trials.x_range"),
+            pytest.param("trials.y_range", [90.0, 60.0], id="trials.y_range"),
+            pytest.param("gains.z_ref", 8.0, id="gains.z_ref-at-commit-altitude"),
+            pytest.param("experts.far", [1], id="experts.far-not-an-object"),
         ],
     )
     def test_bad_value_rejected_with_key_name(self, tmp_path, capsys, key, value):
         doc = default_config()
-        section, name = key.split(".")
-        doc[section][name] = value
+        *sections, name = key.split(".")
+        node = doc
+        for section in sections:
+            node = node[section]
+        node[name] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
         code = main(["validate-config", "--config", str(path)])

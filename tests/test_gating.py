@@ -94,7 +94,7 @@ class TestSmoothing:
         # independent bookkeeping of the raw selected boxes; means must agree
         # to full precision
         rng = np.random.default_rng(808)
-        state = GateState(window_capacity=5)
+        state = GateState(window_size=5)
         selected: list[BoundingBox] = []
         for _ in range(500):
             df = far(rng.uniform(0, 448), rng.uniform(0, 448), rng.uniform(5, 60), rng.uniform(5, 60))
@@ -113,7 +113,7 @@ class TestSmoothing:
         # i.i.d. center noise through a full window of 5: std shrinks ~ 1/sqrt(5)
         rng = np.random.default_rng(99)
         sigma = 4.0
-        state = GateState(window_capacity=5)
+        state = GateState(window_size=5)
         smoothed_u = []
         for i in range(10_004):
             u = 224.0 + sigma * rng.standard_normal()
@@ -177,7 +177,7 @@ class TestTotality:
         # with NEAR permanently silent, the gated stream equals FAR's
         # detections passed through the smoother
         rng = np.random.default_rng(321)
-        state = GateState(window_capacity=5, coast_limit=10)
+        state = GateState(window_size=5, coast_limit=10)
         window: list[BoundingBox] = []
         for _ in range(300):
             if rng.uniform() < 0.8:
@@ -195,12 +195,12 @@ class TestTotality:
 class TestGateState:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            GateState(window_capacity=0)
+            GateState(window_size=0)
         with pytest.raises(ValueError):
             GateState(coast_limit=-1)
 
     def test_window_never_exceeds_capacity(self):
-        state = GateState(window_capacity=3)
+        state = GateState(window_size=3)
         for u in range(10):
             select_expert(far(200.0 + u, 224.0), ABSENT_NEAR, state, CAM)
             assert len(state.window) <= 3
@@ -251,7 +251,7 @@ class TestGateProperties:
 
     @given(frames, st.integers(0, 15), st.integers(1, 8), st.integers(1, 30))
     def test_tracking_lost_exactly_after_coast_limit(self, history, coast_limit, window, gap):
-        state = GateState(window_capacity=window, coast_limit=coast_limit)
+        state = GateState(window_size=window, coast_limit=coast_limit)
         play(state, history)
         start = state.coast_counter  # absent frames already running at the end of history
         outs = play(state, [(None, None)] * gap)
@@ -263,7 +263,7 @@ class TestGateProperties:
 
     @given(frames, st.integers(1, 8))
     def test_smoothed_box_is_sequential_mean_of_window(self, history, window):
-        state = GateState(window_capacity=window)
+        state = GateState(window_size=window)
         raw: list[BoundingBox] = []
         for (bf, bn), out in zip(history, play(state, history)):
             if out.selected_expert is not None:

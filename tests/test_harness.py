@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import pickle
 
@@ -206,6 +207,30 @@ class TestCampaign:
                 assert ra.trajectory.tobytes() == rb.trajectory.tobytes()
                 assert ra.detections.records.tobytes() == rb.detections.records.tobytes()
 
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n_workers"):
+            run_campaign(Scenario(), TrialConfig(n_trials=1), n_workers=0)
+
+    def test_pool_has_at_most_one_worker_per_task(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:  # runs the tasks in this process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        run_campaign(Scenario(), TrialConfig(n_trials=1, max_steps=20), n_workers=6)
+        assert sizes == [3]  # one trial in each of three modes
+
     def test_common_noise_streams_across_modes(self):
         # FAR detections in FAR_ONLY and DUAL derive from the same seed
         # stream, so while both trajectories coincide the detections do too
@@ -240,3 +265,11 @@ class TestConfigValidation:
             TrialConfig(commit_altitude=70.0)
         with pytest.raises(ValueError):
             TrialConfig(x_range=(5.0, -5.0))
+        with pytest.raises(ValueError):
+            TrialConfig(seed=-1)
+
+    def test_scenario_gate_invariants(self):
+        with pytest.raises(ValueError):
+            Scenario(window_size=0)
+        with pytest.raises(ValueError):
+            Scenario(coast_limit=-1)

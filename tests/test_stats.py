@@ -112,6 +112,21 @@ class TestDoubledRanks:
         assert sorted(sizes) == sorted(np.unique(values, return_counts=True)[1].tolist())
 
 
+# small integers force ties and zero differences; the floats stay far from
+# the subnormal range, so scaling by 2**k (|k| <= 8) and subtracting are exact
+_sample_value = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.floats(-1e6, 1e6, allow_nan=False).filter(lambda x: x == 0.0 or abs(x) >= 1e-100),
+)
+# paired lists on both sides of EXACT_ENUMERATION_LIMIT
+_paired_samples = st.integers(0, 30).flatmap(
+    lambda n: st.tuples(
+        st.lists(_sample_value, min_size=n, max_size=n),
+        st.lists(_sample_value, min_size=n, max_size=n),
+    )
+)
+
+
 class TestWilcoxonProperties:
     def test_matches_brute_force_on_random_pairs(self):
         rng = np.random.default_rng(4242)
@@ -135,17 +150,15 @@ class TestWilcoxonProperties:
             m = res.n_effective
             assert res.w_plus + res.w_minus == pytest.approx(m * (m + 1) / 2.0)
 
-    def test_antisymmetry(self):
-        rng = np.random.default_rng(2718)
-        for _ in range(50):
-            n = int(rng.integers(2, 12))
-            a = list(rng.normal(size=n))
-            b = list(rng.normal(size=n))
-            fwd = wilcoxon_signed_rank(a, b)
-            rev = wilcoxon_signed_rank(b, a)
-            assert fwd.w_plus == rev.w_minus
-            assert fwd.w_minus == rev.w_plus
-            assert fwd.p_two_sided == rev.p_two_sided
+    @given(_paired_samples)
+    def test_antisymmetry(self, pair):
+        a, b = pair
+        fwd = wilcoxon_signed_rank(a, b)
+        rev = wilcoxon_signed_rank(b, a)
+        assert fwd.w_plus == rev.w_minus
+        assert fwd.w_minus == rev.w_plus
+        assert fwd.p_two_sided == rev.p_two_sided
+        assert fwd.n_effective == rev.n_effective
 
     def test_invariant_under_positive_scaling(self):
         rng = np.random.default_rng(161)
@@ -157,6 +170,13 @@ class TestWilcoxonProperties:
             assert scaled.w_plus == base.w_plus
             assert scaled.statistic == base.statistic
             assert scaled.p_two_sided == base.p_two_sided
+
+    @given(_paired_samples, st.integers(-8, 8))
+    def test_power_of_two_scaling_changes_no_field(self, pair, k):
+        a, b = pair
+        c = 2.0**k
+        scaled = wilcoxon_signed_rank([c * x for x in a], [c * x for x in b])
+        assert scaled == wilcoxon_signed_rank(a, b)
 
     def test_normal_approximation_agrees_at_n_ten(self):
         rng = np.random.default_rng(777)
