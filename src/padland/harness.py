@@ -175,7 +175,6 @@ def run_trial(
 
     reason = TerminationReason.TIMEOUT
     steps = 0
-    touchdown_xy = (initial.x, initial.y)
 
     run_far = mode in (Mode.FAR_ONLY, Mode.DUAL)
     run_near = mode in (Mode.NEAR_ONLY, Mode.DUAL)
@@ -223,21 +222,18 @@ def run_trial(
         if out.tracking_lost:
             # blind descent from here: score the frozen lateral position
             reason = TerminationReason.TRACKING_LOST
-            touchdown_xy = (state.x, state.y)
             break
 
         state = step(state, cmd, scenario.dynamics)
         if state.z <= config.commit_altitude:
             reason = TerminationReason.LANDED
-            touchdown_xy = (state.x, state.y)
             break
-        touchdown_xy = (state.x, state.y)
 
-    error = float(np.hypot(touchdown_xy[0] - pad.x, touchdown_xy[1] - pad.y))
+    error = float(np.hypot(state.x - pad.x, state.y - pad.y))
     result = TrialResult(
         trial_id=trial_id,
         initial_position=(initial.x, initial.y, initial.z),
-        touchdown_xy=touchdown_xy,
+        touchdown_xy=(state.x, state.y),
         touchdown_error=error,
         success=reason is TerminationReason.LANDED,
         termination_reason=reason,

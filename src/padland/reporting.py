@@ -9,11 +9,12 @@ directory for the same reason.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .experts import write_detection_log
-from .harness import CampaignResult, Mode, TrialResult, write_trajectory_csv
-from .stats import ModeComparison, compare_modes, format_comparison_table
+from .harness import CampaignResult, Mode, TerminationReason, TrialResult, write_trajectory_csv
+from .stats import ModeComparison, PairedComparison, compare_modes, format_comparison_table
 
 
 def _log_name(trial_id: int, mode: Mode) -> str:
@@ -22,54 +23,37 @@ def _log_name(trial_id: int, mode: Mode) -> str:
 
 
 def trial_result_dict(result: TrialResult, mode: Mode) -> dict:
+    """The fields of result as JSON values, plus the trial's trajectory path."""
     return {
-        "trial_id": result.trial_id,
+        **asdict(result),
         "initial_position": list(result.initial_position),
         "touchdown_xy": list(result.touchdown_xy),
-        "touchdown_error": result.touchdown_error,
-        "success": result.success,
         "termination_reason": result.termination_reason.value,
-        "steps": result.steps,
-        "expert_usage": dict(result.expert_usage),
         "trajectory_log_path": f"trajectories/{_log_name(result.trial_id, mode)}",
     }
 
 
+def _comparison_dict(comparison: PairedComparison) -> dict:
+    """The fields of comparison with its test's fields flattened in."""
+    doc = asdict(comparison)
+    doc.update(doc.pop("test"))
+    return doc
+
+
 def campaign_summary(campaign: CampaignResult, comparison: ModeComparison) -> dict:
-    modes_block = {}
-    for mode, runs in campaign.runs.items():
-        summary = comparison.summaries[mode.value]
-        modes_block[mode.value] = {
+    modes_block = {
+        mode.value: {
             "trials": [trial_result_dict(r.result, mode) for r in runs],
-            "summary": {
-                "n": summary.n,
-                "mean_error": summary.mean_error,
-                "std_error": summary.std_error,
-                "success_rate": summary.success_rate,
-            },
+            "summary": asdict(comparison.summaries[mode.value]),
         }
-    comparisons_block = [
-        {
-            "mode_a": c.mode_a,
-            "mode_b": c.mode_b,
-            "n_effective": c.test.n_effective,
-            "w_plus": c.test.w_plus,
-            "w_minus": c.test.w_minus,
-            "statistic": c.test.statistic,
-            "p_two_sided": c.test.p_two_sided,
-            "degenerate": c.test.degenerate,
-            "exact": c.test.exact,
-            "significant_05": c.significant_05,
-            "significant_01": c.significant_01,
-        }
-        for c in comparison.comparisons
-    ]
+        for mode, runs in campaign.runs.items()
+    }
     return {
         "seed": campaign.seed,
         "n_trials": campaign.n_trials,
         "initial_states": [[s.x, s.y, s.z] for s in campaign.initial_states],
         "modes": modes_block,
-        "comparisons": comparisons_block,
+        "comparisons": [_comparison_dict(c) for c in comparison.comparisons],
     }
 
 
@@ -100,25 +84,17 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
     return summary
 
 
+def _trial_result(doc: dict) -> TrialResult:
+    values = {f.name: doc[f.name] for f in fields(TrialResult)}
+    values["initial_position"] = tuple(values["initial_position"])
+    values["touchdown_xy"] = tuple(values["touchdown_xy"])
+    values["termination_reason"] = TerminationReason(values["termination_reason"])
+    return TrialResult(**values)
+
+
 def rebuild_results(summary: dict) -> dict[Mode, list[TrialResult]]:
     """Reconstruct per-mode TrialResult lists from a summary document."""
-    from .harness import TerminationReason
-
-    results: dict[Mode, list[TrialResult]] = {}
-    for mode_name, block in summary["modes"].items():
-        trials = []
-        for t in block["trials"]:
-            trials.append(
-                TrialResult(
-                    trial_id=t["trial_id"],
-                    initial_position=tuple(t["initial_position"]),
-                    touchdown_xy=tuple(t["touchdown_xy"]),
-                    touchdown_error=t["touchdown_error"],
-                    success=t["success"],
-                    termination_reason=TerminationReason(t["termination_reason"]),
-                    steps=t["steps"],
-                    expert_usage=dict(t["expert_usage"]),
-                )
-            )
-        results[Mode(mode_name)] = trials
-    return results
+    return {
+        Mode(mode_name): [_trial_result(t) for t in block["trials"]]
+        for mode_name, block in summary["modes"].items()
+    }

@@ -33,8 +33,8 @@ class ControllerGains:
 
     def __post_init__(self):
         for name in ("k_xy", "k_z", "v_lat_max", "align_threshold", "area_ref"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be strictly positive (got {getattr(self, name)})")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite (got {getattr(self, name)})")
 
 
 def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) -> float:
@@ -42,6 +42,11 @@ def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) ->
     if z_ref <= 0:
         raise ValueError(f"z_ref: must be strictly positive (got {z_ref})")
     side = focal_length * pad_side / z_ref
+    if not 0 < side * side < math.inf:
+        raise ValueError(
+            f"z_ref: the area (camera.focal_length * helipad.side_length / z_ref)^2 "
+            f"is not positive and finite (z_ref {z_ref}, side_length {pad_side})"
+        )
     return side * side
 
 

@@ -22,7 +22,6 @@ EXACT_ENUMERATION_LIMIT = 20
 
 @dataclass(frozen=True)
 class ErrorSummary:
-    mode: str
     n: int
     mean_error: float
     std_error: float  # sample standard deviation (n - 1 denominator)
@@ -40,7 +39,7 @@ class WilcoxonResult:
     exact: bool = True
 
 
-def summarize(errors: list[float], successes: list[bool], mode: str = "") -> ErrorSummary:
+def summarize(errors: list[float], successes: list[bool]) -> ErrorSummary:
     """Mean, sample std, and success fraction of one mode's error list."""
     if not errors:
         raise ValueError("cannot summarize an empty error list")
@@ -49,7 +48,6 @@ def summarize(errors: list[float], successes: list[bool], mode: str = "") -> Err
     arr = np.asarray(errors, dtype=float)
     std = float(np.std(arr, ddof=1)) if arr.size > 1 else 0.0
     return ErrorSummary(
-        mode=mode,
         n=int(arr.size),
         mean_error=float(np.mean(arr)),
         std_error=std,
@@ -176,7 +174,7 @@ def compare_modes(results: dict[Mode, list[TrialResult]]) -> ModeComparison:
     for mode, trials in results.items():
         errors = [t.touchdown_error for t in trials]
         successes = [t.success for t in trials]
-        summaries[mode.value] = summarize(errors, successes, mode=mode.value)
+        summaries[mode.value] = summarize(errors, successes)
 
     comparisons = []
     if Mode.DUAL in results:

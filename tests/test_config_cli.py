@@ -221,6 +221,8 @@ class TestCliValidate:
             pytest.param("trials.x_range", [-65.0, -95.0], id="trials.x_range"),
             pytest.param("trials.y_range", [90.0, 60.0], id="trials.y_range"),
             pytest.param("gains.z_ref", 8.0, id="gains.z_ref-at-commit-altitude"),
+            pytest.param("gains.z_ref", 1e-200, id="gains.z_ref-area-overflow"),
+            pytest.param("helipad.side_length", 1e308, id="helipad.side_length-area-overflow"),
             pytest.param("experts.far", [1], id="experts.far-not-an-object"),
         ],
     )
@@ -302,8 +304,7 @@ class TestCliReport:
         main(["run", "--config", str(config_path), "--out", str(out), "--trials", "2"])
         capsys.readouterr()
         assert main(["report", "--summary", str(out / "summary.json")]) == 0
-        text = capsys.readouterr().out
-        assert "Mean Error" in text and "Wilcoxon" in text
+        assert capsys.readouterr().out == (out / "comparison.txt").read_text()
 
     def test_missing_summary(self, tmp_path, capsys):
         assert main(["report", "--summary", str(tmp_path / "no.json")]) != 0

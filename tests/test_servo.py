@@ -86,14 +86,20 @@ class TestCommand:
 class TestGains:
     def test_all_fields_must_be_positive(self):
         for field in ("k_xy", "k_z", "v_lat_max", "align_threshold", "area_ref"):
-            with pytest.raises(ValueError):
-                ControllerGains(**{field: 0.0})
+            for value in (0.0, float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"^{field}: "):
+                    ControllerGains(**{field: value})
 
     def test_area_ref_for_altitude(self):
         assert area_ref_for_altitude(10.0, 224.0, 12.0) == pytest.approx(72_253.44)
         assert area_ref_for_altitude(6.0, 224.0, 12.0) == pytest.approx(448.0**2)
         with pytest.raises(ValueError):
             area_ref_for_altitude(0.0, 224.0, 12.0)
+        # the area overflows to inf for a tiny z_ref or a huge pad, and
+        # underflows to 0 for a tiny camera and pad
+        for args in ((1e-200, 224.0, 12.0), (6.0, 224.0, 1e308), (6.0, 1e-200, 1e-200)):
+            with pytest.raises(ValueError, match="^z_ref: .*helipad.side_length"):
+                area_ref_for_altitude(*args)
 
     def test_default_reference_area_sits_below_commit_altitude(self):
         # the proportional descent law stalls where area == area_ref, so the
