@@ -12,7 +12,7 @@ import numpy as np
 
 from padland import (
     SELECTION_LABELS,
-    TRAJECTORY_COLUMNS,
+    RECORD_COLUMNS,
     Mode,
     Scenario,
     TrialConfig,
@@ -34,8 +34,8 @@ print(f"outcome: {r.termination_reason.value} after {r.steps} steps, "
 print(f"expert usage: FAR {r.expert_usage['FAR']} frames, NEAR {r.expert_usage['NEAR']} frames")
 print()
 
-# where did the handoff happen? one array per trajectory column
-col = dict(zip(TRAJECTORY_COLUMNS, run.trajectory.T))
+# where did the handoff happen? one array per record column
+col = dict(zip(RECORD_COLUMNS, run.frames.T))
 selected = [SELECTION_LABELS[int(c)] for c in col["selected"].tolist()]
 switches = []
 prev = None

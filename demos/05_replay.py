@@ -13,7 +13,7 @@ import numpy as np
 
 from padland import (
     SELECTION_LABELS,
-    TRAJECTORY_COLUMNS,
+    RECORD_COLUMNS,
     GateState,
     Mode,
     Scenario,
@@ -37,8 +37,8 @@ print(f"original trial: {run.result.termination_reason.value} in {run.result.ste
 
 with tempfile.TemporaryDirectory() as tmp:
     log_path = Path(tmp) / "detections.csv"
-    write_detection_log(run.detections, log_path)
-    print(f"wrote {len(run.detections)} frames to {log_path.name} "
+    write_detection_log(run.frames, log_path)
+    print(f"wrote {len(run.frames)} frames to {log_path.name} "
           f"({log_path.stat().st_size} bytes)")
 
     log = read_detection_log(log_path)
@@ -49,7 +49,7 @@ with tempfile.TemporaryDirectory() as tmp:
         out = select_expert(det_far, det_near, gate, scenario.camera)
         replayed.append(out.selected_expert.value if out.selected_expert else "")
 
-selected_codes = run.trajectory[:, TRAJECTORY_COLUMNS.index("selected")].tolist()
+selected_codes = run.frames[:, RECORD_COLUMNS.index("selected")].tolist()
 original = [SELECTION_LABELS[int(c)] for c in selected_codes]
 print(f"selection sequences identical: {replayed == original}")
 

@@ -6,7 +6,6 @@ from .config import CampaignSpec, ConfigError, build_campaign, default_config, l
 from .dynamics import DynamicsParams, step
 from .experts import (
     Detection,
-    DetectionLog,
     DetectionLogError,
     ExpertId,
     ExpertProfile,
@@ -30,6 +29,7 @@ from .geometry import (
     project_helipad,
 )
 from .harness import (
+    RECORD_COLUMNS,
     SELECTION_LABELS,
     TRAJECTORY_COLUMNS,
     CampaignResult,

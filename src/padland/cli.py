@@ -87,9 +87,13 @@ def cmd_report(args) -> int:
     path = Path(args.summary)
     if not path.exists():
         raise ConfigError(f"summary file not found: {path}")
-    summary = json.loads(path.read_text())
-    results = rebuild_results(summary)
-    print(format_comparison_table(compare_modes(results)))
+    try:
+        comparison = compare_modes(rebuild_results(json.loads(path.read_text())))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:  # not JSON, or not a summary's shape
+        raise ConfigError(f"{path}: not a padland summary ({type(exc).__name__}: {exc})") from None
+    print(format_comparison_table(comparison))
     return 0
 
 

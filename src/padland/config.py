@@ -222,6 +222,12 @@ def build_campaign(doc: dict) -> CampaignSpec:
             f"gains.z_ref: must be below trials.commit_altitude (got {z_ref} >= "
             f"{trials.commit_altitude}); the descent would stop at z_ref and every trial time out"
         )
+    descent = min(trials.altitude_set) - trials.commit_altitude
+    if dynamics.dt * gains.k_z > descent / 20:  # at least 20 full-rate steps to commit
+        raise ConfigError(
+            f"dynamics.dt: dynamics.dt * gains.k_z ({dynamics.dt * gains.k_z} m per step) must "
+            f"be at most 1/20 of min(trials.altitude_set) - trials.commit_altitude ({descent} m)"
+        )
 
     modes = tuple(_member(Mode, "trials.modes", name) for name in _get(doc, "trials.modes", list))
     return _checked("trials", CampaignSpec, scenario=scenario, trials=trials, modes=modes)

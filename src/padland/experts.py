@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -191,7 +191,9 @@ class DetectionLogError(ValueError):
     """Malformed detection log; message carries the offending line number."""
 
 
-def _cells(det: Detection) -> tuple:
+def log_cells(det: Detection) -> tuple:
+    """One expert's LOG_FIELDS values for one frame: u, v, w, h, confidence,
+    present, with zeros for the numeric fields of an absent detection."""
     b = det.box
     if b is None:
         return _ABSENT
@@ -204,40 +206,14 @@ def _detection(expert: ExpertId, cells) -> Detection:
     return Detection(expert_id=expert, box=BoundingBox(*cells[:4]), confidence=cells[4])
 
 
-@dataclass
-class DetectionLog:
-    """In-memory detection log: both experts' outputs for consecutive frames.
-
-    `records` holds LOG_STRIDE float64 values per frame: u, v, w, h,
-    confidence, present for FAR, then the same for NEAR, with zeros for the
-    numeric fields of an absent detection.
-    """
-
-    records: array = field(default_factory=lambda: array("d"))
-
-    def __len__(self) -> int:
-        return len(self.records) // LOG_STRIDE
-
-    @property
-    def frames(self) -> np.ndarray:
-        """The records as a (frames, LOG_STRIDE) view; while a view is
-        alive, append raises BufferError instead of moving the records."""
-        return np.frombuffer(self.records, dtype=np.float64).reshape(-1, LOG_STRIDE)
-
-    def append(self, det_far: Detection, det_near: Detection) -> None:
-        if det_far.expert_id is not ExpertId.FAR or det_near.expert_id is not ExpertId.NEAR:
-            raise ValueError("append expects (FAR, NEAR) detections in that order")
-        self.records.extend(_cells(det_far) + _cells(det_near))
-
-
-def replay_detect(log: DetectionLog, frame_index: int) -> tuple[Detection, Detection]:
-    """Return the recorded (FAR, NEAR) detections for one frame, verbatim."""
+def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detection]:
+    """Return the recorded (FAR, NEAR) detections for one frame, verbatim,
+    from a (frames, LOG_STRIDE) array as read_detection_log returns it."""
     if not 0 <= frame_index < len(log):
         raise IndexError(
             f"frame_index {frame_index} out of range (log has {len(log)} frames)"
         )
-    start = frame_index * LOG_STRIDE
-    row = log.records[start : start + LOG_STRIDE]
+    row = log[frame_index, :LOG_STRIDE].tolist()
     return _detection(ExpertId.FAR, row[:LOG_FIELDS]), _detection(ExpertId.NEAR, row[LOG_FIELDS:])
 
 
@@ -250,10 +226,11 @@ def _expert_records(expert: ExpertId, columns: list[list[float]]) -> list[str]:
     return [f"{expert.value},{','.join(cells)}" for cells in zip(*fields, flags)]
 
 
-def write_detection_log(log: DetectionLog, path: str | Path) -> None:
-    """Write the log in the plain-text record format (floats via repr, so a
-    write/read round trip is value-exact)."""
-    columns = log.frames.T.tolist()
+def write_detection_log(frames: np.ndarray, path: str | Path) -> None:
+    """Write the first LOG_STRIDE columns of a (frames, columns) record
+    array in the plain-text record format (floats via repr, so a write/read
+    round trip is value-exact)."""
+    columns = frames[:, :LOG_STRIDE].T.tolist()
     far = _expert_records(ExpertId.FAR, columns[:LOG_FIELDS])
     near = _expert_records(ExpertId.NEAR, columns[LOG_FIELDS:])
     lines = [LOG_HEADER]
@@ -274,6 +251,8 @@ def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId, tuple]:
         present = int(parts[7])
     except (ValueError, KeyError) as exc:
         raise DetectionLogError(f"line {lineno}: {exc}") from None
+    if not all(math.isfinite(x) for x in (u, v, w, h, conf)):
+        raise DetectionLogError(f"line {lineno}: u, v, w, h and confidence must be finite")
     if present not in (0, 1):
         raise DetectionLogError(f"line {lineno}: present flag must be 0 or 1")
     if present == 0:
@@ -285,8 +264,9 @@ def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId, tuple]:
     return frame, expert, (u, v, w, h, conf, 1.0)
 
 
-def read_detection_log(path: str | Path) -> DetectionLog:
-    """Parse a detection log file; raises DetectionLogError with line numbers."""
+def read_detection_log(path: str | Path) -> np.ndarray:
+    """Parse a detection log file into a (frames, LOG_STRIDE) float64 array;
+    raises DetectionLogError with line numbers."""
     text = Path(path).read_text()
     lines = text.splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
@@ -304,7 +284,7 @@ def read_detection_log(path: str | Path) -> DetectionLog:
             )
         slot[expert] = cells
 
-    log = DetectionLog()
+    records = array("d")
     for frame in range(len(by_frame)):
         if frame not in by_frame:
             raise DetectionLogError(f"frame {frame} missing (frames must be contiguous from 0)")
@@ -312,5 +292,5 @@ def read_detection_log(path: str | Path) -> DetectionLog:
         for expert in ExpertId:
             if expert not in row:
                 raise DetectionLogError(f"frame {frame}: no {expert.value} record")
-        log.records.extend(row[ExpertId.FAR] + row[ExpertId.NEAR])
-    return log
+        records.extend(row[ExpertId.FAR] + row[ExpertId.NEAR])
+    return np.frombuffer(records, dtype=np.float64).reshape(-1, LOG_STRIDE)

@@ -49,12 +49,11 @@ class GateOutput:
     """One frame of gate output.
 
     smoothed_box is present iff the window is nonempty and tracking is not
-    lost; selected_expert/raw_distance are None on coasting frames.
+    lost; selected_expert is None on coasting frames.
     """
 
     smoothed_box: BoundingBox | None
     selected_expert: ExpertId | None
-    raw_distance: float | None
     tracking_lost: bool
 
 
@@ -88,28 +87,21 @@ def select_expert(
         state.coast_counter += 1
         lost = state.coast_counter > state.coast_limit
         smoothed = _window_mean(state.window) if state.window and not lost else None
-        return GateOutput(
-            smoothed_box=smoothed,
-            selected_expert=None,
-            raw_distance=None,
-            tracking_lost=lost,
-        )
+        return GateOutput(smoothed_box=smoothed, selected_expert=None, tracking_lost=lost)
 
     if len(candidates) == 1:
         chosen = candidates[0]
-        distance = l1_center_distance(chosen.box, cam)
     else:
         d_far = l1_center_distance(det_far.box, cam)
         d_near = l1_center_distance(det_near.box, cam)
         if d_far < d_near:
-            chosen, distance = det_far, d_far
+            chosen = det_far
         elif d_near < d_far:
-            chosen, distance = det_near, d_near
+            chosen = det_near
         else:
             # exact tie: hysteresis on the previous selection, NEAR at start
             keep = state.last_selected if state.last_selected is not None else ExpertId.NEAR
             chosen = det_far if keep is ExpertId.FAR else det_near
-            distance = d_far
 
     state.window.append(chosen.box)
     while len(state.window) > state.window_size:
@@ -120,6 +112,5 @@ def select_expert(
     return GateOutput(
         smoothed_box=_window_mean(state.window),
         selected_expert=chosen.expert_id,
-        raw_distance=distance,
         tracking_lost=False,
     )

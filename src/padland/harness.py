@@ -21,12 +21,12 @@ import numpy as np
 from .dynamics import DynamicsParams, step
 from .experts import (
     Detection,
-    DetectionLog,
     ExpertId,
     ExpertProfile,
     default_far_profile,
     default_near_profile,
     detect,
+    log_cells,
 )
 from .gating import GateState, select_expert
 from .geometry import (
@@ -116,6 +116,14 @@ TRAJECTORY_HEADER = (
     "selected,u_hat,v_hat,e_x,e_y,A,e_z,vx_cmd,vy_cmd,vz_cmd"
 )
 TRAJECTORY_COLUMNS = tuple(TRAJECTORY_HEADER.split(","))
+# one frame's record: the detection log's fields (log_cells of FAR, then of
+# NEAR), then the trajectory's own columns in TRAJECTORY_HEADER order
+_LOG_COLUMNS = tuple(
+    "u_far,v_far,w_far,h_far,confidence_far,far_present,"
+    "u_near,v_near,w_near,h_near,confidence_near,near_present".split(",")
+)
+RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS if c not in _LOG_COLUMNS)
+_TRAJECTORY_INDEX = [RECORD_COLUMNS.index(c) for c in TRAJECTORY_COLUMNS]
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTION_CODE = {None: 0.0, ExpertId.FAR: 1.0, ExpertId.NEAR: 2.0}
@@ -126,18 +134,17 @@ _BLANKS = (float("nan"),) * len(_BLANKABLE_COLUMNS)
 
 @dataclass(eq=False)
 class TrialRun:
-    """A finished trial plus its raw per-frame records.
+    """A finished trial plus its per-frame records.
 
-    `trajectory` is a (steps, len(TRAJECTORY_COLUMNS)) float64 array, one
-    row per frame in TRAJECTORY_HEADER order: blank cells (no smoothed box)
-    are NaN and `selected` holds a code into SELECTION_LABELS. `detections`
-    holds the same frames' raw expert outputs. Runs compare by identity;
-    compare records with `.tobytes()`, since NaN blanks never compare equal.
+    `frames` is a (steps, len(RECORD_COLUMNS)) float64 array, one row per
+    frame in RECORD_COLUMNS order: the first LOG_STRIDE columns are the
+    detection log, blank cells (no smoothed box) are NaN and `selected`
+    holds a code into SELECTION_LABELS. Runs compare by identity; compare
+    records with `.tobytes()`, since NaN blanks never compare equal.
     """
 
     result: TrialResult
-    trajectory: np.ndarray
-    detections: DetectionLog
+    frames: np.ndarray
 
 
 def sample_initial(config: TrialConfig, rng: np.random.Generator, trial_index: int) -> VehicleState:
@@ -169,12 +176,10 @@ def run_trial(
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
 
     state = initial
-    traj = array("d")
-    log = DetectionLog()
+    frames = array("d")
     usage = {ExpertId.FAR.value: 0, ExpertId.NEAR.value: 0}
 
     reason = TerminationReason.TIMEOUT
-    steps = 0
 
     run_far = mode in (Mode.FAR_ONLY, Mode.DUAL)
     run_near = mode in (Mode.NEAR_ONLY, Mode.DUAL)
@@ -193,7 +198,6 @@ def run_trial(
             det_near = (
                 detect(scenario.near_profile, truth, s, rng_near, cam) if run_near else absent_near
             )
-        log.append(det_far, det_near)
 
         out = select_expert(det_far, det_near, gate, cam)
         if out.selected_expert is not None:
@@ -208,16 +212,14 @@ def run_trial(
             cmd = VelocityCommand(0.0, 0.0, 0.0)
             tracked = _BLANKS
 
-        bf, bn = det_far.box, det_near.box
-        traj.extend(
-            (k, k * scenario.dynamics.dt, state.x, state.y, state.z)
-            + ((bf.u, bf.v, 1) if bf is not None else (0.0, 0.0, 0))
-            + ((bn.u, bn.v, 1) if bn is not None else (0.0, 0.0, 0))
+        frames.extend(
+            log_cells(det_far)
+            + log_cells(det_near)
+            + (k, k * scenario.dynamics.dt, state.x, state.y, state.z)
             + (_SELECTION_CODE[out.selected_expert],)
             + tracked
             + (cmd.v_x, cmd.v_y, cmd.v_z)
         )
-        steps = k + 1
 
         if out.tracking_lost:
             # blind descent from here: score the frozen lateral position
@@ -229,19 +231,18 @@ def run_trial(
             reason = TerminationReason.LANDED
             break
 
-    error = float(np.hypot(state.x - pad.x, state.y - pad.y))
+    records = np.frombuffer(frames, dtype=np.float64).reshape(-1, len(RECORD_COLUMNS))
     result = TrialResult(
         trial_id=trial_id,
         initial_position=(initial.x, initial.y, initial.z),
         touchdown_xy=(state.x, state.y),
-        touchdown_error=error,
+        touchdown_error=float(np.hypot(state.x - pad.x, state.y - pad.y)),
         success=reason is TerminationReason.LANDED,
         termination_reason=reason,
-        steps=steps,
+        steps=len(records),
         expert_usage=usage,
     )
-    trajectory = np.frombuffer(traj, dtype=np.float64).reshape(-1, len(TRAJECTORY_COLUMNS))
-    return TrialRun(result=result, trajectory=trajectory, detections=log)
+    return TrialRun(result=result, frames=records)
 
 
 @dataclass
@@ -330,13 +331,14 @@ def _format_column(name: str, values: list[float]) -> list[str]:
     return [repr(x) for x in values]
 
 
-def write_trajectory_csv(trajectory: np.ndarray, path: str | Path) -> None:
-    """Write per-frame trajectory records, formatted column by column
-    (floats via repr: round-trippable and byte-stable across identical
-    runs; NaN blanks as empty cells; `selected` as its label)."""
+def write_trajectory_csv(frames: np.ndarray, path: str | Path) -> None:
+    """Write the TRAJECTORY_COLUMNS of a (frames, RECORD_COLUMNS) array,
+    formatted column by column (floats via repr: round-trippable and
+    byte-stable across identical runs; NaN blanks as empty cells;
+    `selected` as its label)."""
     columns = [
         _format_column(name, values)
-        for name, values in zip(TRAJECTORY_COLUMNS, trajectory.T.tolist())
+        for name, values in zip(TRAJECTORY_COLUMNS, frames[:, _TRAJECTORY_INDEX].T.tolist())
     ]
     lines = [TRAJECTORY_HEADER]
     lines.extend(",".join(row) for row in zip(*columns))

@@ -72,8 +72,8 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
     for mode, runs in campaign.runs.items():
         for run in runs:
             name = _log_name(run.result.trial_id, mode)
-            write_trajectory_csv(run.trajectory, traj_dir / name)
-            write_detection_log(run.detections, det_dir / name)
+            write_trajectory_csv(run.frames, traj_dir / name)
+            write_detection_log(run.frames, det_dir / name)
 
     comparison = compare_modes({m: campaign.results(m) for m in campaign.runs})
     summary = campaign_summary(campaign, comparison)

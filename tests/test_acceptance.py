@@ -17,8 +17,8 @@ from padland.experts import Detection, ExpertId, ExpertProfile, write_detection_
 from padland.gating import GateState, l1_center_distance, select_expert
 from padland.geometry import BoundingBox, CameraModel, VehicleState, apparent_width, project_helipad
 from padland.harness import (
+    RECORD_COLUMNS,
     SELECTION_LABELS,
-    TRAJECTORY_COLUMNS,
     Mode,
     Scenario,
     TerminationReason,
@@ -257,12 +257,13 @@ def test_criterion_8_replay_round_trip(tmp_path):
     rf, rn = (np.random.default_rng(s) for s in root.spawn(2))
     run = run_trial(VehicleState(-88.0, 82.0, 90.0), Mode.DUAL, scen, cfg, rf, rn)
 
-    codes = run.trajectory[:, TRAJECTORY_COLUMNS.index("selected")].tolist()
+    codes = run.frames[:, RECORD_COLUMNS.index("selected")].tolist()
     original = [SELECTION_LABELS[int(c)] for c in codes]  # "" when coasting
 
     path = tmp_path / "detections.csv"
-    write_detection_log(run.detections, path)
+    write_detection_log(run.frames, path)
     log = read_detection_log(path)
+    assert log.tobytes() == run.frames[:, : log.shape[1]].tobytes()
 
     state = GateState(window_size=scen.window_size, coast_limit=scen.coast_limit)
     replayed = []

@@ -224,6 +224,12 @@ class TestCliValidate:
             pytest.param("gains.z_ref", 1e-200, id="gains.z_ref-area-overflow"),
             pytest.param("helipad.side_length", 1e308, id="helipad.side_length-area-overflow"),
             pytest.param("experts.far", [1], id="experts.far-not-an-object"),
+            # dynamics.dt * gains.k_z must be at most 1/20 of the shortest
+            # descent: 62 m, so 3.1 m, with the default 8 m commit_altitude
+            pytest.param("dynamics.dt", 30.0, id="dynamics.dt-falls-through-descent"),
+            pytest.param("dynamics.dt", 2.1, id="dynamics.dt-above-step-bound"),
+            pytest.param("gains.k_z", 62.5, id="dynamics.dt-k_z-above-step-bound"),
+            pytest.param("trials.altitude_set", [70.0, 9.4], id="dynamics.dt-descent-too-short"),
         ],
     )
     def test_bad_value_rejected_with_key_name(self, tmp_path, capsys, key, value):
@@ -238,6 +244,19 @@ class TestCliValidate:
         code = main(["validate-config", "--config", str(path)])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("dynamics.dt", 2.0), ("gains.k_z", 60.0), ("trials.altitude_set", [70.0, 9.6])],
+    )
+    def test_timestep_rule_accepts_steps_within_bound(self, tmp_path, key, value):
+        # the accepted side of the dynamics.dt rows above
+        doc = default_config()
+        section, name = key.split(".")
+        doc[section][name] = value
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-config", "--config", str(path)]) == 0
 
 
 class TestCliReplay:
@@ -297,6 +316,24 @@ class TestCliReplay:
         assert code != 0
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record, lineno",
+        [("0,FAR,nan,10,5,5,0.5,1", 2), ("1,FAR,1,1,inf,5,0.5,1", 4)],
+    )
+    def test_non_finite_field_rejected(self, tmp_path, config_path, capsys, record, lineno):
+        rows = ["0,FAR,210.0,230.5,24.0,24.0,0.81,1", "0,NEAR,0,0,0,0,0,0",
+                "1,FAR,211.0,229.0,24.0,24.0,0.9,1", "1,NEAR,0,0,0,0,0,0"]
+        rows[lineno - 2] = record
+        log = tmp_path / "nonfinite.csv"
+        log.write_text("frame,expert,u,v,w,h,confidence,present\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        code = main(["replay", "--log", str(log), "--config", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"line {lineno}:" in err and "finite" in err
+        assert "Traceback" not in err
+        assert not (out / "replay.csv").exists()
+
 
 class TestCliReport:
     def test_report_rerenders_table(self, tmp_path, config_path, capsys):
@@ -308,6 +345,27 @@ class TestCliReport:
 
     def test_missing_summary(self, tmp_path, capsys):
         assert main(["report", "--summary", str(tmp_path / "no.json")]) != 0
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            pytest.param("not json", "JSONDecodeError", id="not-json"),
+            pytest.param(
+                '{"modes": {"dual": {"trials": [{"trial_id": 0}]}}}',
+                "missing key 'initial_position'",
+                id="trial-missing-field",
+            ),
+            pytest.param('{"seed": 1}', "missing key 'modes'", id="no-modes"),
+            pytest.param("[]", "not a padland summary", id="list-root"),
+            pytest.param('{"modes": []}', "not a padland summary", id="modes-list"),
+        ],
+    )
+    def test_malformed_summary_named(self, tmp_path, capsys, text, named):
+        path = tmp_path / "summary.json"
+        path.write_text(text)
+        assert main(["report", "--summary", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
 
 
 class TestCliInitConfig:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from padland.experts import (
+    LOG_STRIDE,
     Detection,
-    DetectionLog,
     DetectionLogError,
     ExpertId,
     ExpertProfile,
@@ -14,6 +14,7 @@ from padland.experts import (
     default_near_profile,
     detect,
     detection_probability,
+    log_cells,
     read_detection_log,
     replay_detect,
     write_detection_log,
@@ -165,29 +166,51 @@ class TestDetectionType:
 
 
 class TestDetectionLog:
-    def make_log(self) -> DetectionLog:
-        log = DetectionLog()
-        log.append(
+    DETECTIONS = [
+        (
             Detection(ExpertId.FAR, BoundingBox(210.0, 230.5, 24.0, 24.0), 0.81),
             Detection(ExpertId.NEAR),
-        )
-        log.append(
+        ),
+        (
             Detection(ExpertId.FAR, BoundingBox(211.25, 229.0, 24.5, 23.5), 0.9),
             Detection(ExpertId.NEAR, BoundingBox(224.0, 224.0, 25.0, 25.0), 0.55),
-        )
-        return log
+        ),
+    ]
+
+    def make_log(self) -> np.ndarray:
+        return np.array([log_cells(far) + log_cells(near) for far, near in self.DETECTIONS])
+
+    def test_replay_detect_returns_the_recorded_detections(self):
+        log = self.make_log()
+        for i, (far, near) in enumerate(self.DETECTIONS):
+            assert replay_detect(log, i) == (far, near)
 
     def test_round_trip_is_value_exact(self, tmp_path):
         log = self.make_log()
         path = tmp_path / "detections.csv"
         write_detection_log(log, path)
         loaded = read_detection_log(path)
-        assert len(loaded) == len(log)
+        assert loaded.shape == (len(log), LOG_STRIDE)
+        assert loaded.dtype == np.float64
+        assert loaded.tobytes() == log.tobytes()
         for i in range(len(log)):
             orig_far, orig_near = replay_detect(log, i)
             got_far, got_near = replay_detect(loaded, i)
             assert got_far == orig_far
             assert got_near == orig_near
+
+    def test_writes_only_the_leading_log_columns(self, tmp_path):
+        # a run's record rows carry further columns after the log's
+        log = self.make_log()
+        wide = np.hstack([log, np.full((len(log), 3), 7.5)])
+        write_detection_log(log, tmp_path / "log.csv")
+        write_detection_log(wide, tmp_path / "wide.csv")
+        assert (tmp_path / "wide.csv").read_bytes() == (tmp_path / "log.csv").read_bytes()
+
+    def test_empty_log_reads_as_no_frames(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("frame,expert,u,v,w,h,confidence,present\n")
+        assert read_detection_log(path).shape == (0, LOG_STRIDE)
 
     def test_record_parse_present(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -217,6 +240,30 @@ class TestDetectionLog:
             "0,NEAR,not_a_number,0,0,0,0,0\n"
         )
         with pytest.raises(DetectionLogError, match="line 3"):
+            read_detection_log(path)
+
+    @pytest.mark.parametrize(
+        "record, lineno",
+        [
+            ("0,FAR,nan,10,5,5,0.5,1", 2),
+            ("1,FAR,1,1,inf,5,0.5,1", 4),
+            ("1,FAR,1,1,5,-inf,0.5,1", 4),
+            ("1,FAR,1,1,5,5,nan,1", 4),
+            ("0,NEAR,inf,0,0,0,0,0", 3),
+            ("1,NEAR,0,0,0,0,nan,0", 5),
+        ],
+    )
+    def test_non_finite_field_rejected_naming_line(self, tmp_path, record, lineno):
+        rows = {
+            2: "0,FAR,210.0,230.5,24.0,24.0,0.81,1",
+            3: "0,NEAR,0,0,0,0,0,0",
+            4: "1,FAR,211.0,229.0,24.0,24.0,0.9,1",
+            5: "1,NEAR,0,0,0,0,0,0",
+        }
+        rows[lineno] = record
+        path = tmp_path / "log.csv"
+        path.write_text("frame,expert,u,v,w,h,confidence,present\n" + "\n".join(rows.values()))
+        with pytest.raises(DetectionLogError, match=f"line {lineno}: .*finite"):
             read_detection_log(path)
 
     def test_missing_header(self, tmp_path):

@@ -38,7 +38,6 @@ class TestSelection:
         state = GateState()
         out = select_expert(far(250.0, 224.0), near(230.0, 224.0), state, CAM)
         assert out.selected_expert is ExpertId.NEAR
-        assert out.raw_distance == 6.0
         # window of one: smoothed box equals the near box
         assert out.smoothed_box == BoundingBox(230.0, 224.0, 24.0, 24.0)
 
@@ -136,7 +135,6 @@ class TestCoasting:
         ref = select_expert(far(230.0, 224.0), ABSENT_NEAR, state, CAM)
         out = select_expert(ABSENT_FAR, ABSENT_NEAR, state, CAM)
         assert out.selected_expert is None
-        assert out.raw_distance is None
         assert not out.tracking_lost
         assert out.smoothed_box == ref.smoothed_box
 
@@ -237,7 +235,6 @@ class TestGateProperties:
         d_near = abs(box_near.u - CAM.cx) + abs(box_near.v - CAM.cy)
         if d_far != d_near:
             assert out.selected_expert is (ExpertId.FAR if d_far < d_near else ExpertId.NEAR)
-        assert out.raw_distance == min(d_far, d_near)
 
     @given(frames, boxes, size)
     def test_exact_tie_keeps_previous_or_near(self, history, box, near_size):

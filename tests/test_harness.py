@@ -8,6 +8,7 @@ import pytest
 from padland.experts import LOG_FIELDS, LOG_STRIDE, ExpertId, ExpertProfile
 from padland.geometry import VehicleState
 from padland.harness import (
+    RECORD_COLUMNS,
     TRAJECTORY_COLUMNS,
     Mode,
     Scenario,
@@ -18,7 +19,7 @@ from padland.harness import (
     sample_initial,
 )
 
-COL = {name: i for i, name in enumerate(TRAJECTORY_COLUMNS)}
+COL = {name: i for i, name in enumerate(RECORD_COLUMNS)}
 
 IDEAL = Scenario(
     far_profile=ExpertProfile.ideal(ExpertId.FAR),
@@ -115,7 +116,10 @@ class TestRunTrial:
         assert run.result.expert_usage["NEAR"] == 0
         assert run.result.expert_usage["FAR"] == run.result.steps
         # every NEAR field, the present flag included, stays zero
-        assert not run.detections.frames[:, LOG_FIELDS:].any()
+        near = [COL[name] for name in RECORD_COLUMNS[LOG_FIELDS:LOG_STRIDE]]
+        assert all("near" in RECORD_COLUMNS[i] for i in near)
+        assert not run.frames[:, near].any()
+        assert run.frames[:, COL["far_present"]].all()
 
     def test_timeout_when_descent_never_allowed(self):
         # a huge alignment error that lateral motion cannot fix in time is
@@ -129,20 +133,47 @@ class TestRunTrial:
         run = run_trial(
             VehicleState(-86.0, 75.0, 70.0), Mode.DUAL, IDEAL, TrialConfig(), *rngs()
         )
-        assert run.trajectory.shape == (run.result.steps, len(TRAJECTORY_COLUMNS))
-        assert run.detections.frames.shape == (run.result.steps, LOG_STRIDE)
-        assert len(run.detections) == run.result.steps
+        assert run.frames.shape == (run.result.steps, len(RECORD_COLUMNS))
+        assert run.frames[:, COL["step"]].tolist() == list(range(run.result.steps))
+
+    def test_record_columns_name_each_value_once(self):
+        assert len(set(RECORD_COLUMNS)) == len(RECORD_COLUMNS)
+        assert set(TRAJECTORY_COLUMNS) <= set(RECORD_COLUMNS)
+        # the detection log's fields lead, FAR's then NEAR's, in log order
+        fields = ("u", "v", "w", "h", "confidence")
+        assert RECORD_COLUMNS[:LOG_STRIDE] == tuple(
+            [f"{f}_far" for f in fields] + ["far_present"]
+            + [f"{f}_near" for f in fields] + ["near_present"]
+        )
+        # then every trajectory column the log does not hold, in header order
+        own = [c for c in TRAJECTORY_COLUMNS if c not in RECORD_COLUMNS[:LOG_STRIDE]]
+        assert list(RECORD_COLUMNS[LOG_STRIDE:]) == own
+
+    def test_records_hold_each_frames_detections(self):
+        # the log fields of each frame are the experts' outputs, and the
+        # trajectory's u/v/present columns read those same cells
+        run = run_trial(
+            VehicleState(-86.0, 80.0, 90.0), Mode.DUAL, Scenario(), TrialConfig(), *rngs(3)
+        )
+        for expert in ("far", "near"):
+            present = run.frames[:, COL[f"{expert}_present"]]
+            assert set(present.tolist()) == {0.0, 1.0}
+            absent = present == 0.0
+            for f in ("u", "v", "w", "h", "confidence"):
+                column = run.frames[:, COL[f"{f}_{expert}"]]
+                assert not column[absent].any()
+                assert (column[~absent] > 0).all()
 
     def test_pickled_run_is_compact_and_exact(self):
         run = run_trial(
             VehicleState(-86.0, 80.0, 90.0), Mode.DUAL, Scenario(), TrialConfig(), *rngs(3)
         )
         blob = pickle.dumps(run)
-        assert len(blob) <= 300 * run.result.steps
+        assert len(blob) <= 230 * run.result.steps
         back = pickle.loads(blob)
         assert back.result == run.result
-        assert back.trajectory.tobytes() == run.trajectory.tobytes()
-        assert back.detections.records.tobytes() == run.detections.records.tobytes()
+        assert back.frames.shape == run.frames.shape
+        assert back.frames.tobytes() == run.frames.tobytes()
 
     def test_lateral_error_decreases_monotonically(self):
         # noise-free single-expert loop, 20 m offset at 70 m altitude
@@ -150,8 +181,8 @@ class TestRunTrial:
             VehicleState(-80.0 - 20.0 / math.sqrt(2), 75.0 - 20.0 / math.sqrt(2), 70.0),
             Mode.FAR_ONLY, IDEAL, TrialConfig(), *rngs(),
         )
-        e_x = run.trajectory[:, COL["e_x"]]
-        e_y = run.trajectory[:, COL["e_y"]]
+        e_x = run.frames[:, COL["e_x"]]
+        e_y = run.frames[:, COL["e_y"]]
         tracked = ~np.isnan(e_x)
         e_mag = [math.hypot(x, y) for x, y in zip(e_x[tracked].tolist(), e_y[tracked].tolist())]
         after_warmup = e_mag[5:]
@@ -165,7 +196,7 @@ class TestRunTrial:
         run = run_trial(
             VehicleState(-80.0, 75.0, 70.0), Mode.NEAR_ONLY, IDEAL, TrialConfig(), *rngs()
         )
-        e_z = run.trajectory[:, COL["e_z"]]
+        e_z = run.frames[:, COL["e_z"]]
         e_z = e_z[~np.isnan(e_z)].tolist()
         assert all(b <= a + 1e-9 for a, b in zip(e_z, e_z[1:]))
         assert e_z[-1] < e_z[0]
@@ -190,8 +221,8 @@ class TestCampaign:
         for mode in a.runs:
             assert a.results(mode) == b.results(mode)
             for ra, rb in zip(a.runs[mode], b.runs[mode]):
-                assert ra.trajectory.tobytes() == rb.trajectory.tobytes()
-                assert ra.detections.records.tobytes() == rb.detections.records.tobytes()
+                assert ra.frames.shape == rb.frames.shape
+                assert ra.frames.tobytes() == rb.frames.tobytes()
 
     def test_different_seed_changes_results(self):
         a = run_campaign(Scenario(), TrialConfig(seed=21, n_trials=4), modes=[Mode.DUAL])
@@ -204,8 +235,8 @@ class TestCampaign:
         for mode in serial.runs:
             assert serial.results(mode) == parallel.results(mode)
             for ra, rb in zip(serial.runs[mode], parallel.runs[mode]):
-                assert ra.trajectory.tobytes() == rb.trajectory.tobytes()
-                assert ra.detections.records.tobytes() == rb.detections.records.tobytes()
+                assert ra.frames.shape == rb.frames.shape
+                assert ra.frames.tobytes() == rb.frames.tobytes()
 
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
@@ -239,8 +270,8 @@ class TestCampaign:
         )
         far_run = camp.runs[Mode.FAR_ONLY][0]
         dual_run = camp.runs[Mode.DUAL][0]
-        first_far = far_run.detections.frames[0, :LOG_FIELDS]
-        first_dual = dual_run.detections.frames[0, :LOG_FIELDS]
+        first_far = far_run.frames[0, :LOG_FIELDS]
+        first_dual = dual_run.frames[0, :LOG_FIELDS]
         assert first_far.tobytes() == first_dual.tobytes()
 
     def test_every_result_has_reason(self):
