@@ -17,6 +17,7 @@ from pathlib import Path
 from .config import ConfigError, build_campaign, default_config, load_config
 from .experts import DetectionLogError, read_detection_log, replay_detect
 from .gating import GateState, select_expert
+from .geometry import inside_image
 from .harness import run_campaign
 from .reporting import rebuild_results, write_campaign_outputs
 from .servo import compute_errors
@@ -64,6 +65,14 @@ def cmd_replay(args) -> int:
     lines = [REPLAY_HEADER]
     for frame in range(len(log)):
         det_far, det_near = replay_detect(log, frame)
+        for det in (det_far, det_near):
+            # padland's own detections are clamped to the image, so a box
+            # outside it was not recorded with this camera
+            if det.box is not None and not inside_image(det.box, cam):
+                raise DetectionLogError(
+                    f"frame {frame}: {det.expert_id.value} {det.box} does not lie inside "
+                    f"the {cam.image_width} x {cam.image_height} camera image"
+                )
         out = select_expert(det_far, det_near, gate, cam)
         if out.smoothed_box is not None:
             b = out.smoothed_box

@@ -27,15 +27,11 @@ class DynamicsParams:
 
 def step(state: VehicleState, cmd: VelocityCommand, params: DynamicsParams) -> VehicleState:
     """Advance one step: v += (dt/max(tau, dt)) * (cmd - v); p += dt * v."""
-    alpha = params.dt / max(params.tau, params.dt)
-    vx = state.vx + alpha * (cmd.v_x - state.vx)
-    vy = state.vy + alpha * (cmd.v_y - state.vy)
-    vz = state.vz + alpha * (cmd.v_z - state.vz)
-    return VehicleState(
-        x=state.x + params.dt * vx,
-        y=state.y + params.dt * vy,
-        z=max(0.0, state.z + params.dt * vz),
-        vx=vx,
-        vy=vy,
-        vz=vz,
-    )
+    dt = params.dt
+    alpha = dt / max(params.tau, dt)
+    x, y, z, vx, vy, vz = state
+    v_x, v_y, v_z = cmd
+    vx = vx + alpha * (v_x - vx)
+    vy = vy + alpha * (v_y - vy)
+    vz = vz + alpha * (v_z - vz)
+    return VehicleState(x + dt * vx, y + dt * vy, max(0.0, z + dt * vz), vx, vy, vz)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .experts import Detection, ExpertId
 from .geometry import BoundingBox, CameraModel
@@ -26,9 +27,9 @@ def l1_center_distance(box: BoundingBox, cam: CameraModel) -> float:
 class GateState:
     """Mutable per-trial gate memory.
 
-    window holds the last raw selected boxes (most recent last), capped at
-    window_size; coast_counter counts consecutive frames with no
-    detection from either expert.
+    window holds the last raw selected boxes (most recent last), a deque
+    capped at window_size so appending drops the oldest; coast_counter
+    counts consecutive frames with no detection from either expert.
     """
 
     window_size: int = 5
@@ -42,10 +43,10 @@ class GateState:
             raise ValueError(f"window_size: must be >= 1 (got {self.window_size})")
         if self.coast_limit < 0:
             raise ValueError(f"coast_limit: must be >= 0 (got {self.coast_limit})")
+        self.window = deque(self.window, maxlen=self.window_size)
 
 
-@dataclass(frozen=True)
-class GateOutput:
+class GateOutput(NamedTuple):
     """One frame of gate output.
 
     smoothed_box is present iff the window is nonempty and tracking is not
@@ -61,11 +62,8 @@ def _window_mean(window: deque) -> BoundingBox:
     # plain sequential sum in chronological order; tests recompute the same
     # mean independently and require bit-exact agreement
     n = len(window)
-    u = sum(b.u for b in window) / n
-    v = sum(b.v for b in window) / n
-    w = sum(b.w for b in window) / n
-    h = sum(b.h for b in window) / n
-    return BoundingBox(u=u, v=v, w=w, h=h)
+    us, vs, ws, hs = zip(*window)
+    return BoundingBox(sum(us) / n, sum(vs) / n, sum(ws) / n, sum(hs) / n)
 
 
 def select_expert(
@@ -81,19 +79,22 @@ def select_expert(
     None present: coast on the existing window for up to coast_limit
     consecutive frames, then report tracking lost.
     """
-    candidates = [d for d in (det_far, det_near) if d.box is not None]
+    box_far = det_far.box
+    box_near = det_near.box
 
-    if not candidates:
+    if box_far is None and box_near is None:
         state.coast_counter += 1
         lost = state.coast_counter > state.coast_limit
         smoothed = _window_mean(state.window) if state.window and not lost else None
-        return GateOutput(smoothed_box=smoothed, selected_expert=None, tracking_lost=lost)
+        return GateOutput(smoothed, None, lost)
 
-    if len(candidates) == 1:
-        chosen = candidates[0]
+    if box_near is None:
+        chosen = det_far
+    elif box_far is None:
+        chosen = det_near
     else:
-        d_far = l1_center_distance(det_far.box, cam)
-        d_near = l1_center_distance(det_near.box, cam)
+        d_far = l1_center_distance(box_far, cam)
+        d_near = l1_center_distance(box_near, cam)
         if d_far < d_near:
             chosen = det_far
         elif d_near < d_far:
@@ -103,14 +104,8 @@ def select_expert(
             keep = state.last_selected if state.last_selected is not None else ExpertId.NEAR
             chosen = det_far if keep is ExpertId.FAR else det_near
 
-    state.window.append(chosen.box)
-    while len(state.window) > state.window_size:
-        state.window.popleft()
+    state.window.append(chosen.box)  # the deque's maxlen drops the oldest
     state.last_selected = chosen.expert_id
     state.coast_counter = 0
 
-    return GateOutput(
-        smoothed_box=_window_mean(state.window),
-        selected_expert=chosen.expert_id,
-        tracking_lost=False,
-    )
+    return GateOutput(_window_mean(state.window), chosen.expert_id, False)

@@ -8,7 +8,9 @@ v > c_y.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,7 @@ class HelipadSpec:
             raise ValueError(f"side_length: must be strictly positive (got {self.side_length})")
 
 
-@dataclass(frozen=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     """Pixel-space box: center (u, v), width w, height h."""
 
     u: float
@@ -60,8 +61,7 @@ class BoundingBox:
         return self.w * self.h
 
 
-@dataclass(frozen=True)
-class VehicleState:
+class VehicleState(NamedTuple):
     """World-frame position and velocity of the vehicle."""
 
     x: float
@@ -80,15 +80,21 @@ def clamp_box(box: BoundingBox, cam: CameraModel) -> BoundingBox | None:
     center recomputed from the clipped extent otherwise, and None when the
     box does not overlap the frame at all.
     """
-    lo_u = box.u - box.w / 2.0
-    hi_u = box.u + box.w / 2.0
-    lo_v = box.v - box.h / 2.0
-    hi_v = box.v + box.h / 2.0
+    u, v, w, h = box
+    lo_u = u - w / 2.0
+    hi_u = u + w / 2.0
+    lo_v = v - h / 2.0
+    hi_v = v + h / 2.0
+    width = cam.image_width
+    height = cam.image_height
 
-    c_lo_u = max(lo_u, 0.0)
-    c_hi_u = min(hi_u, cam.image_width)
-    c_lo_v = max(lo_v, 0.0)
-    c_hi_v = min(hi_v, cam.image_height)
+    # max(a, b) and min(a, b) spelled out as the builtins evaluate them,
+    # (b if b > a else a) and (b if b < a else a), so NaN and signed zeros
+    # give the same results without the cost of two calls per side
+    c_lo_u = 0.0 if 0.0 > lo_u else lo_u
+    c_hi_u = width if width < hi_u else hi_u
+    c_lo_v = 0.0 if 0.0 > lo_v else lo_v
+    c_hi_v = height if height < hi_v else hi_v
 
     if c_hi_u - c_lo_u <= 0.0 or c_hi_v - c_lo_v <= 0.0:
         return None
@@ -99,6 +105,24 @@ def clamp_box(box: BoundingBox, cam: CameraModel) -> BoundingBox | None:
         v=(c_lo_v + c_hi_v) / 2.0,
         w=c_hi_u - c_lo_u,
         h=c_hi_v - c_lo_v,
+    )
+
+
+def inside_image(box: BoundingBox, cam: CameraModel) -> bool:
+    """Whether every edge of box lies inside the image, up to rounding.
+
+    Every box clamp_box returns passes. A clipped box's center and size
+    are recomputed, so its edge can sit an ulp of the image size outside
+    (at width 188.1, (160, 25, 84.875, 50) clamps to a box whose right
+    edge is one ulp past 188.1); the test allows a few ulps.
+    """
+    u, v, w, h = box
+    slack = 4.0 * math.ulp(max(cam.image_width, cam.image_height))
+    return (
+        u - w / 2.0 >= -slack
+        and u + w / 2.0 <= cam.image_width + slack
+        and v - h / 2.0 >= -slack
+        and v + h / 2.0 <= cam.image_height + slack
     )
 
 
@@ -122,10 +146,11 @@ def project_helipad(
     clipped to the frame via clamp_box. Returns None when the footprint is
     entirely out of view (no detector could report it).
     """
-    if state.z <= 0:
-        raise ValueError(f"camera at or below ground (z = {state.z})")
+    z = state.z
+    if z <= 0:
+        raise ValueError(f"camera at or below ground (z = {z})")
     f = cam.focal_length
-    u = cam.cx + f * (pad.x - state.x) / state.z
-    v = cam.cy + f * (pad.y - state.y) / state.z
-    side = f * pad.side_length / state.z
-    return clamp_box(BoundingBox(u=u, v=v, w=side, h=side), cam)
+    u = cam.cx + f * (pad.x - state.x) / z
+    v = cam.cy + f * (pad.y - state.y) / z
+    side = f * pad.side_length / z
+    return clamp_box(BoundingBox(u, v, side, side), cam)

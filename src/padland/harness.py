@@ -11,7 +11,7 @@ per-expert seed streams so the modes see common random numbers.
 from __future__ import annotations
 
 import concurrent.futures
-from array import array
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -20,7 +20,7 @@ import numpy as np
 
 from .dynamics import DynamicsParams, step
 from .experts import (
-    Detection,
+    ABSENT,
     ExpertId,
     ExpertProfile,
     default_far_profile,
@@ -110,6 +110,25 @@ class TrialResult:
     steps: int
     expert_usage: dict[str, int]
 
+    def __post_init__(self):
+        if not (math.isfinite(self.touchdown_error) and self.touchdown_error >= 0):
+            raise ValueError(
+                f"touchdown_error: must be finite and >= 0 (got {self.touchdown_error})"
+            )
+        if self.success is not (self.termination_reason is TerminationReason.LANDED):
+            raise ValueError(
+                f"success: must be true exactly when termination_reason is landed "
+                f"(got {self.success}, {self.termination_reason.value})"
+            )
+        if self.steps < 1:
+            raise ValueError(f"steps: must be >= 1 (got {self.steps})")
+        counts = self.expert_usage.values()
+        if min(counts, default=0) < 0 or sum(counts) > self.steps:
+            raise ValueError(
+                f"expert_usage: counts must be >= 0 and sum to at most steps "
+                f"(got {self.expert_usage}, steps {self.steps})"
+            )
+
 
 TRAJECTORY_HEADER = (
     "step,t,x,y,z,u_far,v_far,far_present,u_near,v_near,near_present,"
@@ -127,6 +146,7 @@ _TRAJECTORY_INDEX = [RECORD_COLUMNS.index(c) for c in TRAJECTORY_COLUMNS]
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTION_CODE = {None: 0.0, ExpertId.FAR: 1.0, ExpertId.NEAR: 2.0}
+_SELECTED = RECORD_COLUMNS.index("selected")
 _INT_COLUMNS = frozenset(("step", "far_present", "near_present"))
 _BLANKABLE_COLUMNS = frozenset(("u_hat", "v_hat", "e_x", "e_y", "A", "e_z"))
 _BLANKS = (float("nan"),) * len(_BLANKABLE_COLUMNS)
@@ -173,18 +193,24 @@ def run_trial(
     """Run one closed-loop trial to termination."""
     cam = scenario.camera
     pad = scenario.helipad
+    far_profile = scenario.far_profile
+    near_profile = scenario.near_profile
+    gains = scenario.gains
+    dynamics = scenario.dynamics
+    dt = dynamics.dt
+    commit_altitude = config.commit_altitude
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
 
     state = initial
-    frames = array("d")
-    usage = {ExpertId.FAR.value: 0, ExpertId.NEAR.value: 0}
+    frames: list[float] = []
 
     reason = TerminationReason.TIMEOUT
 
     run_far = mode in (Mode.FAR_ONLY, Mode.DUAL)
     run_near = mode in (Mode.NEAR_ONLY, Mode.DUAL)
-    absent_far = Detection(expert_id=ExpertId.FAR)
-    absent_near = Detection(expert_id=ExpertId.NEAR)
+    absent_far = ABSENT[ExpertId.FAR]
+    absent_near = ABSENT[ExpertId.NEAR]
+    hold = VelocityCommand(0.0, 0.0, 0.0)
 
     for k in range(config.max_steps):
         truth = project_helipad(state, pad, cam)
@@ -192,46 +218,39 @@ def run_trial(
             det_far, det_near = absent_far, absent_near
         else:
             s = apparent_width(state, pad, cam)
-            det_far = (
-                detect(scenario.far_profile, truth, s, rng_far, cam) if run_far else absent_far
-            )
-            det_near = (
-                detect(scenario.near_profile, truth, s, rng_near, cam) if run_near else absent_near
-            )
+            det_far = detect(far_profile, truth, s, rng_far, cam) if run_far else absent_far
+            det_near = detect(near_profile, truth, s, rng_near, cam) if run_near else absent_near
 
-        out = select_expert(det_far, det_near, gate, cam)
-        if out.selected_expert is not None:
-            usage[out.selected_expert.value] += 1
+        sb, selected, lost = select_expert(det_far, det_near, gate, cam)
 
-        sb = out.smoothed_box
         if sb is not None:
-            err = compute_errors(sb, cam, scenario.gains)
-            cmd = compute_command(err, scenario.gains)
-            tracked = (sb.u, sb.v, err.e_x, err.e_y, err.area, err.e_z)
+            err = compute_errors(sb, cam, gains)
+            cmd = compute_command(err, gains)
+            tracked = (sb.u, sb.v) + err  # u_hat, v_hat, e_x, e_y, A, e_z
         else:
-            cmd = VelocityCommand(0.0, 0.0, 0.0)
+            cmd = hold
             tracked = _BLANKS
 
         frames.extend(
             log_cells(det_far)
             + log_cells(det_near)
-            + (k, k * scenario.dynamics.dt, state.x, state.y, state.z)
-            + (_SELECTION_CODE[out.selected_expert],)
+            + (k, k * dt, state.x, state.y, state.z, _SELECTION_CODE[selected])
             + tracked
-            + (cmd.v_x, cmd.v_y, cmd.v_z)
+            + cmd
         )
 
-        if out.tracking_lost:
+        if lost:
             # blind descent from here: score the frozen lateral position
             reason = TerminationReason.TRACKING_LOST
             break
 
-        state = step(state, cmd, scenario.dynamics)
-        if state.z <= config.commit_altitude:
+        state = step(state, cmd, dynamics)
+        if state.z <= commit_altitude:
             reason = TerminationReason.LANDED
             break
 
-    records = np.frombuffer(frames, dtype=np.float64).reshape(-1, len(RECORD_COLUMNS))
+    records = np.array(frames, dtype=np.float64).reshape(-1, len(RECORD_COLUMNS))
+    selections = records[:, _SELECTED]
     result = TrialResult(
         trial_id=trial_id,
         initial_position=(initial.x, initial.y, initial.z),
@@ -240,7 +259,11 @@ def run_trial(
         success=reason is TerminationReason.LANDED,
         termination_reason=reason,
         steps=len(records),
-        expert_usage=usage,
+        expert_usage={
+            label: int(np.count_nonzero(selections == code))
+            for code, label in enumerate(SELECTION_LABELS)
+            if label
+        },
     )
     return TrialRun(result=result, frames=records)
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .geometry import BoundingBox, CameraModel
 
 
-@dataclass(frozen=True)
-class ErrorSignals:
+class ErrorSignals(NamedTuple):
     e_x: float  # pixels, c_x - u_hat
     e_y: float  # pixels, c_y - v_hat
     area: float  # pixels^2, w * h of the smoothed box
@@ -50,8 +50,7 @@ def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) ->
     return side * side
 
 
-@dataclass(frozen=True)
-class VelocityCommand:
+class VelocityCommand(NamedTuple):
     """World-frame velocity command; v_z <= 0 (descend or hold)."""
 
     v_x: float
@@ -61,13 +60,9 @@ class VelocityCommand:
 
 def compute_errors(box: BoundingBox, cam: CameraModel, gains: ControllerGains) -> ErrorSignals:
     """Image-plane alignment errors and the area-based descent error."""
-    area = box.w * box.h
-    return ErrorSignals(
-        e_x=cam.cx - box.u,
-        e_y=cam.cy - box.v,
-        area=area,
-        e_z=gains.area_ref - area,
-    )
+    u, v, w, h = box
+    area = w * h
+    return ErrorSignals(cam.cx - u, cam.cy - v, area, gains.area_ref - area)
 
 
 def compute_command(err: ErrorSignals, gains: ControllerGains) -> VelocityCommand:
@@ -79,11 +74,21 @@ def compute_command(err: ErrorSignals, gains: ControllerGains) -> VelocityComman
     only while the lateral misalignment is within align_threshold; never
     climb.
     """
-    v_x = max(-gains.v_lat_max, min(gains.v_lat_max, -gains.k_xy * err.e_x))
-    v_y = max(-gains.v_lat_max, min(gains.v_lat_max, -gains.k_xy * err.e_y))
-    if math.hypot(err.e_x, err.e_y) <= gains.align_threshold:
-        frac = min(max(err.e_z, 0.0) / gains.area_ref, 1.0)
+    e_x, e_y, _, e_z = err
+    v_max = gains.v_lat_max
+    k_xy = gains.k_xy
+    # each line is the builtin max or min of the comment beside it, spelled
+    # out as the builtin evaluates it (see geometry.clamp_box)
+    v_x = -k_xy * e_x
+    v_x = v_x if v_x < v_max else v_max  # min(v_max, v_x)
+    v_x = v_x if v_x > -v_max else -v_max  # max(-v_max, v_x)
+    v_y = -k_xy * e_y
+    v_y = v_y if v_y < v_max else v_max  # min(v_max, v_y)
+    v_y = v_y if v_y > -v_max else -v_max  # max(-v_max, v_y)
+    if math.hypot(e_x, e_y) <= gains.align_threshold:
+        frac = (0.0 if 0.0 > e_z else e_z) / gains.area_ref  # max(e_z, 0.0) / area_ref
+        frac = 1.0 if 1.0 < frac else frac  # min(frac, 1.0)
         v_z = -gains.k_z * frac
     else:
         v_z = 0.0
-    return VelocityCommand(v_x=v_x, v_y=v_y, v_z=v_z)
+    return VelocityCommand(v_x, v_y, v_z)

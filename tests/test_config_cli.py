@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -334,6 +335,28 @@ class TestCliReplay:
         assert "Traceback" not in err
         assert not (out / "replay.csv").exists()
 
+    @pytest.mark.parametrize(
+        "record, expert",
+        [
+            ("0,FAR,-5000,1e9,5,5,0.5,1", "FAR"),  # far outside the image
+            ("0,NEAR,447,224,4,4,0.5,1", "NEAR"),  # one pixel past the right edge
+        ],
+    )
+    def test_box_outside_image_rejected(self, tmp_path, config_path, capsys, record, expert):
+        other = "NEAR" if expert == "FAR" else "FAR"
+        log = tmp_path / "outside.csv"
+        log.write_text(
+            "frame,expert,u,v,w,h,confidence,present\n"
+            f"{record}\n0,{other},0,0,0,0,0,0\n"
+        )
+        out = tmp_path / "o"
+        code = main(["replay", "--log", str(log), "--config", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"frame 0: {expert}" in err and "inside" in err
+        assert "Traceback" not in err
+        assert not (out / "replay.csv").exists()
+
 
 class TestCliReport:
     def test_report_rerenders_table(self, tmp_path, config_path, capsys):
@@ -366,6 +389,32 @@ class TestCliReport:
         assert main(["report", "--summary", str(path)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and named in err
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("touchdown_error", math.nan),
+            ("touchdown_error", math.inf),
+            ("touchdown_error", -5.0),
+            ("success", False),  # the trial landed
+        ],
+        ids=["nan", "inf", "negative", "success-contradicts-reason"],
+    )
+    def test_out_of_range_trial_value_named(self, tmp_path, config_path, capsys, key, bad):
+        out = tmp_path / "run"
+        main(["run", "--config", str(config_path), "--out", str(out), "--trials", "2"])
+        summary = json.loads((out / "summary.json").read_text())
+        trial = summary["modes"]["dual"]["trials"][0]
+        assert trial["termination_reason"] == "landed"
+        trial[key] = bad
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(summary))  # NaN and Infinity as JSON reads them back
+        capsys.readouterr()
+        assert main(["report", "--summary", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and f"{key}:" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
 
 class TestCliInitConfig:

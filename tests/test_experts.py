@@ -155,6 +155,22 @@ class TestDetect:
         assert rng_a.uniform() == rng_b.uniform()
 
 
+class TestRandomPremise:
+    """detect draws its uniforms with rng.random() because, at default
+    bounds, rng.uniform() returns the same double from the same 64-bit draw.
+    A numpy release that breaks this would change every campaign's bytes."""
+
+    @pytest.mark.parametrize(
+        "seed", [0, 1, 42, 2**63 + 5, np.random.SeedSequence(42).spawn(3)[2]]
+    )
+    def test_random_and_default_uniform_draw_the_same_doubles(self, seed):
+        # detect's order per frame: two uniforms, then three normals
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [a.random() if i % 5 < 2 else a.standard_normal() for i in range(5000)]
+        want = [b.uniform() if i % 5 < 2 else b.standard_normal() for i in range(5000)]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
 class TestDetectionType:
     def test_absent_must_have_zero_confidence(self):
         with pytest.raises(ValueError):

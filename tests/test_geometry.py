@@ -1,5 +1,11 @@
+import math
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padland.geometry import (
     BoundingBox,
@@ -8,6 +14,7 @@ from padland.geometry import (
     VehicleState,
     apparent_width,
     clamp_box,
+    inside_image,
     project_helipad,
 )
 
@@ -112,6 +119,98 @@ class TestClamping:
     def test_near_touchdown_box_clips_to_frame(self):
         box = project_helipad(VehicleState(-80.0, 75.0, 4.0), PAD, CAM)
         assert (box.u, box.v, box.w, box.h) == (224.0, 224.0, 448.0, 448.0)
+
+
+def reference_clamp_box(box, cam):
+    """clamp_box as written with the builtin max and min: the oracle for the
+    spelled-out comparisons clamp_box uses."""
+    lo_u = box.u - box.w / 2.0
+    hi_u = box.u + box.w / 2.0
+    lo_v = box.v - box.h / 2.0
+    hi_v = box.v + box.h / 2.0
+
+    c_lo_u = max(lo_u, 0.0)
+    c_hi_u = min(hi_u, cam.image_width)
+    c_lo_v = max(lo_v, 0.0)
+    c_hi_v = min(hi_v, cam.image_height)
+
+    if c_hi_u - c_lo_u <= 0.0 or c_hi_v - c_lo_v <= 0.0:
+        return None
+    if c_lo_u == lo_u and c_hi_u == hi_u and c_lo_v == lo_v and c_hi_v == hi_v:
+        return box
+    return BoundingBox(
+        u=(c_lo_u + c_hi_u) / 2.0,
+        v=(c_lo_v + c_hi_v) / 2.0,
+        w=c_hi_u - c_lo_u,
+        h=c_hi_v - c_lo_v,
+    )
+
+
+def bits(values):
+    """Exact bytes of a tuple of floats (tells -0.0 from 0.0), or None."""
+    return None if values is None else struct.pack(f"<{len(values)}d", *values)
+
+
+# every float, with the values where max/min operand order shows drawn often
+any_float = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestClampMirror:
+    @settings(max_examples=500, deadline=None)  # a slow example on a busy machine is no failure
+    @given(any_float, any_float, any_float, any_float, any_float, any_float)
+    @example(-0.0, 10.0, 0.0, 4.0, 448.0, 448.0)  # left edge at -0.0
+    @example(10.0, 10.0, math.nan, 4.0, 448.0, 448.0)
+    @example(10.0, 10.0, 4.0, 4.0, math.nan, -0.0)
+    def test_matches_builtin_max_min(self, u, v, w, h, width, height):
+        # a stand-in camera, so any float can be an image size
+        cam = SimpleNamespace(image_width=width, image_height=height)
+        box = BoundingBox(u, v, w, h)
+        got, want = clamp_box(box, cam), reference_clamp_box(box, cam)
+        assert bits(got) == bits(want)
+        assert (got is box) == (want is box)
+
+
+class TestInsideImage:
+    @settings(deadline=None)
+    @given(
+        finite, finite, finite, finite,
+        st.floats(1e-300, 1e300), st.floats(1e-300, 1e300),
+        st.floats(-0.2, 1.2), st.floats(-0.2, 1.2), st.floats(1e-4, 1.0), st.floats(1e-4, 1.0),
+        st.booleans(),
+    )
+    @example(160.0, 25.0, 84.875, 50.0, 188.1, 100.0, 0.0, 0.0, 1.0, 1.0, False)
+    def test_every_clamped_box_is_inside(
+        self, u, v, w, h, width, height, fu, fv, fw, fh, image_scale
+    ):
+        cam = CameraModel(image_width=width, image_height=height)
+        if image_scale:  # a box of the image's size near its edges
+            u, v, w, h = fu * width, fv * height, fw * width, fh * height
+        clamped = clamp_box(BoundingBox(u, v, w, h), cam)
+        if clamped is not None:
+            assert inside_image(clamped, cam)
+
+    def test_clamped_box_can_move_when_clamped_again(self):
+        # why inside_image allows rounding: at width 188.1 the box clamp_box
+        # returns is not one it leaves in place
+        cam = CameraModel(image_width=188.1, image_height=100.0)
+        clamped = clamp_box(BoundingBox(160.0, 25.0, 84.875, 50.0), cam)
+        assert clamped.u + clamped.w / 2.0 > cam.image_width  # by one ulp
+        assert clamp_box(clamped, cam) != clamped
+        assert inside_image(clamped, cam)
+
+    @pytest.mark.parametrize(
+        "box, inside",
+        [
+            (BoundingBox(224.0, 224.0, 448.0, 448.0), True),  # the whole frame
+            (BoundingBox(446.0, 224.0, 4.0, 4.0), True),  # touches the right edge
+            (BoundingBox(447.0, 224.0, 4.0, 4.0), False),  # one pixel past it
+            (BoundingBox(224.0, 1.0, 4.0, 4.0), False),  # one pixel above the top
+            (BoundingBox(-5000.0, 1e9, 5.0, 5.0), False),
+        ],
+    )
+    def test_edges(self, box, inside):
+        assert inside_image(box, CAM) is inside
 
 
 class TestValidation:

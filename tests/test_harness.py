@@ -14,6 +14,7 @@ from padland.harness import (
     Scenario,
     TerminationReason,
     TrialConfig,
+    TrialResult,
     run_campaign,
     run_trial,
     sample_initial,
@@ -304,3 +305,40 @@ class TestConfigValidation:
             Scenario(window_size=0)
         with pytest.raises(ValueError):
             Scenario(coast_limit=-1)
+
+
+class TestTrialResultRules:
+    @staticmethod
+    def result(**changes) -> TrialResult:
+        fields = dict(
+            trial_id=0,
+            initial_position=(-86.0, 80.0, 90.0),
+            touchdown_xy=(-80.5, 75.2),
+            touchdown_error=0.54,
+            success=True,
+            termination_reason=TerminationReason.LANDED,
+            steps=10,
+            expert_usage={"FAR": 4, "NEAR": 3},  # 3 coasting frames
+        )
+        return TrialResult(**{**fields, **changes})
+
+    def test_valid_result_and_coasting_frames_accepted(self):
+        assert self.result().expert_usage == {"FAR": 4, "NEAR": 3}
+        assert self.result(touchdown_error=0.0, steps=1, expert_usage={"FAR": 0, "NEAR": 1})
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"touchdown_error": math.nan}, "touchdown_error"),
+            ({"touchdown_error": math.inf}, "touchdown_error"),
+            ({"touchdown_error": -5.0}, "touchdown_error"),
+            ({"success": False}, "success"),
+            ({"termination_reason": TerminationReason.TIMEOUT}, "success"),
+            ({"steps": 0, "expert_usage": {"FAR": 0, "NEAR": 0}}, "steps"),
+            ({"expert_usage": {"FAR": -1, "NEAR": 3}}, "expert_usage"),
+            ({"expert_usage": {"FAR": 6, "NEAR": 5}}, "expert_usage"),  # 11 of 10 frames
+        ],
+    )
+    def test_out_of_range_rejected_by_name(self, changes, key):
+        with pytest.raises(ValueError, match=key):
+            self.result(**changes)

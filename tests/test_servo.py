@@ -1,11 +1,16 @@
 import math
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padland.geometry import BoundingBox, CameraModel
 from padland.servo import (
     ControllerGains,
+    ErrorSignals,
     VelocityCommand,
     area_ref_for_altitude,
     compute_command,
@@ -115,3 +120,48 @@ class TestVelocityCommand:
     def test_plain_value_type(self):
         cmd = VelocityCommand(1.0, -1.0, -0.5)
         assert (cmd.v_x, cmd.v_y, cmd.v_z) == (1.0, -1.0, -0.5)
+
+
+def reference_compute_command(err, gains):
+    """compute_command as written with the builtin max and min: the oracle
+    for the spelled-out comparisons compute_command uses."""
+    v_x = max(-gains.v_lat_max, min(gains.v_lat_max, -gains.k_xy * err.e_x))
+    v_y = max(-gains.v_lat_max, min(gains.v_lat_max, -gains.k_xy * err.e_y))
+    if math.hypot(err.e_x, err.e_y) <= gains.align_threshold:
+        frac = min(max(err.e_z, 0.0) / gains.area_ref, 1.0)
+        v_z = -gains.k_z * frac
+    else:
+        v_z = 0.0
+    return VelocityCommand(v_x=v_x, v_y=v_y, v_z=v_z)
+
+
+def outcome(fn, *args):
+    """The exact bytes of fn's command (tells -0.0 from 0.0), or the type of
+    the exception it raises (a zero area_ref divides by zero)."""
+    try:
+        return struct.pack("<3d", *fn(*args))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+# every float, with the values where max/min operand order shows drawn often
+any_float = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+class TestCommandMirror:
+    @settings(max_examples=500, deadline=None)  # a slow example on a busy machine is no failure
+    @given(
+        st.tuples(any_float, any_float, any_float, any_float),
+        st.tuples(any_float, any_float, any_float, any_float, any_float),
+    )
+    @example((-0.0, 0.0, 0.0, -0.0), (1.0, 1.0, 0.0, 1.0, 1.0))  # clamp bound of 0.0
+    @example((1.0, 1.0, 0.0, math.nan), (0.02, 1.5, 2.0, math.inf, 1.0))  # NaN descent
+    def test_matches_builtin_max_min(self, err, gains):
+        err = ErrorSignals(*err)
+        # stand-in gains, so any float can be a gain
+        gains = SimpleNamespace(**dict(zip(
+            ("k_xy", "k_z", "v_lat_max", "align_threshold", "area_ref"), gains
+        )))
+        assert outcome(compute_command, err, gains) == outcome(
+            reference_compute_command, err, gains
+        )
