@@ -9,7 +9,6 @@ from .experts import (
     DetectionLogError,
     ExpertId,
     ExpertProfile,
-    Regime,
     default_far_profile,
     default_near_profile,
     detect,

@@ -4,10 +4,11 @@ The defaults are the dataclass defaults, and each range rule lives in the
 dataclass that owns the field. This module parses types, applies the rules
 that span two objects, and prefixes every error with the dotted key (for
 example ``gains.k_xy``) so a bad config is diagnosable from the message
-alone. Two keys are converted when the objects are built: the expert
-distractor offset is configured in world meters (stored in pad-side units)
-and the descent target as the altitude ``gains.z_ref`` (stored as the box
-area seen from it).
+alone. A key the default document lacks is an error too, so a typo is
+never silently ignored. Two keys are converted when the objects are
+built: the expert distractor offset is configured in world meters
+(stored in pad-side units) and the descent target as the altitude
+``gains.z_ref`` (stored as the box area seen from it).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import DynamicsParams
-from .experts import ExpertId, ExpertProfile, Regime
+from .experts import ExpertId, ExpertProfile
 from .geometry import CameraModel, HelipadSpec
 from .harness import Mode, Scenario, TrialConfig
 from .servo import ControllerGains, area_ref_for_altitude
@@ -46,7 +47,6 @@ class CampaignSpec:
 def _profile_doc(profile: ExpertProfile, pad_side: float) -> dict:
     doc = asdict(profile)
     del doc["expert_id"]
-    doc["regime"] = profile.regime.value
     offset = doc.pop("distractor_offset_pads")
     doc["distractor_offset_m"] = [offset[0] * pad_side, offset[1] * pad_side]
     return doc
@@ -161,20 +161,29 @@ def _checked(section: str, make, *args, **kwargs):
 
 def _profile(doc: dict, key: str, expert_id: ExpertId, pad_side: float) -> ExpertProfile:
     base = f"experts.{key}"
-    regime = _member(Regime, f"{base}.regime", _get(doc, f"{base}.regime"))
     offset_m = _pair(doc, f"{base}.distractor_offset_m")
     return _checked(
         base,
         ExpertProfile,
         expert_id=expert_id,
-        regime=regime,
         distractor_offset_pads=(offset_m[0] / pad_side, offset_m[1] / pad_side),
-        **_numbers(doc, base, ExpertProfile, {"expert_id", "regime", "distractor_offset_pads"}),
+        **_numbers(doc, base, ExpertProfile, {"expert_id", "distractor_offset_pads"}),
     )
+
+
+def _reject_unknown(doc: dict, known: dict, prefix: str = "") -> None:
+    """Raise a ConfigError naming the first key of doc that known (the
+    default document) lacks at the same place."""
+    for key, value in doc.items():
+        if key not in known:
+            raise ConfigError(f"unknown key: {prefix}{key}")
+        if isinstance(value, dict) and isinstance(known[key], dict):
+            _reject_unknown(value, known[key], f"{prefix}{key}.")
 
 
 def build_campaign(doc: dict) -> CampaignSpec:
     """Validate a config document and construct the runnable objects."""
+    _reject_unknown(doc, default_config())
     camera = _checked("camera", CameraModel, **_numbers(doc, "camera", CameraModel))
     pad_x, pad_y = _pair(doc, "helipad.center")
     pad = _checked(

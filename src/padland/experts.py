@@ -18,19 +18,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import BoundingBox, CameraModel, clamp_box
+from .geometry import BoundingBox, CameraModel, HelipadSpec, clamp_box
 
 
 class ExpertId(Enum):
     FAR = "FAR"
     NEAR = "NEAR"
-
-
-class Regime(Enum):
-    """Direction of the reliability curve over apparent width."""
-
-    DETECTS_ABOVE = "detects_above"  # reliable for large (close) pads
-    DETECTS_BELOW = "detects_below"  # reliable for small (distant) pads
 
 
 @dataclass(frozen=True)
@@ -62,7 +55,8 @@ class ExpertProfile:
     """Parametric reliability model of one detector.
 
     Detection probability is logistic((s - s_center) / s_slope) over the
-    apparent width s, reflected when regime is DETECTS_BELOW. Center noise
+    apparent width s: rising with s for a positive s_slope, falling for a
+    negative one (reliable for small, distant pads). Center noise
     has standard deviation sigma_center_base + sigma_center_scale * s;
     sizes are scaled by (1 + eps), eps ~ N(0, sigma_size_frac). With
     probability distractor_prob a detection locks onto a false target
@@ -73,7 +67,6 @@ class ExpertProfile:
     expert_id: ExpertId
     s_center: float
     s_slope: float
-    regime: Regime = Regime.DETECTS_ABOVE
     sigma_center_base: float = 0.0
     sigma_center_scale: float = 0.0
     sigma_size_frac: float = 0.0
@@ -81,8 +74,8 @@ class ExpertProfile:
     distractor_offset_pads: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.s_slope <= 0:
-            raise ValueError(f"s_slope: must be strictly positive (got {self.s_slope})")
+        if not (self.s_slope != 0 and math.isfinite(self.s_slope)):
+            raise ValueError(f"s_slope: must be nonzero and finite (got {self.s_slope})")
         for name in ("sigma_center_base", "sigma_center_scale", "sigma_size_frac"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name}: must be >= 0 (got {getattr(self, name)})")
@@ -102,12 +95,11 @@ def default_far_profile() -> ExpertProfile:
         expert_id=ExpertId.FAR,
         s_center=8.0,
         s_slope=2.0,
-        regime=Regime.DETECTS_ABOVE,
         sigma_center_base=2.0,
         sigma_center_scale=0.05,
         sigma_size_frac=0.05,
         distractor_prob=0.01,
-        distractor_offset_pads=(25.0 / 12.0, 0.0),
+        distractor_offset_pads=(25.0 / HelipadSpec.side_length, 0.0),
     )
 
 
@@ -118,7 +110,6 @@ def default_near_profile() -> ExpertProfile:
         expert_id=ExpertId.NEAR,
         s_center=27.0,
         s_slope=0.75,
-        regime=Regime.DETECTS_ABOVE,
         sigma_center_base=1.5,
         sigma_center_scale=0.0,
         sigma_size_frac=0.03,
@@ -129,8 +120,6 @@ def default_near_profile() -> ExpertProfile:
 def detection_probability(profile: ExpertProfile, s: float) -> float:
     """Per-frame detection probability at apparent width s."""
     x = (s - profile.s_center) / profile.s_slope
-    if profile.regime is Regime.DETECTS_BELOW:
-        x = -x
     # numerically stable sigmoid
     if x >= 0:
         return 1.0 / (1.0 + math.exp(-x))

@@ -34,16 +34,16 @@ class GateState:
 
     window_size: int = 5
     coast_limit: int = 10
-    window: deque = field(default_factory=deque)
-    last_selected: ExpertId | None = None
-    coast_counter: int = 0
+    window: deque = field(init=False)
+    last_selected: ExpertId | None = field(default=None, init=False)
+    coast_counter: int = field(default=0, init=False)
 
     def __post_init__(self):
         if self.window_size < 1:
             raise ValueError(f"window_size: must be >= 1 (got {self.window_size})")
         if self.coast_limit < 0:
             raise ValueError(f"coast_limit: must be >= 0 (got {self.coast_limit})")
-        self.window = deque(self.window, maxlen=self.window_size)
+        self.window = deque(maxlen=self.window_size)
 
 
 class GateOutput(NamedTuple):

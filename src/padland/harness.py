@@ -90,8 +90,8 @@ class Scenario:
     near_profile: ExpertProfile = field(default_factory=default_near_profile)
     gains: ControllerGains = field(default_factory=ControllerGains)
     dynamics: DynamicsParams = field(default_factory=DynamicsParams)
-    window_size: int = 5
-    coast_limit: int = 10
+    window_size: int = GateState.window_size
+    coast_limit: int = GateState.coast_limit
 
     def __post_init__(self):
         # the gate owns these range rules; building one applies them here,
@@ -273,15 +273,14 @@ class CampaignResult:
     seed: int
     n_trials: int
     initial_states: list[VehicleState]
-    runs: dict[Mode, list[TrialRun]] = field(default_factory=dict)
+    runs: dict[Mode, list[TrialRun]]
 
     def results(self, mode: Mode) -> list[TrialResult]:
         return [run.result for run in self.runs[mode]]
 
 
-def _trial_task(args) -> tuple[str, int, TrialRun]:
-    mode_value, idx, initial, scenario, config, far_ss, near_ss = args
-    mode = Mode(mode_value)
+def _trial_task(args) -> tuple[Mode, int, TrialRun]:
+    mode, idx, initial, scenario, config, far_ss, near_ss = args
     run = run_trial(
         initial=initial,
         mode=mode,
@@ -291,7 +290,7 @@ def _trial_task(args) -> tuple[str, int, TrialRun]:
         rng_near=np.random.default_rng(near_ss),
         trial_id=idx,
     )
-    return mode_value, idx, run
+    return mode, idx, run
 
 
 def run_campaign(
@@ -312,7 +311,7 @@ def run_campaign(
     if n_workers < 1:
         raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
     if modes is None:
-        modes = [Mode.NEAR_ONLY, Mode.FAR_ONLY, Mode.DUAL]
+        modes = tuple(Mode)
     n = config.n_trials
 
     root = np.random.SeedSequence(config.seed)
@@ -322,26 +321,19 @@ def run_campaign(
     expert_ss = [ss.spawn(2) for ss in trial_ss]
 
     tasks = [
-        (mode.value, i, initials[i], scenario, config, expert_ss[i][0], expert_ss[i][1])
-        for mode in modes
-        for i in range(n)
+        (mode, i, initials[i], scenario, config, *expert_ss[i]) for mode in modes for i in range(n)
     ]
 
-    collected: dict[str, dict[int, TrialRun]] = {mode.value: {} for mode in modes}
     n_workers = min(n_workers, len(tasks))
     if n_workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
-            for mode_value, idx, run in pool.map(_trial_task, tasks):
-                collected[mode_value][idx] = run
+            finished = list(pool.map(_trial_task, tasks))
     else:
-        for task in tasks:
-            mode_value, idx, run = _trial_task(task)
-            collected[mode_value][idx] = run
-
-    campaign = CampaignResult(seed=config.seed, n_trials=n, initial_states=initials)
-    for mode in modes:
-        campaign.runs[mode] = [collected[mode.value][i] for i in range(n)]
-    return campaign
+        finished = map(_trial_task, tasks)
+    runs = {mode: [None] * n for mode in modes}
+    for mode, idx, run in finished:
+        runs[mode][idx] = run
+    return CampaignResult(seed=config.seed, n_trials=n, initial_states=initials, runs=runs)
 
 
 def _format_column(name: str, values: list[float]) -> list[str]:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import BoundingBox, CameraModel
+from .geometry import BoundingBox, CameraModel, HelipadSpec
 
 
 class ErrorSignals(NamedTuple):
@@ -21,20 +21,6 @@ class ErrorSignals(NamedTuple):
     e_y: float  # pixels, c_y - v_hat
     area: float  # pixels^2, w * h of the smoothed box
     e_z: float  # pixels^2, area_ref - area
-
-
-@dataclass(frozen=True)
-class ControllerGains:
-    k_xy: float = 0.02  # (m/s) per pixel of lateral error
-    k_z: float = 1.5  # m/s, maximum descent rate
-    v_lat_max: float = 2.0  # m/s lateral clamp
-    align_threshold: float = 30.0  # pixels; descend only when aligned
-    area_ref: float = 200704.0  # pixels^2; (f*D/z_ref)^2, z_ref = 6 m default
-
-    def __post_init__(self):
-        for name in ("k_xy", "k_z", "v_lat_max", "align_threshold", "area_ref"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name}: must be positive and finite (got {getattr(self, name)})")
 
 
 def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) -> float:
@@ -48,6 +34,21 @@ def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) ->
             f"is not positive and finite (z_ref {z_ref}, side_length {pad_side})"
         )
     return side * side
+
+
+@dataclass(frozen=True)
+class ControllerGains:
+    k_xy: float = 0.02  # (m/s) per pixel of lateral error
+    k_z: float = 1.5  # m/s, maximum descent rate
+    v_lat_max: float = 2.0  # m/s lateral clamp
+    align_threshold: float = 30.0  # pixels; descend only when aligned
+    # pixels^2; the box area seen from z_ref = 6 m with the default camera and pad
+    area_ref: float = area_ref_for_altitude(6.0, CameraModel.focal_length, HelipadSpec.side_length)
+
+    def __post_init__(self):
+        for name in ("k_xy", "k_z", "v_lat_max", "align_threshold", "area_ref"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite (got {getattr(self, name)})")
 
 
 class VelocityCommand(NamedTuple):

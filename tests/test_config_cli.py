@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from padland.cli import main
 from padland.config import CampaignSpec, ConfigError, build_campaign, default_config, load_config
 from padland.harness import Mode, Scenario, TrialConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -37,12 +42,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="gains.k_xy"):
             build_campaign(doc)
 
-    def test_bad_regime_named(self):
-        doc = default_config()
-        doc["experts"]["near"]["regime"] = "sideways"
-        with pytest.raises(ConfigError, match="experts.near.regime"):
-            build_campaign(doc)
-
     def test_bad_mode_named(self):
         doc = default_config()
         doc["trials"]["modes"] = ["dual", "triple"]
@@ -63,7 +62,7 @@ class TestConfig:
         assert spec.scenario.far_profile.distractor_offset_pads[0] == pytest.approx(25.0 / 12.0)
 
     def test_shipped_default_file_in_sync(self):
-        shipped = Path(__file__).resolve().parents[1] / "configs" / "default.json"
+        shipped = ROOT / "configs" / "default.json"
         assert json.loads(shipped.read_text()) == default_config()
         build_campaign(load_config(shipped))
 
@@ -225,6 +224,11 @@ class TestCliValidate:
             pytest.param("gains.z_ref", 1e-200, id="gains.z_ref-area-overflow"),
             pytest.param("helipad.side_length", 1e308, id="helipad.side_length-area-overflow"),
             pytest.param("experts.far", [1], id="experts.far-not-an-object"),
+            # keys the default document lacks: a stale key or a typo
+            pytest.param("trails", {"n_trials": 3}, id="trails"),
+            pytest.param("gains.k_xyz", 0.02, id="gains.k_xyz"),
+            pytest.param("gate.window", 5, id="gate.window"),
+            pytest.param("experts.far.regime", "detects_below", id="experts.far.regime"),
             # dynamics.dt * gains.k_z must be at most 1/20 of the shortest
             # descent: 62 m, so 3.1 m, with the default 8 m commit_altitude
             pytest.param("dynamics.dt", 30.0, id="dynamics.dt-falls-through-descent"),
@@ -365,6 +369,22 @@ class TestCliReport:
         capsys.readouterr()
         assert main(["report", "--summary", str(out / "summary.json")]) == 0
         assert capsys.readouterr().out == (out / "comparison.txt").read_text()
+
+    def test_closed_stdout_exits_quietly(self, tmp_path, config_path, capsys):
+        out = tmp_path / "run"
+        main(["run", "--config", str(config_path), "--out", str(out), "--trials", "1"])
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before report writes a byte
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "padland.cli", "report", "--summary", str(out / "summary.json")],
+                stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            )
+        finally:
+            os.close(write_end)
+        assert done.stderr == b""
+        assert done.returncode == 1
 
     def test_missing_summary(self, tmp_path, capsys):
         assert main(["report", "--summary", str(tmp_path / "no.json")]) != 0

@@ -9,7 +9,6 @@ from padland.experts import (
     DetectionLogError,
     ExpertId,
     ExpertProfile,
-    Regime,
     default_far_profile,
     default_near_profile,
     detect,
@@ -42,23 +41,32 @@ def quiet_profile(**kwargs) -> ExpertProfile:
 class TestDetectionProbability:
     def test_near_profile_value_at_high_altitude(self):
         # the calibrated shape: logistic((s - 27) / 1.5) at s = 24.44
-        profile = ExpertProfile(
-            expert_id=ExpertId.NEAR, s_center=27.0, s_slope=1.5, regime=Regime.DETECTS_ABOVE
-        )
+        profile = ExpertProfile(expert_id=ExpertId.NEAR, s_center=27.0, s_slope=1.5)
         p = detection_probability(profile, 24.44)
         assert p == pytest.approx(1.0 / (1.0 + math.exp((27.0 - 24.44) / 1.5)))
         assert p == pytest.approx(0.154, abs=5e-4)
 
     def test_monotone_in_declared_direction(self):
         above = ExpertProfile(expert_id=ExpertId.NEAR, s_center=30.0, s_slope=2.0)
-        below = ExpertProfile(
-            expert_id=ExpertId.FAR, s_center=30.0, s_slope=2.0, regime=Regime.DETECTS_BELOW
-        )
+        below = ExpertProfile(expert_id=ExpertId.FAR, s_center=30.0, s_slope=-2.0)
         grid = np.linspace(1.0, 300.0, 50)
         p_above = [detection_probability(above, s) for s in grid]
         p_below = [detection_probability(below, s) for s in grid]
         assert all(b >= a for a, b in zip(p_above, p_above[1:]))
         assert all(b <= a for a, b in zip(p_below, p_below[1:]))
+
+    def test_negative_slope_mirrors_the_curve_bitwise(self):
+        # with s_center = 0, slope -k at s is slope k at -s, to the bit
+        for k in (0.75, 2.0, 3.1):
+            falling = ExpertProfile(expert_id=ExpertId.FAR, s_center=0.0, s_slope=-k)
+            rising = ExpertProfile(expert_id=ExpertId.FAR, s_center=0.0, s_slope=k)
+            for s in (1e-6, 0.5, 7.25, 33.0, 123456.789):
+                assert detection_probability(falling, s) == detection_probability(rising, -s)
+
+    @pytest.mark.parametrize("slope", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_slope_must_be_nonzero_and_finite(self, slope):
+        with pytest.raises(ValueError, match="s_slope"):
+            ExpertProfile(expert_id=ExpertId.FAR, s_center=8.0, s_slope=slope)
 
     def test_extreme_arguments_do_not_overflow(self):
         p = detection_probability(quiet_profile(), 1e-6)
