@@ -13,6 +13,7 @@ from .experts import (
     default_near_profile,
     detect,
     detection_probability,
+    noise_rows,
     read_detection_log,
     replay_detect,
     write_detection_log,

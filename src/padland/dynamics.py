@@ -8,6 +8,7 @@ floored at the ground.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geometry import VehicleState
 from .servo import VelocityCommand
@@ -24,14 +25,21 @@ class DynamicsParams:
         if self.tau < 0:
             raise ValueError(f"tau: must be >= 0 (got {self.tau})")
 
+    @cached_property
+    def alpha(self) -> float:
+        """Fraction of the velocity error closed per step: dt / max(tau, dt)."""
+        return self.dt / max(self.tau, self.dt)
+
 
 def step(state: VehicleState, cmd: VelocityCommand, params: DynamicsParams) -> VehicleState:
     """Advance one step: v += (dt/max(tau, dt)) * (cmd - v); p += dt * v."""
     dt = params.dt
-    alpha = dt / max(params.tau, dt)
+    alpha = params.alpha
     x, y, z, vx, vy, vz = state
     v_x, v_y, v_z = cmd
     vx = vx + alpha * (v_x - vx)
     vy = vy + alpha * (v_y - vy)
     vz = vz + alpha * (v_z - vz)
-    return VehicleState(x + dt * vx, y + dt * vy, max(0.0, z + dt * vz), vx, vy, vz)
+    z = z + dt * vz
+    # max(0.0, z) spelled out as the builtin evaluates it (see geometry.clamp_box)
+    return VehicleState(x + dt * vx, y + dt * vy, z if z > 0.0 else 0.0, vx, vy, vz)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -118,38 +119,58 @@ def default_near_profile() -> ExpertProfile:
 
 
 def detection_probability(profile: ExpertProfile, s: float) -> float:
-    """Per-frame detection probability at apparent width s."""
+    """Per-frame detection probability at apparent width s.
+
+    The exponential is numpy's, returned as a float: np.exp gives the same
+    double for a scalar as for that value inside an array, which
+    math.exp does not on every CPU, so a vectorised engine can reproduce
+    these probabilities bit for bit.
+    """
     x = (s - profile.s_center) / profile.s_slope
     # numerically stable sigmoid
     if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
+        return 1.0 / (1.0 + float(np.exp(-x)))
+    e = float(np.exp(x))
     return e / (1.0 + e)
+
+
+NOISE_CHUNK = 256  # frames of noise rows drawn per Generator call
+
+
+def noise_rows(rng: np.random.Generator) -> Iterator[list[float]]:
+    """Yield one expert's per-frame noise rows, frame k's row k-th.
+
+    A row is [u_present, u_distract, eps_u, eps_v, eps_size]: two uniforms
+    in [0, 1), then three standard normals. Rows are drawn NOISE_CHUNK at a
+    time, first rng.random((NOISE_CHUNK, 2)), then
+    rng.standard_normal((NOISE_CHUNK, 3)). The layout is fixed: the rows
+    of a stream depend only on its seed, never on what a trial did with
+    them, so every mode that runs an expert sees the same noise on the
+    same frame, and a batched engine can draw the same blocks.
+    """
+    while True:
+        uniforms = rng.random((NOISE_CHUNK, 2))
+        normals = rng.standard_normal((NOISE_CHUNK, 3))
+        yield from np.hstack((uniforms, normals)).tolist()
 
 
 def detect(
     profile: ExpertProfile,
     true_box: BoundingBox,
     s: float,
-    rng: np.random.Generator,
+    noise: Sequence[float],
     cam: CameraModel,
 ) -> Detection:
     """Run one synthetic detector inference against the ground-truth box.
 
-    Always consumes exactly five variates from `rng` regardless of outcome,
-    so per-expert streams stay frame-aligned across controller modes that
-    share seeds. The two uniforms come from rng.random(): the same double
-    from the same 64-bit draw as rng.uniform() at its default bounds, for
-    less overhead per call.
+    `noise` is the frame's row of the expert's noise_rows stream: frame k
+    reads row k whether or not the pad is in view, so detect takes its
+    variates by frame index and never from a shared Generator.
     """
     if s <= 0:
         raise ValueError(f"apparent width must be positive (got {s})")
 
-    u_present = rng.random()
-    u_distract = rng.random()
-    eps_u = rng.standard_normal()
-    eps_v = rng.standard_normal()
-    eps_size = rng.standard_normal()
+    u_present, u_distract, eps_u, eps_v, eps_size = noise
 
     p_det = detection_probability(profile, s)
     if u_present >= p_det:
@@ -166,7 +187,7 @@ def detect(
 
     scale = 1.0 + profile.sigma_size_frac * eps_size
     box = clamp_box(BoundingBox(u, v, true_box.w * scale, true_box.h * scale), cam)
-    if box is None or box.w <= 0 or box.h <= 0:
+    if box is None:
         return ABSENT[profile.expert_id]
     return Detection(profile.expert_id, box, p_det)
 

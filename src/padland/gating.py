@@ -59,11 +59,17 @@ class GateOutput(NamedTuple):
 
 
 def _window_mean(window: deque) -> BoundingBox:
-    # plain sequential sum in chronological order; tests recompute the same
-    # mean independently and require bit-exact agreement
+    # plain sequential sum in chronological order, from the int 0 as sum()
+    # starts; tests recompute the same mean independently and require
+    # bit-exact agreement
     n = len(window)
-    us, vs, ws, hs = zip(*window)
-    return BoundingBox(sum(us) / n, sum(vs) / n, sum(ws) / n, sum(hs) / n)
+    su = sv = sw = sh = 0
+    for u, v, w, h in window:
+        su += u
+        sv += v
+        sw += w
+        sh += h
+    return BoundingBox(su / n, sv / n, sw / n, sh / n)
 
 
 def select_expert(
@@ -93,8 +99,11 @@ def select_expert(
     elif box_far is None:
         chosen = det_near
     else:
-        d_far = l1_center_distance(box_far, cam)
-        d_near = l1_center_distance(box_near, cam)
+        # l1_center_distance of each, inlined: this runs once per frame
+        cx = cam.cx
+        cy = cam.cy
+        d_far = abs(box_far.u - cx) + abs(box_far.v - cy)
+        d_near = abs(box_near.u - cx) + abs(box_near.v - cy)
         if d_far < d_near:
             chosen = det_far
         elif d_near < d_far:

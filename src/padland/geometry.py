@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 
@@ -26,11 +27,13 @@ class CameraModel:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name}: must be strictly positive (got {getattr(self, name)})")
 
-    @property
+    # cached: the per-frame loop reads the principal point several times
+    # per frame, and the frozen fields never change
+    @cached_property
     def cx(self) -> float:
         return self.image_width / 2.0
 
-    @property
+    @cached_property
     def cy(self) -> float:
         return self.image_height / 2.0
 
@@ -72,13 +75,37 @@ class VehicleState(NamedTuple):
     vz: float = 0.0
 
 
+def _fit(center: float, size: float, extent: float) -> float:
+    """size, shrunk until center -/+ size/2 lies in [0, extent] as computed
+    in floating point, or 0.0 when no positive size leaves those two edges
+    apart.
+
+    Each step removes twice the last, from one ulp up, so a violation of
+    an ulp of a large center is fixed in a few dozen steps even when size
+    is small."""
+    step = math.ulp(size)
+    while size > 0.0 and (center - size / 2.0 < 0.0 or center + size / 2.0 > extent):
+        size -= step
+        step *= 2.0
+    if not (center + size / 2.0) - (center - size / 2.0) > 0.0:
+        return 0.0
+    return size
+
+
 def clamp_box(box: BoundingBox, cam: CameraModel) -> BoundingBox | None:
     """Clip a box to the image rectangle.
 
     Returns the box unchanged when it already lies inside the frame (so a
     noise-free in-frame box survives bit-for-bit), the clipped box with its
     center recomputed from the clipped extent otherwise, and None when the
-    box does not overlap the frame at all.
+    box does not overlap the frame at all (or has a NaN edge).
+
+    Every box returned lies inside the frame exactly, with edges apart:
+    0 <= u - w/2 < u + w/2 <= image_width as computed in floating point,
+    and likewise for v. A recomputed center can round an edge an ulp
+    outside (at width 188.1, (160, 25, 84.875, 50) would); the clipped
+    size is then shrunk by a few ulps. So clamp_box(clamp_box(b)) is
+    clamp_box(b).
     """
     u, v, w, h = box
     lo_u = u - w / 2.0
@@ -96,25 +123,26 @@ def clamp_box(box: BoundingBox, cam: CameraModel) -> BoundingBox | None:
     c_lo_v = 0.0 if 0.0 > lo_v else lo_v
     c_hi_v = height if height < hi_v else hi_v
 
-    if c_hi_u - c_lo_u <= 0.0 or c_hi_v - c_lo_v <= 0.0:
+    if not (c_hi_u - c_lo_u > 0.0 and c_hi_v - c_lo_v > 0.0):
         return None
     if c_lo_u == lo_u and c_hi_u == hi_u and c_lo_v == lo_v and c_hi_v == hi_v:
         return box
-    return BoundingBox(
-        u=(c_lo_u + c_hi_u) / 2.0,
-        v=(c_lo_v + c_hi_v) / 2.0,
-        w=c_hi_u - c_lo_u,
-        h=c_hi_v - c_lo_v,
-    )
+    u = (c_lo_u + c_hi_u) / 2.0
+    v = (c_lo_v + c_hi_v) / 2.0
+    w = _fit(u, c_hi_u - c_lo_u, width)
+    h = _fit(v, c_hi_v - c_lo_v, height)
+    if w == 0.0 or h == 0.0:
+        return None
+    return BoundingBox(u, v, w, h)
 
 
 def inside_image(box: BoundingBox, cam: CameraModel) -> bool:
     """Whether every edge of box lies inside the image, up to rounding.
 
-    Every box clamp_box returns passes. A clipped box's center and size
-    are recomputed, so its edge can sit an ulp of the image size outside
-    (at width 188.1, (160, 25, 84.875, 50) clamps to a box whose right
-    edge is one ulp past 188.1); the test allows a few ulps.
+    Every box clamp_box returns passes exactly. The slack of a few ulps
+    keeps accepting boxes clipped by earlier versions, whose recomputed
+    edge could sit an ulp of the image size outside, so their detection
+    logs still replay.
     """
     u, v, w, h = box
     slack = 4.0 * math.ulp(max(cam.image_width, cam.image_height))

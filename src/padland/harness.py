@@ -14,6 +14,7 @@ import concurrent.futures
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from .experts import (
     default_near_profile,
     detect,
     log_cells,
+    noise_rows,
 )
 from .gating import GateState, select_expert
 from .geometry import (
@@ -145,7 +147,6 @@ RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS if c not in 
 _TRAJECTORY_INDEX = [RECORD_COLUMNS.index(c) for c in TRAJECTORY_COLUMNS]
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
-_SELECTION_CODE = {None: 0.0, ExpertId.FAR: 1.0, ExpertId.NEAR: 2.0}
 _SELECTED = RECORD_COLUMNS.index("selected")
 _INT_COLUMNS = frozenset(("step", "far_present", "near_present"))
 _BLANKABLE_COLUMNS = frozenset(("u_hat", "v_hat", "e_x", "e_y", "A", "e_z"))
@@ -190,7 +191,12 @@ def run_trial(
     rng_near: np.random.Generator,
     trial_id: int = 0,
 ) -> TrialRun:
-    """Run one closed-loop trial to termination."""
+    """Run one closed-loop trial to termination.
+
+    rng_far and rng_near are the experts' seed streams: frame k hands
+    detect row k of noise_rows(rng) for each expert the mode runs, and an
+    expert the mode does not run draws nothing.
+    """
     cam = scenario.camera
     pad = scenario.helipad
     far_profile = scenario.far_profile
@@ -203,23 +209,27 @@ def run_trial(
 
     state = initial
     frames: list[float] = []
+    record = frames.extend
 
     reason = TerminationReason.TIMEOUT
 
     run_far = mode in (Mode.FAR_ONLY, Mode.DUAL)
     run_near = mode in (Mode.NEAR_ONLY, Mode.DUAL)
+    far_rows = noise_rows(rng_far) if run_far else repeat(None)
+    near_rows = noise_rows(rng_near) if run_near else repeat(None)
     absent_far = ABSENT[ExpertId.FAR]
     absent_near = ABSENT[ExpertId.NEAR]
+    far = ExpertId.FAR
     hold = VelocityCommand(0.0, 0.0, 0.0)
 
-    for k in range(config.max_steps):
+    for k, noise_far, noise_near in zip(range(config.max_steps), far_rows, near_rows):
         truth = project_helipad(state, pad, cam)
         if truth is None:
             det_far, det_near = absent_far, absent_near
         else:
             s = apparent_width(state, pad, cam)
-            det_far = detect(far_profile, truth, s, rng_far, cam) if run_far else absent_far
-            det_near = detect(near_profile, truth, s, rng_near, cam) if run_near else absent_near
+            det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else absent_far
+            det_near = detect(near_profile, truth, s, noise_near, cam) if run_near else absent_near
 
         sb, selected, lost = select_expert(det_far, det_near, gate, cam)
 
@@ -231,10 +241,12 @@ def run_trial(
             cmd = hold
             tracked = _BLANKS
 
-        frames.extend(
+        # `selected` as its code into SELECTION_LABELS
+        code = 0.0 if selected is None else 1.0 if selected is far else 2.0
+        record(
             log_cells(det_far)
             + log_cells(det_near)
-            + (k, k * dt, state.x, state.y, state.z, _SELECTION_CODE[selected])
+            + (k, k * dt, state.x, state.y, state.z, code)
             + tracked
             + cmd
         )

@@ -442,3 +442,22 @@ class TestCliInitConfig:
         path = tmp_path / "generated.json"
         assert main(["init-config", "--out", str(path)]) == 0
         assert main(["validate-config", "--config", str(path)]) == 0
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def padland(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "padland", *argv], cwd=ROOT, capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+
+    def test_python_dash_m_runs_the_cli(self, tmp_path):
+        done = self.padland("validate-config", "--config", "configs/default.json")
+        assert done.returncode == 0, done.stderr
+        assert "config OK" in done.stdout
+        done = self.padland(
+            "run", "--config", "configs/default.json", "--out", str(tmp_path / "o"), "--workers", "0"
+        )
+        assert done.returncode == 2
+        assert "--workers" in done.stderr and "Traceback" not in done.stderr

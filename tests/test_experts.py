@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from padland import harness
 from padland.experts import (
     LOG_STRIDE,
+    NOISE_CHUNK,
     Detection,
     DetectionLogError,
     ExpertId,
@@ -14,11 +18,12 @@ from padland.experts import (
     detect,
     detection_probability,
     log_cells,
+    noise_rows,
     read_detection_log,
     replay_detect,
     write_detection_log,
 )
-from padland.geometry import BoundingBox, CameraModel
+from padland.geometry import BoundingBox, CameraModel, VehicleState
 
 CAM = CameraModel()
 TRUE_BOX = BoundingBox(224.0, 224.0, 24.0, 24.0)
@@ -68,6 +73,17 @@ class TestDetectionProbability:
         with pytest.raises(ValueError, match="s_slope"):
             ExpertProfile(expert_id=ExpertId.FAR, s_center=8.0, s_slope=slope)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    def test_scalar_exp_matches_array_exp(self, xs):
+        # the premise of detection_probability's np.exp: a scalar call gives
+        # the same double as the same value at any place in an array, so a
+        # vectorised engine reproduces the per-frame probabilities
+        with np.errstate(over="ignore", invalid="ignore"):
+            scalar = [float(np.exp(x)) for x in xs]
+            batched = np.exp(np.array(xs))
+        assert np.array(scalar).tobytes() == batched.tobytes()
+
     def test_extreme_arguments_do_not_overflow(self):
         p = detection_probability(quiet_profile(), 1e-6)
         assert p == 1.0
@@ -75,14 +91,19 @@ class TestDetectionProbability:
         assert detection_probability(hopeless, 10.0) == 0.0
 
 
+def rows(seed: int):
+    """A fresh noise-row stream, as run_trial draws one per run expert."""
+    return noise_rows(np.random.default_rng(seed))
+
+
 class TestDetect:
     def test_empirical_rate_matches_probability(self):
         profile = ExpertProfile(
             expert_id=ExpertId.NEAR, s_center=27.0, s_slope=1.5, sigma_center_base=1.5
         )
-        rng = np.random.default_rng(2024)
+        noise = rows(2024)
         hits = sum(
-            detect(profile, TRUE_BOX, 24.44, rng, CAM).present for _ in range(1000)
+            detect(profile, TRUE_BOX, 24.44, next(noise), CAM).present for _ in range(1000)
         )
         assert hits / 1000 == pytest.approx(0.154, abs=0.04)
 
@@ -91,14 +112,13 @@ class TestDetect:
         s = 33.0
         p = detection_probability(profile, s)
         n = 10_000
-        rng = np.random.default_rng(7)
-        hits = sum(detect(profile, TRUE_BOX, s, rng, CAM).present for _ in range(n))
+        noise = rows(7)
+        hits = sum(detect(profile, TRUE_BOX, s, next(noise), CAM).present for _ in range(n))
         bound = 3.0 * math.sqrt(p * (1.0 - p) / n)
         assert abs(hits / n - p) < bound
 
     def test_zero_noise_returns_true_box_exactly(self):
-        rng = np.random.default_rng(11)
-        det = detect(quiet_profile(), TRUE_BOX, 24.0, rng, CAM)
+        det = detect(quiet_profile(), TRUE_BOX, 24.0, next(rows(11)), CAM)
         assert det.present
         assert det.box == TRUE_BOX
         assert det.confidence == 1.0
@@ -109,9 +129,9 @@ class TestDetect:
         n = 10_000
 
         def center_std(s: float, seed: int) -> float:
-            rng = np.random.default_rng(seed)
+            noise = rows(seed)
             big = BoundingBox(224.0, 224.0, 10.0, 10.0)  # small box: no clipping
-            errs = [detect(profile, big, s, rng, CAM).box.u - big.u for _ in range(n)]
+            errs = [detect(profile, big, s, next(noise), CAM).box.u - big.u for _ in range(n)]
             return float(np.std(errs))
 
         ratio = center_std(200.0, 31) / center_std(30.0, 32)
@@ -122,61 +142,108 @@ class TestDetect:
         profile = default_far_profile()
 
         def sequence(seed: int):
-            rng = np.random.default_rng(seed)
+            noise = rows(seed)
             out = []
             for _ in range(200):
-                d = detect(profile, TRUE_BOX, 30.0, rng, CAM)
+                d = detect(profile, TRUE_BOX, 30.0, next(noise), CAM)
                 out.append((d.present, d.box.u if d.box else None, d.confidence))
             return out
 
         assert sequence(99) == sequence(99)
         assert sequence(99) != sequence(100)
 
+    def test_outputs_are_python_floats(self):
+        # no np.float64 may reach a Detection (its repr would reach a CSV cell)
+        noisy = quiet_profile(sigma_center_base=2.0, sigma_size_frac=0.05)  # always detects
+        noise = rows(3)
+        for s in (1.0, 8.0, 30.0, 400.0):  # both branches of the far logistic
+            assert type(detection_probability(default_far_profile(), s)) is float
+            det = detect(noisy, TRUE_BOX, s, next(noise), CAM)
+            assert type(det.confidence) is float
+            assert all(type(x) is float for x in det.box)
+
     def test_distractor_displaces_center(self):
         profile = quiet_profile(
             distractor_prob=1.0, distractor_offset_pads=(2.0, 0.0)
         )
-        rng = np.random.default_rng(5)
-        det = detect(profile, TRUE_BOX, 24.0, rng, CAM)
+        det = detect(profile, TRUE_BOX, 24.0, next(rows(5)), CAM)
         assert det.box.u == pytest.approx(224.0 + 24.0 * 2.0)
         assert det.box.v == pytest.approx(224.0)
 
     def test_distractor_pushed_off_frame_reports_absent(self):
         profile = quiet_profile(distractor_prob=1.0, distractor_offset_pads=(10.0, 0.0))
-        rng = np.random.default_rng(5)
-        det = detect(profile, BoundingBox(400.0, 224.0, 20.0, 20.0), 100.0, rng, CAM)
+        det = detect(profile, BoundingBox(400.0, 224.0, 20.0, 20.0), 100.0, next(rows(5)), CAM)
         assert not det.present
         assert det.confidence == 0.0
 
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
-            detect(quiet_profile(), TRUE_BOX, 0.0, np.random.default_rng(0), CAM)
+            detect(quiet_profile(), TRUE_BOX, 0.0, next(rows(0)), CAM)
 
-    def test_fixed_draw_count_keeps_stream_aligned(self):
-        # an absent frame must consume as many variates as a present one
-        always = quiet_profile()
-        never = ExpertProfile(expert_id=ExpertId.FAR, s_center=1e9, s_slope=1.0)
-        rng_a = np.random.default_rng(123)
-        rng_b = np.random.default_rng(123)
-        detect(always, TRUE_BOX, 24.0, rng_a, CAM)
-        detect(never, TRUE_BOX, 24.0, rng_b, CAM)
-        assert rng_a.uniform() == rng_b.uniform()
+    def test_fixed_draw_count_keeps_stream_aligned(self, monkeypatch):
+        # run_trial hands frame k row k of each run expert's stream, on
+        # frames with the pad out of view too, and draws nothing for an
+        # expert its mode does not run
+        steps = 2 * NOISE_CHUNK + 88  # crosses two chunk boundaries
+        frame = [-1]
+        seen = {ExpertId.FAR: {}, ExpertId.NEAR: {}}
+        project, real_detect = harness.project_helipad, harness.detect
+
+        def project_helipad(state, pad, cam):
+            frame[0] += 1
+            return None if frame[0] % 3 == 1 else project(state, pad, cam)
+
+        def detect_spy(profile, true_box, s, noise, cam):
+            seen[profile.expert_id][frame[0]] = noise
+            return real_detect(profile, true_box, s, noise, cam)
+
+        monkeypatch.setattr(harness, "project_helipad", project_helipad)
+        monkeypatch.setattr(harness, "detect", detect_spy)
+        for mode, run in (
+            (harness.Mode.FAR_ONLY, {ExpertId.FAR}),
+            (harness.Mode.NEAR_ONLY, {ExpertId.NEAR}),
+            (harness.Mode.DUAL, {ExpertId.FAR, ExpertId.NEAR}),
+        ):
+            frame[0] = -1
+            for calls in seen.values():
+                calls.clear()
+            streams = {ExpertId.FAR: np.random.default_rng(1), ExpertId.NEAR: np.random.default_rng(2)}
+            result = harness.run_trial(
+                VehicleState(-86.0, 80.0, 70.0), mode, harness.Scenario(),
+                harness.TrialConfig(max_steps=steps), streams[ExpertId.FAR], streams[ExpertId.NEAR],
+            ).result
+            assert result.steps == steps
+            for expert, rng in streams.items():
+                fresh = np.random.default_rng(1 if expert is ExpertId.FAR else 2)
+                if expert not in run:
+                    assert not seen[expert]
+                    assert rng.bit_generator.state == fresh.bit_generator.state
+                    continue
+                want = [row for _, row in zip(range(steps), noise_rows(fresh))]
+                # detect ran on every in-view frame, with that frame's row
+                assert sorted(seen[expert]) == [k for k in range(steps) if k % 3 != 1]
+                for k, row in seen[expert].items():
+                    assert row == want[k]
+                # and the stream advanced by whole chunks, one row per frame
+                assert rng.bit_generator.state == fresh.bit_generator.state
 
 
-class TestRandomPremise:
-    """detect draws its uniforms with rng.random() because, at default
-    bounds, rng.uniform() returns the same double from the same 64-bit draw.
-    A numpy release that breaks this would change every campaign's bytes."""
-
-    @pytest.mark.parametrize(
-        "seed", [0, 1, 42, 2**63 + 5, np.random.SeedSequence(42).spawn(3)[2]]
-    )
-    def test_random_and_default_uniform_draw_the_same_doubles(self, seed):
-        # detect's order per frame: two uniforms, then three normals
-        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = [a.random() if i % 5 < 2 else a.standard_normal() for i in range(5000)]
-        want = [b.uniform() if i % 5 < 2 else b.standard_normal() for i in range(5000)]
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+class TestNoiseRows:
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**64 - 1))
+    def test_rows_match_chunk_by_chunk_recomputation(self, seed):
+        n = 3 * NOISE_CHUNK + 8  # rows 0 .. 3C + 7
+        got = [row for _, row in zip(range(n), rows(seed))]
+        rng = np.random.default_rng(seed)
+        want = []
+        while len(want) < n:
+            uniforms = rng.random((NOISE_CHUNK, 2))
+            normals = rng.standard_normal((NOISE_CHUNK, 3))
+            for i in range(NOISE_CHUNK):
+                want.append([*uniforms[i].tolist(), *normals[i].tolist()])
+        assert np.array(got).tobytes() == np.array(want[:n]).tobytes()
+        assert all(type(x) is float for row in got for x in row)
+        assert all(0.0 <= u < 1.0 for row in got for u in row[:2])
 
 
 class TestDetectionType:

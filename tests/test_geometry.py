@@ -12,6 +12,7 @@ from padland.geometry import (
     CameraModel,
     HelipadSpec,
     VehicleState,
+    _fit,
     apparent_width,
     clamp_box,
     inside_image,
@@ -134,16 +135,17 @@ def reference_clamp_box(box, cam):
     c_lo_v = max(lo_v, 0.0)
     c_hi_v = min(hi_v, cam.image_height)
 
-    if c_hi_u - c_lo_u <= 0.0 or c_hi_v - c_lo_v <= 0.0:
+    if not (c_hi_u - c_lo_u > 0.0 and c_hi_v - c_lo_v > 0.0):
         return None
     if c_lo_u == lo_u and c_hi_u == hi_u and c_lo_v == lo_v and c_hi_v == hi_v:
         return box
-    return BoundingBox(
-        u=(c_lo_u + c_hi_u) / 2.0,
-        v=(c_lo_v + c_hi_v) / 2.0,
-        w=c_hi_u - c_lo_u,
-        h=c_hi_v - c_lo_v,
-    )
+    u = (c_lo_u + c_hi_u) / 2.0
+    v = (c_lo_v + c_hi_v) / 2.0
+    w = _fit(u, c_hi_u - c_lo_u, cam.image_width)
+    h = _fit(v, c_hi_v - c_lo_v, cam.image_height)
+    if w == 0.0 or h == 0.0:
+        return None
+    return BoundingBox(u, v, w, h)
 
 
 def bits(values):
@@ -171,33 +173,71 @@ class TestClampMirror:
         assert (got is box) == (want is box)
 
 
+# a camera of any positive finite size, and a box anywhere or, drawn in
+# units of the image size, one of its size near its edges
+clamp_cases = st.tuples(
+    finite, finite, finite, finite,
+    st.floats(1e-300, 1e300), st.floats(1e-300, 1e300),
+    st.floats(-0.2, 1.2), st.floats(-0.2, 1.2), st.floats(1e-4, 1.0), st.floats(1e-4, 1.0),
+    st.booleans(),
+)
+# at width 188.1 the recomputed center of this clipped box put its right
+# edge one ulp past the image before clamp_box shrank it
+ULP_PAST_EDGE = (160.0, 25.0, 84.875, 50.0, 188.1, 100.0, 0.0, 0.0, 1.0, 1.0, False)
+
+
+def clamp_case(case):
+    u, v, w, h, width, height, fu, fv, fw, fh, image_scale = case
+    cam = CameraModel(image_width=width, image_height=height)
+    if image_scale:
+        u, v, w, h = fu * width, fv * height, fw * width, fh * height
+    return BoundingBox(u, v, w, h), cam
+
+
+class TestClampExact:
+    @settings(max_examples=500, deadline=None)
+    @given(clamp_cases)
+    @example(ULP_PAST_EDGE)
+    def test_clamped_box_lies_inside_exactly(self, case):
+        box, cam = clamp_case(case)
+        clamped = clamp_box(box, cam)
+        if clamped is not None:
+            u, v, w, h = clamped
+            assert u + w / 2.0 - (u - w / 2.0) > 0.0 and v + h / 2.0 - (v - h / 2.0) > 0.0
+            assert 0.0 <= u - w / 2.0 and u + w / 2.0 <= cam.image_width
+            assert 0.0 <= v - h / 2.0 and v + h / 2.0 <= cam.image_height
+
+    @settings(max_examples=500, deadline=None)
+    @given(clamp_cases)
+    @example(ULP_PAST_EDGE)
+    # both edges of a 2-wide box round onto the center at 2**53 + 4
+    @example((2.0**53 + 4.0, 0.0, 3.0, 1.0, 2.0**53 + 4.0, 1.0, 0.0, 0.0, 1.0, 1.0, False))
+    # a box about one ulp wide at the right edge
+    @example((1.5, 0.75, 2.2e-16, 1.0, 1.5, 1.5, 0.0, 0.0, 1.0, 1.0, False))
+    def test_clamp_is_idempotent(self, case):
+        box, cam = clamp_case(case)
+        clamped = clamp_box(box, cam)
+        if clamped is not None:
+            assert clamp_box(clamped, cam) is clamped
+
+
 class TestInsideImage:
     @settings(deadline=None)
-    @given(
-        finite, finite, finite, finite,
-        st.floats(1e-300, 1e300), st.floats(1e-300, 1e300),
-        st.floats(-0.2, 1.2), st.floats(-0.2, 1.2), st.floats(1e-4, 1.0), st.floats(1e-4, 1.0),
-        st.booleans(),
-    )
-    @example(160.0, 25.0, 84.875, 50.0, 188.1, 100.0, 0.0, 0.0, 1.0, 1.0, False)
-    def test_every_clamped_box_is_inside(
-        self, u, v, w, h, width, height, fu, fv, fw, fh, image_scale
-    ):
-        cam = CameraModel(image_width=width, image_height=height)
-        if image_scale:  # a box of the image's size near its edges
-            u, v, w, h = fu * width, fv * height, fw * width, fh * height
-        clamped = clamp_box(BoundingBox(u, v, w, h), cam)
+    @given(clamp_cases)
+    @example(ULP_PAST_EDGE)
+    def test_every_clamped_box_is_inside(self, case):
+        box, cam = clamp_case(case)
+        clamped = clamp_box(box, cam)
         if clamped is not None:
             assert inside_image(clamped, cam)
 
-    def test_clamped_box_can_move_when_clamped_again(self):
-        # why inside_image allows rounding: at width 188.1 the box clamp_box
-        # returns is not one it leaves in place
+    def test_boxes_an_ulp_outside_still_pass(self):
+        # clamp_box once returned such boxes; logs holding them still replay
         cam = CameraModel(image_width=188.1, image_height=100.0)
-        clamped = clamp_box(BoundingBox(160.0, 25.0, 84.875, 50.0), cam)
-        assert clamped.u + clamped.w / 2.0 > cam.image_width  # by one ulp
-        assert clamp_box(clamped, cam) != clamped
-        assert inside_image(clamped, cam)
+        lo = 160.0 - 84.875 / 2.0
+        u, w = (lo + cam.image_width) / 2.0, cam.image_width - lo
+        assert u + w / 2.0 > cam.image_width  # by one ulp
+        assert inside_image(BoundingBox(u, 25.0, w, 50.0), cam)
 
     @pytest.mark.parametrize(
         "box, inside",
