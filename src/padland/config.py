@@ -21,7 +21,7 @@ from pathlib import Path
 from .dynamics import DynamicsParams
 from .experts import ExpertId, ExpertProfile
 from .geometry import CameraModel, HelipadSpec
-from .harness import Mode, Scenario, TrialConfig
+from .harness import Mode, Scenario, TrialConfig, check_modes
 from .servo import ControllerGains, area_ref_for_altitude
 
 
@@ -38,10 +38,7 @@ class CampaignSpec:
     modes: tuple[Mode, ...] = tuple(Mode)
 
     def __post_init__(self):
-        if not self.modes or len(set(self.modes)) != len(self.modes):
-            raise ValueError(
-                f"modes: must be nonempty and distinct (got {[m.value for m in self.modes]})"
-            )
+        check_modes(self.modes)
 
 
 def _profile_doc(profile: ExpertProfile, pad_side: float) -> dict:

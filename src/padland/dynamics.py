@@ -14,6 +14,10 @@ from .geometry import VehicleState
 from .servo import VelocityCommand
 
 
+# per-frame results are built with tuple.__new__, skipping the generated
+# __new__: it checks only arity, and each call site passes a literal tuple
+
+
 @dataclass(frozen=True)
 class DynamicsParams:
     dt: float = 0.05  # seconds per simulation step
@@ -42,4 +46,5 @@ def step(state: VehicleState, cmd: VelocityCommand, params: DynamicsParams) -> V
     vz = vz + alpha * (v_z - vz)
     z = z + dt * vz
     # max(0.0, z) spelled out as the builtin evaluates it (see geometry.clamp_box)
-    return VehicleState(x + dt * vx, y + dt * vy, z if z > 0.0 else 0.0, vx, vy, vz)
+    z = z if z > 0.0 else 0.0
+    return tuple.__new__(VehicleState, (x + dt * vx, y + dt * vy, z, vx, vy, vz))

@@ -15,11 +15,17 @@ from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import BoundingBox, CameraModel, HelipadSpec, clamp_box
+
+
+# detect builds its noisy box with tuple.__new__, skipping the generated
+# __new__: that checks only arity, and the call passes a literal 4-tuple
 
 
 class ExpertId(Enum):
@@ -27,26 +33,39 @@ class ExpertId(Enum):
     NEAR = "NEAR"
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One expert's output for one frame; box is None when nothing was found."""
-
+class _DetectionFields(NamedTuple):
     expert_id: ExpertId
     box: BoundingBox | None = None
     confidence: float = 0.0
 
-    def __post_init__(self):
-        if self.box is None and self.confidence != 0.0:
+
+class Detection(_DetectionFields):
+    """One expert's output for one frame; box is None when nothing was found.
+
+    An immutable tuple (expert_id, box, confidence). Its constructor is the
+    one place that checks it: an absent detection carries confidence 0,
+    and confidence lies in [0, 1]. _make and _replace go through it too.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, expert_id: ExpertId, box: BoundingBox | None = None, confidence: float = 0.0):
+        if box is None and confidence != 0.0:
             raise ValueError("absent detection must carry confidence 0")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence {confidence} outside [0, 1]")
+        return tuple.__new__(cls, (expert_id, box, confidence))
+
+    @classmethod
+    def _make(cls, iterable) -> "Detection":
+        return cls(*iterable)
 
     @property
     def present(self) -> bool:
         return self.box is not None
 
 
-# the one absent Detection of each expert: frozen, so detect and the
+# the one absent Detection of each expert: immutable, so detect and the
 # replay path share it instead of building one per frame
 ABSENT = {expert: Detection(expert_id=expert) for expert in ExpertId}
 
@@ -186,7 +205,8 @@ def detect(
         v = true_box.v + sigma_c * eps_v
 
     scale = 1.0 + profile.sigma_size_frac * eps_size
-    box = clamp_box(BoundingBox(u, v, true_box.w * scale, true_box.h * scale), cam)
+    box = tuple.__new__(BoundingBox, (u, v, true_box.w * scale, true_box.h * scale))
+    box = clamp_box(box, cam)
     if box is None:
         return ABSENT[profile.expert_id]
     return Detection(profile.expert_id, box, p_det)
@@ -201,20 +221,16 @@ def detect(
 LOG_HEADER = "frame,expert,u,v,w,h,confidence,present"
 LOG_FIELDS = 6  # u, v, w, h, confidence, present of one expert
 LOG_STRIDE = 2 * LOG_FIELDS  # FAR's fields, then NEAR's
-_ABSENT_CELLS = (0.0,) * LOG_FIELDS
+# each expert's first column in a log row, and the expert at that column
+_EXPERT_AT = {i * LOG_FIELDS: expert for i, expert in enumerate(ExpertId)}
+_EXPERT_OFFSET = {expert.value: offset for offset, expert in _EXPERT_AT.items()}
+# u and v of each expert: the log columns the trajectory CSV repeats
+POSITION_INDEX = (0, 1, LOG_FIELDS, LOG_FIELDS + 1)
+_FLAG_CODE = {0: 0, 1: 1}  # a present flag's code; 2 for any other value
 
 
 class DetectionLogError(ValueError):
     """Malformed detection log; message carries the offending line number."""
-
-
-def log_cells(det: Detection) -> tuple:
-    """One expert's LOG_FIELDS values for one frame: u, v, w, h, confidence,
-    present, with zeros for the numeric fields of an absent detection."""
-    b = det.box
-    if b is None:
-        return _ABSENT_CELLS
-    return b + (det.confidence, 1.0)
 
 
 def _detection(expert: ExpertId, cells) -> Detection:
@@ -234,22 +250,38 @@ def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detecti
     return _detection(ExpertId.FAR, row[:LOG_FIELDS]), _detection(ExpertId.NEAR, row[LOG_FIELDS:])
 
 
-def _expert_records(expert: ExpertId, columns: list[list[float]]) -> list[str]:
+def format_positions(frames: np.ndarray) -> list[list[str]]:
+    """repr of each POSITION_INDEX column of a (frames, columns) record
+    array: the strings the detection log and the trajectory CSV share, so
+    a trial formats them once for both writers."""
+    return [list(map(repr, column)) for column in frames[:, POSITION_INDEX].T.tolist()]
+
+
+def _expert_records(
+    expert: ExpertId, positions: list[list[str]], columns: list[list[float]]
+) -> list[str]:
     """One expert's records without the frame number, formatted column by
-    column: floats via repr, "0" for every field of an absent detection."""
+    column: u and v from their formatted positions, w, h and confidence via
+    repr, "0" for every field of an absent detection."""
     *values, present = columns
-    fields = [[repr(x) if p else "0" for x, p in zip(col, present)] for col in values]
+    fields = [[x if p else "0" for x, p in zip(col, present)] for col in positions]
+    fields += [[repr(x) if p else "0" for x, p in zip(col, present)] for col in values]
     flags = ["1" if p else "0" for p in present]
     return [f"{expert.value},{','.join(cells)}" for cells in zip(*fields, flags)]
 
 
-def write_detection_log(frames: np.ndarray, path: str | Path) -> None:
+def write_detection_log(
+    frames: np.ndarray, path: str | Path, *, positions: list[list[str]] | None = None
+) -> None:
     """Write the first LOG_STRIDE columns of a (frames, columns) record
     array in the plain-text record format (floats via repr, so a write/read
-    round trip is value-exact)."""
+    round trip is value-exact). positions, if given, is format_positions
+    of frames."""
+    if positions is None:
+        positions = format_positions(frames)
     columns = frames[:, :LOG_STRIDE].T.tolist()
-    far = _expert_records(ExpertId.FAR, columns[:LOG_FIELDS])
-    near = _expert_records(ExpertId.NEAR, columns[LOG_FIELDS:])
+    far = _expert_records(ExpertId.FAR, positions[:2], columns[2:LOG_FIELDS])
+    near = _expert_records(ExpertId.NEAR, positions[2:], columns[LOG_FIELDS + 2 :])
     lines = [LOG_HEADER]
     for frame, (f, n) in enumerate(zip(far, near)):
         lines.append(f"{frame},{f}")
@@ -257,57 +289,122 @@ def write_detection_log(frames: np.ndarray, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId, tuple]:
+def _record_error(line: str) -> str | None:
+    """Why one record's fields do not convert, as the first failing field
+    says it, or None when they all do."""
     parts = line.split(",")
     if len(parts) != 8:
-        raise DetectionLogError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        return f"expected 8 fields, got {len(parts)}"
     try:
-        frame = int(parts[0])
-        expert = ExpertId(parts[1].strip())
-        u, v, w, h, conf = (float(p) for p in parts[2:7])
-        present = int(parts[7])
-    except (ValueError, KeyError) as exc:
-        raise DetectionLogError(f"line {lineno}: {exc}") from None
-    if not all(math.isfinite(x) for x in (u, v, w, h, conf)):
-        raise DetectionLogError(f"line {lineno}: u, v, w, h and confidence must be finite")
-    if present not in (0, 1):
-        raise DetectionLogError(f"line {lineno}: present flag must be 0 or 1")
-    if present == 0:
-        return frame, expert, _ABSENT_CELLS
-    if w <= 0 or h <= 0:
-        raise DetectionLogError(f"line {lineno}: present detection with non-positive size")
-    if not 0.0 <= conf <= 1.0:
-        raise DetectionLogError(f"line {lineno}: confidence {conf} outside [0, 1]")
-    return frame, expert, (u, v, w, h, conf, 1.0)
+        int(parts[0])
+        ExpertId(parts[1].strip())
+        for cell in parts[2:7]:
+            float(cell)
+        int(parts[7])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _columns(records: list[str]) -> tuple[list[int], list[int], np.ndarray, list[int]]:
+    """The records' fields converted column by column: frame numbers, each
+    expert's first column in a log row, the (5, records) array of u, v, w,
+    h and confidence, and the present flags. Raises ValueError or KeyError
+    when any record does not convert."""
+    if not set(map(str.count, records, repeat(","))) <= {7}:
+        raise ValueError("record without 8 fields")
+    fields = ",".join(records).split(",") if records else []
+    columns = [fields[k::8] for k in range(8)]
+    frames = list(map(int, columns[0]))
+    offsets = list(map(_EXPERT_OFFSET.__getitem__, map(str.strip, columns[1])))
+    values = array("d", map(float, chain.from_iterable(columns[2:7])))
+    flags = list(map(int, columns[7]))
+    return frames, offsets, np.frombuffer(values).reshape(5, -1), flags
 
 
 def read_detection_log(path: str | Path) -> np.ndarray:
     """Parse a detection log file into a (frames, LOG_STRIDE) float64 array;
-    raises DetectionLogError with line numbers."""
-    text = Path(path).read_text()
-    lines = text.splitlines()
+    raises DetectionLogError naming the first offending line.
+
+    Records may come in any order and blank lines are skipped; every frame
+    from 0 to the last needs one record of each expert. All records are
+    converted in one pass and every rule is checked on the arrays; only a
+    failure looks at single records again, to name the first bad one.
+    """
+    lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
         raise DetectionLogError("line 1: missing or malformed header")
+    records = lines[1:]
+    linenos = range(2, len(lines) + 1)
 
-    by_frame: dict[int, dict[ExpertId, tuple]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        frame, expert, cells = _parse_record(line, lineno)
-        slot = by_frame.setdefault(frame, {})
-        if expert in slot:
-            raise DetectionLogError(
-                f"line {lineno}: duplicate {expert.value} record for frame {frame}"
-            )
-        slot[expert] = cells
+    # records[:end] convert; records[end], if there is one, does not
+    end, malformed = len(records), None
+    try:
+        frames, offsets, values, flags = _columns(records)
+    except (ValueError, KeyError):
+        linenos = [n for n in linenos if lines[n - 1].strip()]  # skip blank lines
+        records = [lines[n - 1] for n in linenos]
+        # with no record failing, blank lines alone failed the first pass
+        end, malformed = next(
+            ((i, error) for i, line in enumerate(records) if (error := _record_error(line))),
+            (len(records), None),
+        )
+        frames, offsets, values, flags = _columns(records[:end])
 
-    records = array("d")
-    for frame in range(len(by_frame)):
-        if frame not in by_frame:
-            raise DetectionLogError(f"frame {frame} missing (frames must be contiguous from 0)")
-        row = by_frame[frame]
-        for expert in ExpertId:
-            if expert not in row:
-                raise DetectionLogError(f"frame {frame}: no {expert.value} record")
-        records.extend(row[ExpertId.FAR] + row[ExpertId.NEAR])
-    return np.frombuffer(records, dtype=np.float64).reshape(-1, LOG_STRIDE)
+    # the writer's layout, frame by frame from 0 with FAR before NEAR, has
+    # no duplicate and no missing record
+    n = len(frames) // 2
+    in_order = (
+        frames[0::2] == frames[1::2] == list(range(n))
+        and offsets[0::2].count(0) == offsets[1::2].count(LOG_FIELDS) == n
+    )
+    duplicate = np.zeros(len(frames), dtype=bool)
+    if not in_order:
+        seen = set()
+        for i, key in enumerate(zip(frames, offsets)):
+            duplicate[i] = key in seen
+            seen.add(key)
+    u, v, w, h, conf = values
+    flag = np.array(list(map(_FLAG_CODE.get, flags, repeat(2))), dtype=np.int8)
+    present = flag == 1
+    # each rule's failing records, in the order one record is checked
+    rules = (
+        (~np.isfinite(values).all(axis=0), lambda i: "u, v, w, h and confidence must be finite"),
+        (flag == 2, lambda i: "present flag must be 0 or 1"),
+        (present & ((w <= 0) | (h <= 0)), lambda i: "present detection with non-positive size"),
+        (present & ~((0.0 <= conf) & (conf <= 1.0)),
+         lambda i: f"confidence {float(conf[i])} outside [0, 1]"),
+        (duplicate,
+         lambda i: f"duplicate {_EXPERT_AT[offsets[i]].value} record for frame {frames[i]}"),
+    )
+    failed = np.logical_or.reduce([mask for mask, _ in rules])
+    if failed.any():
+        i = int(np.argmax(failed))
+        message = next(text(i) for mask, text in rules if mask[i])
+        raise DetectionLogError(f"line {linenos[i]}: {message}")
+    if malformed is not None:
+        raise DetectionLogError(f"line {linenos[end]}: {malformed}")
+
+    cells = np.zeros((len(frames), LOG_FIELDS))
+    cells[present, :5] = values.T[present]
+    cells[present, 5] = 1.0
+    if in_order:
+        return cells.reshape(n, LOG_STRIDE)
+
+    # the records are distinct now, so n distinct frames, all in [0, n),
+    # with 2n records are every (frame, expert) pair; otherwise name the
+    # first pair missing
+    keys = set(zip(frames, offsets))
+    n = len(set(frames))
+    if len(keys) != 2 * n or (n and (min(frames) != 0 or max(frames) != n - 1)):
+        for frame in range(n):
+            if all((frame, offset) not in keys for offset in _EXPERT_AT):
+                raise DetectionLogError(f"frame {frame} missing (frames must be contiguous from 0)")
+            for offset, expert in _EXPERT_AT.items():
+                if (frame, offset) not in keys:
+                    raise DetectionLogError(f"frame {frame}: no {expert.value} record")
+    log = np.zeros((n, LOG_STRIDE))
+    rows = np.array(frames, dtype=np.intp)[:, None]
+    columns = np.array(offsets, dtype=np.intp)[:, None] + np.arange(LOG_FIELDS)
+    log[rows, columns] = cells
+    return log

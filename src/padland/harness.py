@@ -22,12 +22,14 @@ import numpy as np
 from .dynamics import DynamicsParams, step
 from .experts import (
     ABSENT,
+    LOG_FIELDS,
+    POSITION_INDEX,
     ExpertId,
     ExpertProfile,
     default_far_profile,
     default_near_profile,
     detect,
-    log_cells,
+    format_positions,
     noise_rows,
 )
 from .gating import GateState, select_expert
@@ -137,20 +139,23 @@ TRAJECTORY_HEADER = (
     "selected,u_hat,v_hat,e_x,e_y,A,e_z,vx_cmd,vy_cmd,vz_cmd"
 )
 TRAJECTORY_COLUMNS = tuple(TRAJECTORY_HEADER.split(","))
-# one frame's record: the detection log's fields (log_cells of FAR, then of
-# NEAR), then the trajectory's own columns in TRAJECTORY_HEADER order
+# one frame's record: the detection log's fields (u, v, w, h, confidence,
+# present of FAR, then of NEAR), then the trajectory's own columns in
+# TRAJECTORY_HEADER order
 _LOG_COLUMNS = tuple(
     "u_far,v_far,w_far,h_far,confidence_far,far_present,"
     "u_near,v_near,w_near,h_near,confidence_near,near_present".split(",")
 )
 RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS if c not in _LOG_COLUMNS)
 _TRAJECTORY_INDEX = [RECORD_COLUMNS.index(c) for c in TRAJECTORY_COLUMNS]
+_POSITIONS = [RECORD_COLUMNS[i] for i in POSITION_INDEX]  # format_positions' columns
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTED = RECORD_COLUMNS.index("selected")
 _INT_COLUMNS = frozenset(("step", "far_present", "near_present"))
 _BLANKABLE_COLUMNS = frozenset(("u_hat", "v_hat", "e_x", "e_y", "A", "e_z"))
 _BLANKS = (float("nan"),) * len(_BLANKABLE_COLUMNS)
+_ABSENT_CELLS = (0.0,) * LOG_FIELDS  # an absent detection's log fields
 
 
 @dataclass(eq=False)
@@ -197,6 +202,9 @@ def run_trial(
     detect row k of noise_rows(rng) for each expert the mode runs, and an
     expert the mode does not run draws nothing.
     """
+    if not isinstance(mode, Mode):
+        # any other value would run neither expert and lose tracking
+        raise ValueError(f"mode: must be a Mode (got {mode!r})")
     cam = scenario.camera
     pad = scenario.helipad
     far_profile = scenario.far_profile
@@ -231,25 +239,35 @@ def run_trial(
             det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else absent_far
             det_near = detect(near_profile, truth, s, noise_near, cam) if run_near else absent_near
 
-        sb, selected, lost = select_expert(det_far, det_near, gate, cam)
-
-        if sb is not None:
-            err = compute_errors(sb, cam, gains)
-            cmd = compute_command(err, gains)
-            tracked = (sb.u, sb.v) + err  # u_hat, v_hat, e_x, e_y, A, e_z
+        # the frame's record, piece by piece in RECORD_COLUMNS order: each
+        # expert's log fields (zeros when absent), then the trajectory's own
+        box = det_far.box
+        if box is None:
+            record(_ABSENT_CELLS)
         else:
-            cmd = hold
-            tracked = _BLANKS
+            record(box)
+            record((det_far.confidence, 1.0))
+        box = det_near.box
+        if box is None:
+            record(_ABSENT_CELLS)
+        else:
+            record(box)
+            record((det_near.confidence, 1.0))
+
+        sb, selected, lost = select_expert(det_far, det_near, gate, cam)
 
         # `selected` as its code into SELECTION_LABELS
         code = 0.0 if selected is None else 1.0 if selected is far else 2.0
-        record(
-            log_cells(det_far)
-            + log_cells(det_near)
-            + (k, k * dt, state.x, state.y, state.z, code)
-            + tracked
-            + cmd
-        )
+        record((k, k * dt, state.x, state.y, state.z, code))
+        if sb is not None:
+            err = compute_errors(sb, cam, gains)
+            cmd = compute_command(err, gains)
+            record((sb.u, sb.v))  # u_hat, v_hat, then e_x, e_y, A, e_z
+            record(err)
+        else:
+            cmd = hold
+            record(_BLANKS)
+        record(cmd)
 
         if lost:
             # blind descent from here: score the frozen lateral position
@@ -291,6 +309,14 @@ class CampaignResult:
         return [run.result for run in self.runs[mode]]
 
 
+def check_modes(modes) -> None:
+    """Raise ValueError unless modes is nonempty and names each Mode once."""
+    if not all(isinstance(m, Mode) for m in modes):
+        raise ValueError(f"modes: each must be a Mode (got {list(modes)!r})")
+    if not modes or len(set(modes)) != len(modes):
+        raise ValueError(f"modes: must be nonempty and distinct (got {[m.value for m in modes]})")
+
+
 def _trial_task(args) -> tuple[Mode, int, TrialRun]:
     mode, idx, initial, scenario, config, far_ss, near_ss = args
     run = run_trial(
@@ -324,6 +350,7 @@ def run_campaign(
         raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
     if modes is None:
         modes = tuple(Mode)
+    check_modes(modes)
     n = config.n_trials
 
     root = np.random.SeedSequence(config.seed)
@@ -358,13 +385,19 @@ def _format_column(name: str, values: list[float]) -> list[str]:
     return [repr(x) for x in values]
 
 
-def write_trajectory_csv(frames: np.ndarray, path: str | Path) -> None:
+def write_trajectory_csv(
+    frames: np.ndarray, path: str | Path, *, positions: list[list[str]] | None = None
+) -> None:
     """Write the TRAJECTORY_COLUMNS of a (frames, RECORD_COLUMNS) array,
     formatted column by column (floats via repr: round-trippable and
     byte-stable across identical runs; NaN blanks as empty cells;
-    `selected` as its label)."""
+    `selected` as its label). positions, if given, is format_positions
+    of frames."""
+    if positions is None:
+        positions = format_positions(frames)
+    shared = dict(zip(_POSITIONS, positions))
     columns = [
-        _format_column(name, values)
+        shared[name] if name in shared else _format_column(name, values)
         for name, values in zip(TRAJECTORY_COLUMNS, frames[:, _TRAJECTORY_INDEX].T.tolist())
     ]
     lines = [TRAJECTORY_HEADER]

@@ -12,7 +12,7 @@ import json
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .experts import write_detection_log
+from .experts import format_positions, write_detection_log
 from .harness import CampaignResult, Mode, TerminationReason, TrialResult, write_trajectory_csv
 from .stats import ModeComparison, PairedComparison, compare_modes, format_comparison_table
 
@@ -72,8 +72,9 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
     for mode, runs in campaign.runs.items():
         for run in runs:
             name = _log_name(run.result.trial_id, mode)
-            write_trajectory_csv(run.frames, traj_dir / name)
-            write_detection_log(run.frames, det_dir / name)
+            positions = format_positions(run.frames)  # shared by both files
+            write_trajectory_csv(run.frames, traj_dir / name, positions=positions)
+            write_detection_log(run.frames, det_dir / name, positions=positions)
 
     comparison = compare_modes({m: campaign.results(m) for m in campaign.runs})
     summary = campaign_summary(campaign, comparison)

@@ -16,6 +16,10 @@ from typing import NamedTuple
 from .geometry import BoundingBox, CameraModel, HelipadSpec
 
 
+# per-frame results are built with tuple.__new__, skipping the generated
+# __new__: it checks only arity, and each call site passes a literal tuple
+
+
 class ErrorSignals(NamedTuple):
     e_x: float  # pixels, c_x - u_hat
     e_y: float  # pixels, c_y - v_hat
@@ -63,7 +67,7 @@ def compute_errors(box: BoundingBox, cam: CameraModel, gains: ControllerGains) -
     """Image-plane alignment errors and the area-based descent error."""
     u, v, w, h = box
     area = w * h
-    return ErrorSignals(cam.cx - u, cam.cy - v, area, gains.area_ref - area)
+    return tuple.__new__(ErrorSignals, (cam.cx - u, cam.cy - v, area, gains.area_ref - area))
 
 
 def compute_command(err: ErrorSignals, gains: ControllerGains) -> VelocityCommand:
@@ -92,4 +96,4 @@ def compute_command(err: ErrorSignals, gains: ControllerGains) -> VelocityComman
         v_z = -gains.k_z * frac
     else:
         v_z = 0.0
-    return VelocityCommand(v_x, v_y, v_z)
+    return tuple.__new__(VelocityCommand, (v_x, v_y, v_z))

@@ -35,6 +35,7 @@ SCRIPT = textwrap.dedent(
         padland.Scenario(), padland.TrialConfig(n_trials=1), modes=[padland.Mode.DUAL]
     )
     tracer.harvest(campaign)
+    steps = campaign.runs[padland.Mode.DUAL][0].result.steps
     padland.write_campaign_outputs(campaign, out / "run")
     after_campaign = counts(tracer)
 
@@ -44,7 +45,9 @@ SCRIPT = textwrap.dedent(
         "replay", "--log", str(out / "run" / "detections" / "trial_000_dual.csv"),
         "--config", str(config), "--out", str(out / "replay"),
     ])
-    print(json.dumps({"code": code, "campaign": after_campaign, "total": counts(tracer)}))
+    print(json.dumps(
+        {"code": code, "steps": steps, "campaign": after_campaign, "total": counts(tracer)}
+    ))
     """
 )
 
@@ -63,6 +66,13 @@ def test_benchmark_hooks_record_spans(tmp_path):
     assert all(n > 0 for n in total.values()), total
     for name in ("gating.select_expert", "servo.compute_errors", "experts.detect"):
         assert campaign.get(name, 0) > 0, name
+    # each per-frame name is called through its wrapper as often per frame
+    # as the frame loop calls it: once per frame, per tracked frame or per
+    # expert on frames with the pad in view
+    steps = report["steps"]
+    assert campaign["gating.select_expert"] == campaign["geometry.project_helipad"] == steps
+    assert campaign["servo.compute_errors"] == campaign["servo.compute_command"]
+    assert campaign["experts.detect"] == 2 * campaign["geometry.apparent_width"]
     # replay goes through the wrappers installed on padland.cli
     for name in ("gating.select_expert", "servo.compute_errors", "experts.read_detection_log"):
         assert total[name] > campaign.get(name, 0), name

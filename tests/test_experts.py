@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from padland import harness
 from padland.experts import (
+    LOG_HEADER,
     LOG_STRIDE,
     NOISE_CHUNK,
     Detection,
@@ -17,7 +19,7 @@ from padland.experts import (
     default_near_profile,
     detect,
     detection_probability,
-    log_cells,
+    format_positions,
     noise_rows,
     read_detection_log,
     replay_detect,
@@ -27,6 +29,14 @@ from padland.geometry import BoundingBox, CameraModel, VehicleState
 
 CAM = CameraModel()
 TRUE_BOX = BoundingBox(224.0, 224.0, 24.0, 24.0)
+
+
+def log_cells(det: Detection) -> tuple:
+    """One expert's log fields u, v, w, h, confidence, present, as a run
+    records them: zeros when the detection is absent."""
+    if det.box is None:
+        return (0.0,) * 6
+    return det.box + (det.confidence, 1.0)
 
 
 def quiet_profile(**kwargs) -> ExpertProfile:
@@ -371,6 +381,174 @@ class TestDetectionLog:
         )
         with pytest.raises(DetectionLogError, match="NEAR"):
             read_detection_log(path)
+
+
+def oracle_read_detection_log(path) -> np.ndarray:
+    """The line-by-line reader read_detection_log replaced, kept verbatim as
+    the reference for which logs it accepts and what it says on the rest."""
+    absent_cells = (0.0,) * 6
+
+    def parse_record(line, lineno):
+        parts = line.split(",")
+        if len(parts) != 8:
+            raise DetectionLogError(f"line {lineno}: expected 8 fields, got {len(parts)}")
+        try:
+            frame = int(parts[0])
+            expert = ExpertId(parts[1].strip())
+            u, v, w, h, conf = (float(p) for p in parts[2:7])
+            present = int(parts[7])
+        except (ValueError, KeyError) as exc:
+            raise DetectionLogError(f"line {lineno}: {exc}") from None
+        if not all(math.isfinite(x) for x in (u, v, w, h, conf)):
+            raise DetectionLogError(f"line {lineno}: u, v, w, h and confidence must be finite")
+        if present not in (0, 1):
+            raise DetectionLogError(f"line {lineno}: present flag must be 0 or 1")
+        if present == 0:
+            return frame, expert, absent_cells
+        if w <= 0 or h <= 0:
+            raise DetectionLogError(f"line {lineno}: present detection with non-positive size")
+        if not 0.0 <= conf <= 1.0:
+            raise DetectionLogError(f"line {lineno}: confidence {conf} outside [0, 1]")
+        return frame, expert, (u, v, w, h, conf, 1.0)
+
+    lines = Path(path).read_text().splitlines()
+    if not lines or lines[0].strip() != LOG_HEADER:
+        raise DetectionLogError("line 1: missing or malformed header")
+    by_frame = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        frame, expert, cells = parse_record(line, lineno)
+        slot = by_frame.setdefault(frame, {})
+        if expert in slot:
+            raise DetectionLogError(
+                f"line {lineno}: duplicate {expert.value} record for frame {frame}"
+            )
+        slot[expert] = cells
+    records = []
+    for frame in range(len(by_frame)):
+        if frame not in by_frame:
+            raise DetectionLogError(f"frame {frame} missing (frames must be contiguous from 0)")
+        row = by_frame[frame]
+        for expert in ExpertId:
+            if expert not in row:
+                raise DetectionLogError(f"frame {frame}: no {expert.value} record")
+        records.extend(row[ExpertId.FAR] + row[ExpertId.NEAR])
+    return np.array(records, dtype=np.float64).reshape(-1, LOG_STRIDE)
+
+
+# field values a corrupted record may carry: malformed, non-finite, out of
+# range, or accepted by int()/float() in an unusual spelling
+ODD_FIELDS = [
+    "", " ", "abc", "nan", "-inf", "inf", "1e400", "0", "1", "2", "-1", "+1", " 1 ", "1.0",
+    "1_0", "0x10", "-0.0", "1e-320", "0.5", "1.5", "FAR", "NEAR", " NEAR ", "far", "١",
+]
+# well-formed values out of a field's range, by field index: w, h, confidence, present
+OUT_OF_RANGE = {
+    4: ["0", "-0.0", "-3.5"],
+    5: ["0", "-1e-300"],
+    6: ["1.5", "-0.25", "1.0000000000000002"],
+    7: ["2", "-1", "1_0"],
+}
+
+
+@st.composite
+def detection_log_texts(draw):
+    """A detection log as text: a valid one, then up to three corruptions
+    (odd or out-of-range field values, dropped or repeated records, a
+    dropped frame, wrong field counts, other frame numbers, blank lines),
+    maybe shuffled."""
+    records = []
+    for frame in range(draw(st.integers(0, 4))):
+        for expert in ("FAR", "NEAR"):
+            if draw(st.booleans()):
+                u, v = draw(st.floats(-50, 500)), draw(st.floats(-50, 500))
+                w, h = draw(st.floats(0.5, 100)), draw(st.floats(0.5, 100))
+                conf = draw(st.floats(0, 1))
+                records.append([str(frame), expert, *map(repr, (u, v, w, h, conf)), "1"])
+            else:
+                records.append([str(frame), expert] + ["0"] * 6)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(
+            st.sampled_from(
+                ["field"] * 3 + ["range"] * 3 + ["drop", "repeat", "count", "frame", "gap", "blank"]
+            )
+        )
+        at = draw(st.integers(0, len(records)))
+        if kind == "blank":
+            records.insert(at, draw(st.sampled_from(["", "   ", "\t"])))
+        elif not records or at == len(records) or isinstance(records[at], str):
+            continue
+        elif kind == "field":
+            records[at] = list(records[at])
+            index = draw(st.integers(0, len(records[at]) - 1))
+            records[at][index] = draw(st.sampled_from(ODD_FIELDS))
+        elif kind == "range":
+            records[at] = list(records[at])
+            index = draw(st.sampled_from([i for i in OUT_OF_RANGE if i < len(records[at])] or [0]))
+            records[at][index] = draw(st.sampled_from(OUT_OF_RANGE.get(index, ["-1"])))
+        elif kind == "drop":
+            del records[at]
+        elif kind == "gap":  # drop every record of one frame
+            frame = records[at][0]
+            records = [r for r in records if isinstance(r, str) or r[0] != frame]
+        elif kind == "repeat":
+            records.insert(draw(st.integers(0, len(records))), records[at])
+        elif kind == "count":
+            n_fields = draw(st.sampled_from([1, 2, 7, 9, 10]))
+            records[at] = (records[at] + ["1", "0"])[:n_fields]
+        else:
+            records[at] = [str(draw(st.integers(-1, 6))), *records[at][1:]]
+    if draw(st.booleans()):
+        records = draw(st.permutations(records))
+    lines = [r if isinstance(r, str) else ",".join(r) for r in records]
+    return "\n".join([LOG_HEADER, *lines]) + "\n"
+
+
+def read_outcome(reader, path):
+    try:
+        log = reader(path)
+    except DetectionLogError as exc:
+        return "error", str(exc)
+    return "log", log.shape, log.dtype, log.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=detection_log_texts())
+def test_reader_matches_line_by_line_oracle(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "oracle_log.csv"
+    path.write_text(text)
+    assert read_outcome(read_detection_log, path) == read_outcome(oracle_read_detection_log, path)
+
+
+def test_oracle_agrees_on_a_campaign_log(tmp_path):
+    run = harness.run_trial(
+        VehicleState(-85.0, 80.0, 70.0), harness.Mode.DUAL, harness.Scenario(),
+        harness.TrialConfig(), *[np.random.default_rng(s) for s in (1, 2)],
+    )
+    path = tmp_path / "log.csv"
+    write_detection_log(run.frames, path)
+    log = read_detection_log(path)
+    assert log.tobytes() == oracle_read_detection_log(path).tobytes()
+    assert log.tobytes() == np.ascontiguousarray(run.frames[:, :LOG_STRIDE]).tobytes()
+    # records in any order, with blank lines, read the same
+    header, *records = path.read_text().splitlines()
+    path.write_text("\n".join([header, *reversed(records), "", "  "]) + "\n")
+    assert read_detection_log(path).tobytes() == log.tobytes()
+
+
+def test_shared_positions_write_the_same_bytes(tmp_path):
+    # both writers take the u, v strings a trial formats once; handing them
+    # over must not change a byte of either file
+    run = harness.run_trial(
+        VehicleState(-30.0, 20.0, 90.0), harness.Mode.NEAR_ONLY, harness.Scenario(),
+        harness.TrialConfig(max_steps=300), *[np.random.default_rng(s) for s in (3, 4)],
+    )
+    positions = format_positions(run.frames)
+    for write in (write_detection_log, harness.write_trajectory_csv):
+        write(run.frames, tmp_path / "own.csv")
+        write(run.frames, tmp_path / "shared.csv", positions=positions)
+        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
 
 
 class TestDefaultProfiles:

@@ -5,6 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
+from padland import harness
 from padland.experts import LOG_FIELDS, LOG_STRIDE, ExpertId, ExpertProfile
 from padland.geometry import VehicleState
 from padland.harness import (
@@ -215,6 +216,23 @@ class TestCampaign:
         camp = run_campaign(Scenario(), TrialConfig(seed=5, n_trials=4), modes=[Mode.DUAL])
         assert list(camp.runs) == [Mode.DUAL]
         assert len(camp.results(Mode.DUAL)) == 4
+
+    @pytest.mark.parametrize(
+        "modes",
+        [[], [Mode.DUAL, Mode.DUAL], (Mode.FAR_ONLY, Mode.DUAL, Mode.FAR_ONLY), ["dual"]],
+    )
+    def test_empty_or_repeated_modes_rejected_before_any_trial(self, monkeypatch, modes):
+        def no_trial(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_trial_task", no_trial)
+        with pytest.raises(ValueError, match="modes"):
+            run_campaign(Scenario(), TrialConfig(n_trials=2), modes=modes)
+
+    def test_trial_rejects_a_mode_that_is_not_a_mode(self):
+        # "dual" used to run neither expert and lose tracking on frame 11
+        with pytest.raises(ValueError, match="mode"):
+            run_trial(VehicleState(-80.0, 75.0, 70.0), "dual", Scenario(), TrialConfig(), *rngs())
 
     def test_same_seed_reproduces_everything(self):
         a = run_campaign(Scenario(), TrialConfig(seed=21, n_trials=4))
