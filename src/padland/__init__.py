@@ -16,7 +16,6 @@ from .experts import (
     noise_rows,
     read_detection_log,
     replay_detect,
-    write_detection_log,
 )
 from .gating import GateOutput, GateState, l1_center_distance, select_expert
 from .geometry import (
@@ -43,7 +42,7 @@ from .harness import (
     run_trial,
     sample_initial,
 )
-from .reporting import campaign_summary, write_campaign_outputs
+from .reporting import campaign_summary, write_campaign_outputs, write_detection_log
 from .servo import (
     ControllerGains,
     ErrorSignals,

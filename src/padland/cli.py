@@ -15,16 +15,18 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, build_campaign, default_config, load_config
-from .experts import DetectionLogError, read_detection_log, replay_detect
+from .experts import DetectionLogError, ExpertId, read_detection_log, replay_detect
 from .gating import GateState, select_expert
 from .geometry import inside_image
 from .harness import run_campaign
-from .reporting import rebuild_results, write_campaign_outputs
+from .reporting import REPLAY_COLUMNS, rebuild_results, write_campaign_outputs, write_replay_csv
 from .servo import compute_errors
 from .stats import compare_modes, format_comparison_table
 
-REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
+_BLANKS = (float("nan"),) * 8  # u_hat to e_z without a smoothed box
 
 
 def cmd_run(args) -> int:
@@ -63,7 +65,9 @@ def cmd_replay(args) -> int:
     gains = spec.scenario.gains
     gate = GateState(window_size=spec.scenario.window_size, coast_limit=spec.scenario.coast_limit)
 
-    lines = [REPLAY_HEADER]
+    far = ExpertId.FAR
+    records: list[float] = []  # one row of REPLAY_COLUMNS per frame
+    record = records.extend
     for frame in range(len(log)):
         det_far, det_near = replay_detect(log, frame)
         for det in (det_far, det_near):
@@ -74,21 +78,19 @@ def cmd_replay(args) -> int:
                     f"frame {frame}: {det.expert_id.value} {det.box} does not lie inside "
                     f"the {cam.image_width} x {cam.image_height} camera image"
                 )
-        out = select_expert(det_far, det_near, gate, cam)
-        if out.smoothed_box is not None:
-            b = out.smoothed_box
-            err = compute_errors(b, cam, gains)
-            cells = [b.u, b.v, b.w, b.h, err.e_x, err.e_y, err.area, err.e_z]
-            cell_text = ",".join(repr(c) for c in cells)
+        sb, selected, lost = select_expert(det_far, det_near, gate, cam)
+        # `selected` as its code into SELECTION_LABELS
+        record((frame, 0.0 if selected is None else 1.0 if selected is far else 2.0, lost))
+        if sb is not None:
+            record(sb)  # u_hat, v_hat, w_hat, h_hat, then e_x, e_y, A, e_z
+            record(compute_errors(sb, cam, gains))
         else:
-            cell_text = ",,,,,,,"
-        selected = out.selected_expert.value if out.selected_expert else ""
-        lines.append(f"{frame},{selected},{int(out.tracking_lost)},{cell_text}")
+            record(_BLANKS)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "replay.csv"
-    out_path.write_text("\n".join(lines) + "\n")
+    write_replay_csv(np.array(records, dtype=np.float64).reshape(-1, len(REPLAY_COLUMNS)), out_path)
     print(f"replayed {len(log)} frames -> {out_path}")
     return 0
 

@@ -4,8 +4,9 @@ Each expert is modeled as a stochastic detector whose per-frame detection
 probability follows a logistic curve over the pad's apparent width, with
 Gaussian center noise, multiplicative size noise, and (optionally) a
 distractor mode that locks onto a false pad-like target at a fixed world
-offset. A plain-text log format allows recorded detections to be replayed
-through the rest of the pipeline verbatim.
+offset. A plain-text detection log (written by reporting) allows
+recorded detections to be replayed through the rest of the pipeline
+verbatim; this module reads it.
 """
 
 from __future__ import annotations
@@ -224,8 +225,6 @@ LOG_STRIDE = 2 * LOG_FIELDS  # FAR's fields, then NEAR's
 # each expert's first column in a log row, and the expert at that column
 _EXPERT_AT = {i * LOG_FIELDS: expert for i, expert in enumerate(ExpertId)}
 _EXPERT_OFFSET = {expert.value: offset for offset, expert in _EXPERT_AT.items()}
-# u and v of each expert: the log columns the trajectory CSV repeats
-POSITION_INDEX = (0, 1, LOG_FIELDS, LOG_FIELDS + 1)
 _FLAG_CODE = {0: 0, 1: 1}  # a present flag's code; 2 for any other value
 
 
@@ -248,45 +247,6 @@ def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detecti
         )
     row = log[frame_index, :LOG_STRIDE].tolist()
     return _detection(ExpertId.FAR, row[:LOG_FIELDS]), _detection(ExpertId.NEAR, row[LOG_FIELDS:])
-
-
-def format_positions(frames: np.ndarray) -> list[list[str]]:
-    """repr of each POSITION_INDEX column of a (frames, columns) record
-    array: the strings the detection log and the trajectory CSV share, so
-    a trial formats them once for both writers."""
-    return [list(map(repr, column)) for column in frames[:, POSITION_INDEX].T.tolist()]
-
-
-def _expert_records(
-    expert: ExpertId, positions: list[list[str]], columns: list[list[float]]
-) -> list[str]:
-    """One expert's records without the frame number, formatted column by
-    column: u and v from their formatted positions, w, h and confidence via
-    repr, "0" for every field of an absent detection."""
-    *values, present = columns
-    fields = [[x if p else "0" for x, p in zip(col, present)] for col in positions]
-    fields += [[repr(x) if p else "0" for x, p in zip(col, present)] for col in values]
-    flags = ["1" if p else "0" for p in present]
-    return [f"{expert.value},{','.join(cells)}" for cells in zip(*fields, flags)]
-
-
-def write_detection_log(
-    frames: np.ndarray, path: str | Path, *, positions: list[list[str]] | None = None
-) -> None:
-    """Write the first LOG_STRIDE columns of a (frames, columns) record
-    array in the plain-text record format (floats via repr, so a write/read
-    round trip is value-exact). positions, if given, is format_positions
-    of frames."""
-    if positions is None:
-        positions = format_positions(frames)
-    columns = frames[:, :LOG_STRIDE].T.tolist()
-    far = _expert_records(ExpertId.FAR, positions[:2], columns[2:LOG_FIELDS])
-    near = _expert_records(ExpertId.NEAR, positions[2:], columns[LOG_FIELDS + 2 :])
-    lines = [LOG_HEADER]
-    for frame, (f, n) in enumerate(zip(far, near)):
-        lines.append(f"{frame},{f}")
-        lines.append(f"{frame},{n}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _record_error(line: str) -> str | None:

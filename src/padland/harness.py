@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+import os
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from pathlib import Path
 
 import numpy as np
 
@@ -23,13 +24,11 @@ from .dynamics import DynamicsParams, step
 from .experts import (
     ABSENT,
     LOG_FIELDS,
-    POSITION_INDEX,
     ExpertId,
     ExpertProfile,
     default_far_profile,
     default_near_profile,
     detect,
-    format_positions,
     noise_rows,
 )
 from .gating import GateState, select_expert
@@ -147,14 +146,10 @@ _LOG_COLUMNS = tuple(
     "u_near,v_near,w_near,h_near,confidence_near,near_present".split(",")
 )
 RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS if c not in _LOG_COLUMNS)
-_TRAJECTORY_INDEX = [RECORD_COLUMNS.index(c) for c in TRAJECTORY_COLUMNS]
-_POSITIONS = [RECORD_COLUMNS[i] for i in POSITION_INDEX]  # format_positions' columns
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTED = RECORD_COLUMNS.index("selected")
-_INT_COLUMNS = frozenset(("step", "far_present", "near_present"))
-_BLANKABLE_COLUMNS = frozenset(("u_hat", "v_hat", "e_x", "e_y", "A", "e_z"))
-_BLANKS = (float("nan"),) * len(_BLANKABLE_COLUMNS)
+_BLANKS = (float("nan"),) * 6  # u_hat, v_hat, e_x, e_y, A, e_z without a smoothed box
 _ABSENT_CELLS = (0.0,) * LOG_FIELDS  # an absent detection's log fields
 
 
@@ -304,9 +299,29 @@ class CampaignResult:
     n_trials: int
     initial_states: list[VehicleState]
     runs: dict[Mode, list[TrialRun]]
+    # the process pool that ran the trials, if any: kept open so that
+    # writing the outputs runs on the same workers (see map), and shut
+    # down when the campaign is dropped
+    _pool: concurrent.futures.Executor | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._pool is not None:
+            weakref.finalize(self, self._pool.shutdown)
+
+    def __getstate__(self):
+        # the pool stays with this campaign; a pickled or copied one writes serially
+        return {**self.__dict__, "_pool": None}
 
     def results(self, mode: Mode) -> list[TrialResult]:
         return [run.result for run in self.runs[mode]]
+
+    def map(self, fn, *iterables):
+        """fn over iterables on the campaign's workers, all submitted at
+        once, or lazily in this process when it ran without workers. The
+        results come in order, and reading them raises fn's first error."""
+        if self._pool is None:
+            return map(fn, *iterables)
+        return self._pool.map(fn, *iterables)
 
 
 def check_modes(modes) -> None:
@@ -343,8 +358,9 @@ def run_campaign(
     pair owns a seed stream derived once from the campaign seed, so the
     comparison is paired with common random numbers. Trials are
     independent; with n_workers > 1 they run in a process pool of at most
-    one worker per task and are reassembled in trial order, giving output
-    identical to a serial run.
+    one worker per task and per usable CPU, and are reassembled in trial
+    order, giving output identical to a serial run. The pool stays with
+    the returned campaign (CampaignResult.map) until it is dropped.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
@@ -363,43 +379,22 @@ def run_campaign(
         (mode, i, initials[i], scenario, config, *expert_ss[i]) for mode in modes for i in range(n)
     ]
 
-    n_workers = min(n_workers, len(tasks))
+    # more workers than CPUs only wait for each other
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_workers = min(n_workers, len(tasks), cpus or 1)
+    pool = None
     if n_workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=n_workers) as pool:
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
+        try:
             finished = list(pool.map(_trial_task, tasks))
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     else:
         finished = map(_trial_task, tasks)
     runs = {mode: [None] * n for mode in modes}
     for mode, idx, run in finished:
         runs[mode][idx] = run
-    return CampaignResult(seed=config.seed, n_trials=n, initial_states=initials, runs=runs)
-
-
-def _format_column(name: str, values: list[float]) -> list[str]:
-    if name in _INT_COLUMNS:
-        return [str(int(x)) for x in values]
-    if name == "selected":
-        return [SELECTION_LABELS[int(x)] for x in values]
-    if name in _BLANKABLE_COLUMNS:
-        return ["" if x != x else repr(x) for x in values]
-    return [repr(x) for x in values]
-
-
-def write_trajectory_csv(
-    frames: np.ndarray, path: str | Path, *, positions: list[list[str]] | None = None
-) -> None:
-    """Write the TRAJECTORY_COLUMNS of a (frames, RECORD_COLUMNS) array,
-    formatted column by column (floats via repr: round-trippable and
-    byte-stable across identical runs; NaN blanks as empty cells;
-    `selected` as its label). positions, if given, is format_positions
-    of frames."""
-    if positions is None:
-        positions = format_positions(frames)
-    shared = dict(zip(_POSITIONS, positions))
-    columns = [
-        shared[name] if name in shared else _format_column(name, values)
-        for name, values in zip(TRAJECTORY_COLUMNS, frames[:, _TRAJECTORY_INDEX].T.tolist())
-    ]
-    lines = [TRAJECTORY_HEADER]
-    lines.extend(",".join(row) for row in zip(*columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    return CampaignResult(
+        seed=config.seed, n_trials=n, initial_states=initials, runs=runs, _pool=pool
+    )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from padland.experts import Detection, ExpertId, ExpertProfile, write_detection_log
+from padland.experts import Detection, ExpertId, ExpertProfile
 from padland.gating import GateState, l1_center_distance, select_expert
 from padland.geometry import BoundingBox, CameraModel, VehicleState, apparent_width, project_helipad
 from padland.harness import (
@@ -28,7 +28,7 @@ from padland.harness import (
 )
 from padland.experts import read_detection_log, replay_detect
 from padland.geometry import HelipadSpec
-from padland.reporting import write_campaign_outputs
+from padland.reporting import write_campaign_outputs, write_detection_log
 from padland.stats import compare_modes, wilcoxon_signed_rank
 
 CAM = CameraModel()
@@ -216,15 +216,15 @@ def test_criterion_6_determinism(tmp_path):
         write_campaign_outputs(camp, out)
         outs.append(out)
 
-    ref = outs[0]
+    def tree(root):  # every output file's bytes, by path under root
+        files = (p for p in root.rglob("*") if p.is_file())
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in files}
+
+    ref = tree(outs[0])
+    assert len(ref) == 2 + 2 * 3 * cfg.n_trials  # summary, table, two CSVs per trial
     for other in outs[1:]:
-        assert (ref / "summary.json").read_bytes() == (other / "summary.json").read_bytes()
-        ref_files = sorted((ref / "trajectories").iterdir())
-        other_files = sorted((other / "trajectories").iterdir())
-        assert [f.name for f in ref_files] == [f.name for f in other_files]
-        for fa, fb in zip(ref_files, other_files):
-            assert fa.read_bytes() == fb.read_bytes()
-    ok("6 (determinism)", "byte-identical summary + trajectories, serial and 2-worker")
+        assert tree(other) == ref
+    ok("6 (determinism)", "byte-identical output trees, serial and 2-worker")
 
 
 def test_criterion_7_projection_invariants():

@@ -105,9 +105,12 @@ class TestCliRun:
             "run", "--config", str(config_path), "--out", str(out2), "--trials", "4",
             "--workers", "2",
         ) == 0
-        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
-        for csv in sorted((out1 / "trajectories").iterdir()):
-            assert csv.read_bytes() == (out2 / "trajectories" / csv.name).read_bytes()
+        trees = [
+            {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            for out in (out1, out2)
+        ]
+        assert len(trees[0]) == 2 + 2 * 3 * 4  # summary, table, two CSVs per trial
+        assert trees[0] == trees[1]
 
     def test_mode_filter(self, tmp_path, config_path):
         out = tmp_path / "dual_only"
@@ -461,3 +464,14 @@ class TestModuleEntryPoint:
         )
         assert done.returncode == 2
         assert "--workers" in done.stderr and "Traceback" not in done.stderr
+
+    def test_error_writing_on_a_worker_is_reported(self, tmp_path):
+        # a directory where a worker must write one trial's trajectory CSV
+        (tmp_path / "o" / "trajectories" / "trial_000_dual.csv").mkdir(parents=True)
+        done = self.padland(
+            "run", "--config", "configs/default.json", "--out", str(tmp_path / "o"),
+            "--trials", "1", "--workers", "2",
+        )
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "trial_000_dual.csv" in done.stderr
+        assert "Traceback" not in done.stderr

@@ -19,13 +19,12 @@ from padland.experts import (
     default_near_profile,
     detect,
     detection_probability,
-    format_positions,
     noise_rows,
     read_detection_log,
     replay_detect,
-    write_detection_log,
 )
 from padland.geometry import BoundingBox, CameraModel, VehicleState
+from padland.reporting import format_positions, write_detection_log, write_trajectory_csv
 
 CAM = CameraModel()
 TRUE_BOX = BoundingBox(224.0, 224.0, 24.0, 24.0)
@@ -545,7 +544,7 @@ def test_shared_positions_write_the_same_bytes(tmp_path):
         harness.TrialConfig(max_steps=300), *[np.random.default_rng(s) for s in (3, 4)],
     )
     positions = format_positions(run.frames)
-    for write in (write_detection_log, harness.write_trajectory_csv):
+    for write in (write_detection_log, write_trajectory_csv):
         write(run.frames, tmp_path / "own.csv")
         write(run.frames, tmp_path / "shared.csv", positions=positions)
         assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()

@@ -1,5 +1,7 @@
 import concurrent.futures
+import gc
 import math
+import multiprocessing
 import pickle
 
 import numpy as np
@@ -20,6 +22,7 @@ from padland.harness import (
     run_trial,
     sample_initial,
 )
+from padland.reporting import write_campaign_outputs
 
 COL = {name: i for i, name in enumerate(RECORD_COLUMNS)}
 
@@ -27,6 +30,30 @@ IDEAL = Scenario(
     far_profile=ExpertProfile.ideal(ExpertId.FAR),
     near_profile=ExpertProfile.ideal(ExpertId.NEAR),
 )
+
+
+@pytest.fixture
+def recording_pool(monkeypatch) -> list[int]:
+    """Replace the process pool by one that runs its tasks in this
+    process; returns the max_workers of each pool made."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def rngs(seed=0):
@@ -261,25 +288,47 @@ class TestCampaign:
         with pytest.raises(ValueError, match="n_workers"):
             run_campaign(Scenario(), TrialConfig(n_trials=1), n_workers=0)
 
-    def test_pool_has_at_most_one_worker_per_task(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:  # runs the tasks in this process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_has_at_most_one_worker_per_task(self, recording_pool, monkeypatch):
+        usable_cpus(monkeypatch, 8)
         run_campaign(Scenario(), TrialConfig(n_trials=1, max_steps=20), n_workers=6)
-        assert sizes == [3]  # one trial in each of three modes
+        assert recording_pool == [3]  # one trial in each of three modes
+
+    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, [])])
+    def test_pool_has_at_most_one_worker_per_usable_cpu(
+        self, recording_pool, monkeypatch, cpus, sizes
+    ):
+        usable_cpus(monkeypatch, cpus)
+        run_campaign(Scenario(), TrialConfig(n_trials=4, max_steps=20), n_workers=300)
+        assert recording_pool == sizes  # on one CPU, no pool at all
+
+    def test_run_and_write_share_one_pool(self, recording_pool, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        camp = run_campaign(Scenario(), TrialConfig(n_trials=2, max_steps=20), n_workers=2)
+        write_campaign_outputs(camp, tmp_path)
+        assert recording_pool == [2]
+        assert len(list((tmp_path / "detections").iterdir())) == 6
+
+    def test_campaign_with_workers_pickles_without_them(self, monkeypatch, tmp_path):
+        usable_cpus(monkeypatch, 2)
+        camp = run_campaign(Scenario(), TrialConfig(n_trials=1, max_steps=20), n_workers=2)
+        back = pickle.loads(pickle.dumps(camp))
+        for mode in camp.runs:
+            assert back.results(mode) == camp.results(mode)
+        write_campaign_outputs(back, tmp_path)  # in this process
+        assert len(list((tmp_path / "trajectories").iterdir())) == 3
+
+    def test_dropping_the_campaign_stops_its_workers(self, monkeypatch):
+        usable_cpus(monkeypatch, 2)
+        camp = run_campaign(Scenario(), TrialConfig(n_trials=1, max_steps=20), n_workers=2)
+        assert len(multiprocessing.active_children()) == 2  # held for writing
+        # the campaign joins its workers when dropped, even while the
+        # executor itself is still referenced (an executor that is only
+        # collected stops its workers later, on another thread)
+        pool = camp._pool
+        del camp
+        gc.collect()
+        assert multiprocessing.active_children() == []
+        del pool
 
     def test_common_noise_streams_across_modes(self):
         # FAR reads the same rows of the same seed stream in FAR_ONLY and
