@@ -6,7 +6,6 @@ from .config import CampaignSpec, ConfigError, build_campaign, default_config, l
 from .dynamics import DynamicsParams, step
 from .experts import (
     Detection,
-    DetectionLogError,
     ExpertId,
     ExpertProfile,
     default_far_profile,
@@ -14,7 +13,6 @@ from .experts import (
     detect,
     detection_probability,
     noise_rows,
-    read_detection_log,
     replay_detect,
 )
 from .gating import GateOutput, GateState, l1_center_distance, select_expert
@@ -42,7 +40,13 @@ from .harness import (
     run_trial,
     sample_initial,
 )
-from .reporting import campaign_summary, write_campaign_outputs, write_detection_log
+from .reporting import (
+    DetectionLogError,
+    campaign_summary,
+    read_detection_log,
+    write_campaign_outputs,
+    write_detection_log,
+)
 from .servo import (
     ControllerGains,
     ErrorSignals,

@@ -18,11 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, build_campaign, default_config, load_config
-from .experts import DetectionLogError, ExpertId, read_detection_log, replay_detect
+from .experts import ExpertId, replay_detect
 from .gating import GateState, select_expert
 from .geometry import inside_image
 from .harness import run_campaign
-from .reporting import REPLAY_COLUMNS, rebuild_results, write_campaign_outputs, write_replay_csv
+from .reporting import (
+    REPLAY_COLUMNS,
+    DetectionLogError,
+    read_detection_log,
+    rebuild_results,
+    write_campaign_outputs,
+    write_replay_csv,
+)
 from .servo import compute_errors
 from .stats import compare_modes, format_comparison_table
 

@@ -1,23 +1,21 @@
-"""Synthetic scale-specialized detectors and the replayable detection log.
+"""Synthetic scale-specialized detectors and replay of recorded detections.
 
 Each expert is modeled as a stochastic detector whose per-frame detection
 probability follows a logistic curve over the pad's apparent width, with
 Gaussian center noise, multiplicative size noise, and (optionally) a
 distractor mode that locks onto a false pad-like target at a fixed world
-offset. A plain-text detection log (written by reporting) allows
-recorded detections to be replayed through the rest of the pipeline
-verbatim; this module reads it.
+offset. A detection log's array (reporting writes and reads the file)
+holds each expert's raw output per frame, and replay_detect turns one of
+its rows back into Detections, so recorded detections replay through
+the rest of the pipeline verbatim.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, repeat
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -213,23 +211,10 @@ def detect(
     return Detection(profile.expert_id, box, p_det)
 
 
-# ---------------------------------------------------------------------------
-# Detection log: one CSV record per expert per frame.
-# Format: frame,expert,u,v,w,h,confidence,present   (present in {0, 1},
-# zeros for the numeric fields of an absent detection; header required).
-# ---------------------------------------------------------------------------
-
-LOG_HEADER = "frame,expert,u,v,w,h,confidence,present"
+# A detection log's array (reporting owns the file format) holds one row
+# per frame: FAR's LOG_FIELDS, then NEAR's.
 LOG_FIELDS = 6  # u, v, w, h, confidence, present of one expert
 LOG_STRIDE = 2 * LOG_FIELDS  # FAR's fields, then NEAR's
-# each expert's first column in a log row, and the expert at that column
-_EXPERT_AT = {i * LOG_FIELDS: expert for i, expert in enumerate(ExpertId)}
-_EXPERT_OFFSET = {expert.value: offset for offset, expert in _EXPERT_AT.items()}
-_FLAG_CODE = {0: 0, 1: 1}  # a present flag's code; 2 for any other value
-
-
-class DetectionLogError(ValueError):
-    """Malformed detection log; message carries the offending line number."""
 
 
 def _detection(expert: ExpertId, cells) -> Detection:
@@ -240,131 +225,11 @@ def _detection(expert: ExpertId, cells) -> Detection:
 
 def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detection]:
     """Return the recorded (FAR, NEAR) detections for one frame, verbatim,
-    from a (frames, LOG_STRIDE) array as read_detection_log returns it."""
+    from a (frames, LOG_STRIDE) array as reporting.read_detection_log
+    returns it."""
     if not 0 <= frame_index < len(log):
         raise IndexError(
             f"frame_index {frame_index} out of range (log has {len(log)} frames)"
         )
     row = log[frame_index, :LOG_STRIDE].tolist()
     return _detection(ExpertId.FAR, row[:LOG_FIELDS]), _detection(ExpertId.NEAR, row[LOG_FIELDS:])
-
-
-def _record_error(line: str) -> str | None:
-    """Why one record's fields do not convert, as the first failing field
-    says it, or None when they all do."""
-    parts = line.split(",")
-    if len(parts) != 8:
-        return f"expected 8 fields, got {len(parts)}"
-    try:
-        int(parts[0])
-        ExpertId(parts[1].strip())
-        for cell in parts[2:7]:
-            float(cell)
-        int(parts[7])
-    except ValueError as exc:
-        return str(exc)
-    return None
-
-
-def _columns(records: list[str]) -> tuple[list[int], list[int], np.ndarray, list[int]]:
-    """The records' fields converted column by column: frame numbers, each
-    expert's first column in a log row, the (5, records) array of u, v, w,
-    h and confidence, and the present flags. Raises ValueError or KeyError
-    when any record does not convert."""
-    if not set(map(str.count, records, repeat(","))) <= {7}:
-        raise ValueError("record without 8 fields")
-    fields = ",".join(records).split(",") if records else []
-    columns = [fields[k::8] for k in range(8)]
-    frames = list(map(int, columns[0]))
-    offsets = list(map(_EXPERT_OFFSET.__getitem__, map(str.strip, columns[1])))
-    values = array("d", map(float, chain.from_iterable(columns[2:7])))
-    flags = list(map(int, columns[7]))
-    return frames, offsets, np.frombuffer(values).reshape(5, -1), flags
-
-
-def read_detection_log(path: str | Path) -> np.ndarray:
-    """Parse a detection log file into a (frames, LOG_STRIDE) float64 array;
-    raises DetectionLogError naming the first offending line.
-
-    Records may come in any order and blank lines are skipped; every frame
-    from 0 to the last needs one record of each expert. All records are
-    converted in one pass and every rule is checked on the arrays; only a
-    failure looks at single records again, to name the first bad one.
-    """
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != LOG_HEADER:
-        raise DetectionLogError("line 1: missing or malformed header")
-    records = lines[1:]
-    linenos = range(2, len(lines) + 1)
-
-    # records[:end] convert; records[end], if there is one, does not
-    end, malformed = len(records), None
-    try:
-        frames, offsets, values, flags = _columns(records)
-    except (ValueError, KeyError):
-        linenos = [n for n in linenos if lines[n - 1].strip()]  # skip blank lines
-        records = [lines[n - 1] for n in linenos]
-        # with no record failing, blank lines alone failed the first pass
-        end, malformed = next(
-            ((i, error) for i, line in enumerate(records) if (error := _record_error(line))),
-            (len(records), None),
-        )
-        frames, offsets, values, flags = _columns(records[:end])
-
-    # the writer's layout, frame by frame from 0 with FAR before NEAR, has
-    # no duplicate and no missing record
-    n = len(frames) // 2
-    in_order = (
-        frames[0::2] == frames[1::2] == list(range(n))
-        and offsets[0::2].count(0) == offsets[1::2].count(LOG_FIELDS) == n
-    )
-    duplicate = np.zeros(len(frames), dtype=bool)
-    if not in_order:
-        seen = set()
-        for i, key in enumerate(zip(frames, offsets)):
-            duplicate[i] = key in seen
-            seen.add(key)
-    u, v, w, h, conf = values
-    flag = np.array(list(map(_FLAG_CODE.get, flags, repeat(2))), dtype=np.int8)
-    present = flag == 1
-    # each rule's failing records, in the order one record is checked
-    rules = (
-        (~np.isfinite(values).all(axis=0), lambda i: "u, v, w, h and confidence must be finite"),
-        (flag == 2, lambda i: "present flag must be 0 or 1"),
-        (present & ((w <= 0) | (h <= 0)), lambda i: "present detection with non-positive size"),
-        (present & ~((0.0 <= conf) & (conf <= 1.0)),
-         lambda i: f"confidence {float(conf[i])} outside [0, 1]"),
-        (duplicate,
-         lambda i: f"duplicate {_EXPERT_AT[offsets[i]].value} record for frame {frames[i]}"),
-    )
-    failed = np.logical_or.reduce([mask for mask, _ in rules])
-    if failed.any():
-        i = int(np.argmax(failed))
-        message = next(text(i) for mask, text in rules if mask[i])
-        raise DetectionLogError(f"line {linenos[i]}: {message}")
-    if malformed is not None:
-        raise DetectionLogError(f"line {linenos[end]}: {malformed}")
-
-    cells = np.zeros((len(frames), LOG_FIELDS))
-    cells[present, :5] = values.T[present]
-    cells[present, 5] = 1.0
-    if in_order:
-        return cells.reshape(n, LOG_STRIDE)
-
-    # the records are distinct now, so n distinct frames, all in [0, n),
-    # with 2n records are every (frame, expert) pair; otherwise name the
-    # first pair missing
-    keys = set(zip(frames, offsets))
-    n = len(set(frames))
-    if len(keys) != 2 * n or (n and (min(frames) != 0 or max(frames) != n - 1)):
-        for frame in range(n):
-            if all((frame, offset) not in keys for offset in _EXPERT_AT):
-                raise DetectionLogError(f"frame {frame} missing (frames must be contiguous from 0)")
-            for offset, expert in _EXPERT_AT.items():
-                if (frame, offset) not in keys:
-                    raise DetectionLogError(f"frame {frame}: no {expert.value} record")
-    log = np.zeros((n, LOG_STRIDE))
-    rows = np.array(frames, dtype=np.intp)[:, None]
-    columns = np.array(offsets, dtype=np.intp)[:, None] + np.arange(LOG_FIELDS)
-    log[rows, columns] = cells
-    return log

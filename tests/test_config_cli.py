@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -323,6 +324,25 @@ class TestCliReplay:
         ])
         assert code != 0
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            random.Random(0).randbytes(300),
+            b"frame,expert,u,v,w,h,confidence,present\n0,FAR,\xff,0,0,0,0,0\n",
+        ],
+        ids=["random-bytes", "bad-byte-after-header"],
+    )
+    def test_log_that_is_not_text_rejected(self, tmp_path, config_path, capsys, content):
+        log = tmp_path / "binary.csv"
+        log.write_bytes(content)
+        out = tmp_path / "o"
+        code = main(["replay", "--log", str(log), "--config", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:") and str(log) in err
+        assert "Traceback" not in err
+        assert not (out / "replay.csv").exists()
 
     @pytest.mark.parametrize(
         "record, lineno",

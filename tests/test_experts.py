@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padland import harness
+from padland import harness, reporting
 from padland.experts import (
-    LOG_HEADER,
     LOG_STRIDE,
     NOISE_CHUNK,
     Detection,
-    DetectionLogError,
     ExpertId,
     ExpertProfile,
     default_far_profile,
@@ -20,11 +18,17 @@ from padland.experts import (
     detect,
     detection_probability,
     noise_rows,
-    read_detection_log,
     replay_detect,
 )
 from padland.geometry import BoundingBox, CameraModel, VehicleState
-from padland.reporting import format_positions, write_detection_log, write_trajectory_csv
+from padland.reporting import (
+    LOG_HEADER,
+    DetectionLogError,
+    read_detection_log,
+    write_detection_log,
+    write_trajectory_csv,
+    write_trial_csvs,
+)
 
 CAM = CameraModel()
 TRUE_BOX = BoundingBox(224.0, 224.0, 24.0, 24.0)
@@ -536,18 +540,58 @@ def test_oracle_agrees_on_a_campaign_log(tmp_path):
     assert read_detection_log(path).tobytes() == log.tobytes()
 
 
+@pytest.mark.parametrize(
+    "lineno, index, spelling, outcome",
+    [(4, 0, "+1", "log"), (5, 1, " NEAR ", "log"), (2, 7, "1.0", "error")],
+    ids=["frame", "expert", "present-flag"],
+)
+def test_non_canonical_spelling_reads_as_the_oracle_does(
+    tmp_path, lineno, index, spelling, outcome
+):
+    # the writer's layout but for one field's spelling: the fast path must
+    # hand it to the line reader, which accepts or rejects it as the oracle does
+    path = tmp_path / "log.csv"
+    write_detection_log(TestDetectionLog().make_log(), path)
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split(",")
+    fields[index] = spelling
+    lines[lineno - 1] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    got = read_outcome(read_detection_log, path)
+    assert got == read_outcome(oracle_read_detection_log, path)
+    assert got[0] == outcome
+
+
+def test_writer_layout_needs_no_line_reader(tmp_path, monkeypatch):
+    # padland's own logs are read column by column; a fast path that stopped
+    # matching the writer's layout would send every log to the line reader
+    run = harness.run_trial(
+        VehicleState(-85.0, 80.0, 70.0), harness.Mode.DUAL, harness.Scenario(),
+        harness.TrialConfig(), *[np.random.default_rng(s) for s in (1, 2)],
+    )
+    path = tmp_path / "log.csv"
+    write_detection_log(run.frames, path)
+
+    def refuse(line, lineno):
+        raise AssertionError(f"line {lineno} went to the line reader")
+
+    monkeypatch.setattr(reporting, "_parse_record", refuse)
+    log = read_detection_log(path)
+    assert log.tobytes() == np.ascontiguousarray(run.frames[:, :LOG_STRIDE]).tobytes()
+
+
 def test_shared_positions_write_the_same_bytes(tmp_path):
-    # both writers take the u, v strings a trial formats once; handing them
-    # over must not change a byte of either file
+    # write_trial_csvs formats the shared u, v columns once for both files;
+    # that must not change a byte of either
     run = harness.run_trial(
         VehicleState(-30.0, 20.0, 90.0), harness.Mode.NEAR_ONLY, harness.Scenario(),
         harness.TrialConfig(max_steps=300), *[np.random.default_rng(s) for s in (3, 4)],
     )
-    positions = format_positions(run.frames)
-    for write in (write_detection_log, write_trajectory_csv):
-        write(run.frames, tmp_path / "own.csv")
-        write(run.frames, tmp_path / "shared.csv", positions=positions)
-        assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "own.csv").read_bytes()
+    write_trial_csvs(run.frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
+    write_trajectory_csv(run.frames, tmp_path / "own_trajectory.csv")
+    write_detection_log(run.frames, tmp_path / "own_log.csv")
+    for name in ("trajectory.csv", "log.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / f"own_{name}").read_bytes()
 
 
 class TestDefaultProfiles:

@@ -9,7 +9,9 @@ from scipy.stats import rankdata
 
 from padland.harness import Mode, TerminationReason, TrialResult
 from padland.stats import (
+    EXACT_ENUMERATION_LIMIT,
     _doubled_ranks,
+    _signed_rank_pmf_counts,
     compare_modes,
     format_comparison_table,
     summarize,
@@ -111,6 +113,13 @@ class TestDoubledRanks:
         assert doubled == (2 * rankdata(values)).tolist()
         assert sorted(sizes) == sorted(np.unique(values, return_counts=True)[1].tolist())
 
+    @given(st.lists(st.integers(0, 20), max_size=EXACT_ENUMERATION_LIMIT))
+    def test_pmf_counts_cover_every_sign_assignment(self, values):
+        # every one of the 2**n sign assignments lands on exactly one sum,
+        # tied ranks or not, up to the largest n the exact test enumerates
+        doubled, _ = _doubled_ranks(values)
+        assert sum(_signed_rank_pmf_counts(doubled)) == 2 ** len(values)
+
 
 # small integers force ties and zero differences; the floats stay far from
 # the subnormal range, so scaling by 2**k (|k| <= 8) and subtracting are exact
@@ -118,8 +127,11 @@ _sample_value = st.one_of(
     st.integers(-4, 4).map(float),
     st.floats(-1e6, 1e6, allow_nan=False).filter(lambda x: x == 0.0 or abs(x) >= 1e-100),
 )
-# paired lists on both sides of EXACT_ENUMERATION_LIMIT
-_paired_samples = st.integers(0, 30).flatmap(
+# paired lists on both sides of EXACT_ENUMERATION_LIMIT: n up to 30, or
+# just above the limit (a quarter of draws, since long lists draw slowly)
+_paired_samples = st.integers(0, 40).map(
+    lambda k: k if k <= 30 else EXACT_ENUMERATION_LIMIT + k - 30
+).flatmap(
     lambda n: st.tuples(
         st.lists(_sample_value, min_size=n, max_size=n),
         st.lists(_sample_value, min_size=n, max_size=n),
@@ -195,9 +207,11 @@ class TestWilcoxonProperties:
 
     def test_large_n_uses_normal_approximation(self):
         rng = np.random.default_rng(5150)
-        a = list(rng.normal(1.0, 1.0, size=30))
-        b = list(rng.normal(0.0, 1.0, size=30))
+        n = EXACT_ENUMERATION_LIMIT + 1
+        a = list(rng.normal(1.0, 1.0, size=n))
+        b = list(rng.normal(0.0, 1.0, size=n))
         res = wilcoxon_signed_rank(a, b)
+        assert res.n_effective == n
         assert not res.exact
         assert 0.0 < res.p_two_sided <= 1.0
 
