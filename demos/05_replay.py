@@ -1,9 +1,11 @@
-"""Record a trial's detections, then replay them through the gate.
+"""Record a trial's detections, then replay them through the gate and servo.
 
-The detection log stores every raw expert output, so feeding it back
-through a fresh gate reproduces the original selection sequence exactly.
-This is the path for running the gating and servo error computation over
-real recorded detector outputs instead of the synthetic models.
+The detection log stores every raw expert output. replay_log feeds it
+back through a fresh gate and the same per-frame step the trial ran
+(harness.perceive), so it reproduces the original selections, smoothed
+box centers and servo errors bit for bit. This is the path for running
+the gating and servo error computation over real recorded detector
+outputs instead of the synthetic models.
 """
 
 import tempfile
@@ -12,19 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from padland import (
-    SELECTION_LABELS,
     RECORD_COLUMNS,
-    GateState,
+    SELECTION_LABELS,
     Mode,
     Scenario,
     TrialConfig,
     VehicleState,
     read_detection_log,
-    replay_detect,
     run_trial,
-    select_expert,
     write_detection_log,
 )
+from padland.harness import REPLAY_COLUMNS, replay_log
 
 scenario = Scenario()
 root = np.random.SeedSequence(99)
@@ -40,18 +40,18 @@ with tempfile.TemporaryDirectory() as tmp:
     write_detection_log(run.frames, log_path)
     print(f"wrote {len(run.frames)} frames to {log_path.name} "
           f"({log_path.stat().st_size} bytes)")
+    replayed = replay_log(read_detection_log(log_path), scenario)
 
-    log = read_detection_log(log_path)
-    gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
-    replayed = []
-    for frame in range(len(log)):
-        det_far, det_near = replay_detect(log, frame)
-        out = select_expert(det_far, det_near, gate, scenario.camera)
-        replayed.append(out.selected_expert.value if out.selected_expert else "")
+# compared as bytes, so the NaN blanks of untracked frames match too
+compared = ("selected", "u_hat", "v_hat", "e_x", "e_y", "A", "e_z")
+identical = all(
+    replayed[:, REPLAY_COLUMNS.index(name)].tobytes()
+    == run.frames[:, RECORD_COLUMNS.index(name)].tobytes()
+    for name in compared
+)
+print(f"replayed {len(replayed)} frames, comparing {', '.join(compared)}")
+print(f"identical: {identical}")
 
-selected_codes = run.frames[:, RECORD_COLUMNS.index("selected")].tolist()
-original = [SELECTION_LABELS[int(c)] for c in selected_codes]
-print(f"selection sequences identical: {replayed == original}")
-
-sample = [(i, sel) for i, sel in enumerate(replayed) if sel][:5]
+selected = [SELECTION_LABELS[int(c)] for c in replayed[:, REPLAY_COLUMNS.index("selected")]]
+sample = [(i, sel) for i, sel in enumerate(selected) if sel][:5]
 print("first selections:", ", ".join(f"frame {i} -> {sel}" for i, sel in sample))

@@ -15,25 +15,22 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, build_campaign, default_config, load_config
-from .experts import ExpertId, replay_detect
-from .gating import GateState, select_expert
+from .experts import LOG_FIELDS, replay_detect
 from .geometry import inside_image
-from .harness import run_campaign
+from .harness import replay_log, run_campaign
 from .reporting import (
-    REPLAY_COLUMNS,
     DetectionLogError,
     read_detection_log,
     rebuild_results,
     write_campaign_outputs,
     write_replay_csv,
 )
-from .servo import compute_errors
 from .stats import compare_modes, format_comparison_table
 
-_BLANKS = (float("nan"),) * 8  # u_hat to e_z without a smoothed box
+# unused here, but bench/spans.py wraps both names on this module
+from .gating import select_expert
+from .servo import compute_errors
 
 
 def cmd_run(args) -> int:
@@ -64,40 +61,24 @@ def cmd_run(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    doc = load_config(args.config)
-    spec = build_campaign(doc)
+    scenario = build_campaign(load_config(args.config)).scenario
     log = read_detection_log(args.log)
+    # padland's own detections are clamped to the image, so a present box
+    # outside it was not recorded with this camera
+    cam = scenario.camera
+    u, v, w, h, _, present = log.reshape(-1, 2, LOG_FIELDS).transpose(2, 0, 1)
+    bad = (present == 1.0) & ~inside_image((u, v, w, h), cam)  # (frames, FAR then NEAR)
+    if bad.any():
+        frame, expert = divmod(int(bad.argmax()), 2)  # the first in frame order
+        det = replay_detect(log, frame)[expert]
+        raise DetectionLogError(
+            f"frame {frame}: {det.expert_id.value} {det.box} does not lie inside "
+            f"the {cam.image_width} x {cam.image_height} camera image"
+        )
 
-    cam = spec.scenario.camera
-    gains = spec.scenario.gains
-    gate = GateState(window_size=spec.scenario.window_size, coast_limit=spec.scenario.coast_limit)
-
-    far = ExpertId.FAR
-    records: list[float] = []  # one row of REPLAY_COLUMNS per frame
-    record = records.extend
-    for frame in range(len(log)):
-        det_far, det_near = replay_detect(log, frame)
-        for det in (det_far, det_near):
-            # padland's own detections are clamped to the image, so a box
-            # outside it was not recorded with this camera
-            if det.box is not None and not inside_image(det.box, cam):
-                raise DetectionLogError(
-                    f"frame {frame}: {det.expert_id.value} {det.box} does not lie inside "
-                    f"the {cam.image_width} x {cam.image_height} camera image"
-                )
-        sb, selected, lost = select_expert(det_far, det_near, gate, cam)
-        # `selected` as its code into SELECTION_LABELS
-        record((frame, 0.0 if selected is None else 1.0 if selected is far else 2.0, lost))
-        if sb is not None:
-            record(sb)  # u_hat, v_hat, w_hat, h_hat, then e_x, e_y, A, e_z
-            record(compute_errors(sb, cam, gains))
-        else:
-            record(_BLANKS)
-
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "replay.csv"
-    write_replay_csv(np.array(records, dtype=np.float64).reshape(-1, len(REPLAY_COLUMNS)), out_path)
+    out_path = Path(args.out) / "replay.csv"
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    write_replay_csv(replay_log(log, scenario), out_path)
     print(f"replayed {len(log)} frames -> {out_path}")
     return 0
 

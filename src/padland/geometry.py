@@ -143,18 +143,18 @@ def clamp_box(box: BoundingBox, cam: CameraModel) -> BoundingBox | None:
 def inside_image(box: BoundingBox, cam: CameraModel) -> bool:
     """Whether every edge of box lies inside the image, up to rounding.
 
-    Every box clamp_box returns passes exactly. The slack of a few ulps
-    keeps accepting boxes clipped by earlier versions, whose recomputed
-    edge could sit an ulp of the image size outside, so their detection
-    logs still replay.
+    Given u, v, w, h column arrays, the same test per element. Every box
+    clamp_box returns passes exactly; the slack of a few ulps keeps
+    accepting boxes clipped by earlier versions, whose recomputed edge
+    could sit an ulp of the image size outside, so their logs still replay.
     """
     u, v, w, h = box
     slack = 4.0 * math.ulp(max(cam.image_width, cam.image_height))
     return (
-        u - w / 2.0 >= -slack
-        and u + w / 2.0 <= cam.image_width + slack
-        and v - h / 2.0 >= -slack
-        and v + h / 2.0 <= cam.image_height + slack
+        (u - w / 2.0 >= -slack)
+        & (u + w / 2.0 <= cam.image_width + slack)
+        & (v - h / 2.0 >= -slack)
+        & (v + h / 2.0 <= cam.image_height + slack)
     )
 
 

@@ -1,7 +1,7 @@
-"""Closed-loop landing trials and the randomized paired campaign.
+"""Closed-loop landing trials, log replay and the randomized paired campaign.
 
 One trial runs the full per-frame pipeline (project the pad, run both
-experts, gate and smooth, compute servo errors, integrate motion) until
+experts, then `perceive`: gate, smooth and servo; integrate motion) until
 the vehicle reaches the commit altitude, tracking is lost, or the step
 budget runs out. A campaign samples a shared list of initial states and
 runs every controller mode from that identical list with per-trial,
@@ -24,22 +24,25 @@ from .dynamics import DynamicsParams, step
 from .experts import (
     ABSENT,
     LOG_FIELDS,
+    Detection,
     ExpertId,
     ExpertProfile,
     default_far_profile,
     default_near_profile,
     detect,
     noise_rows,
+    replay_detect,
 )
 from .gating import GateState, select_expert
 from .geometry import (
+    BoundingBox,
     CameraModel,
     HelipadSpec,
     VehicleState,
     apparent_width,
     project_helipad,
 )
-from .servo import ControllerGains, VelocityCommand, compute_command, compute_errors
+from .servo import ControllerGains, ErrorSignals, VelocityCommand, compute_command, compute_errors
 
 
 class Mode(Enum):
@@ -151,6 +154,11 @@ SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTED = RECORD_COLUMNS.index("selected")
 _BLANKS = (float("nan"),) * 6  # u_hat, v_hat, e_x, e_y, A, e_z without a smoothed box
 _ABSENT_CELLS = (0.0,) * LOG_FIELDS  # an absent detection's log fields
+REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
+REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(","))
+_REPLAY_BLANKS = (float("nan"),) * 8  # u_hat to e_z without a smoothed box
+_FAR = ExpertId.FAR
+_HOLD = VelocityCommand(0.0, 0.0, 0.0)
 
 
 @dataclass(eq=False)
@@ -180,6 +188,24 @@ def sample_initial(config: TrialConfig, rng: np.random.Generator, trial_index: i
     y = rng.uniform(config.y_range[0], config.y_range[1])
     z = config.altitude_set[trial_index % len(config.altitude_set)]
     return VehicleState(x=x, y=y, z=z)
+
+
+def perceive(
+    det_far: Detection,
+    det_near: Detection,
+    gate: GateState,
+    cam: CameraModel,
+    gains: ControllerGains,
+) -> tuple[BoundingBox | None, float, bool, ErrorSignals | None, VelocityCommand]:
+    """Gate, smooth and servo one frame, mutating gate: the smoothed box,
+    its `selected` code into SELECTION_LABELS, tracking lost, the servo
+    errors and the command; None errors and the hold command without a box."""
+    sb, selected, lost = select_expert(det_far, det_near, gate, cam)
+    code = 0.0 if selected is None else 1.0 if selected is _FAR else 2.0
+    if sb is None:
+        return sb, code, lost, None, _HOLD
+    err = compute_errors(sb, cam, gains)
+    return sb, code, lost, err, compute_command(err, gains)
 
 
 def run_trial(
@@ -222,8 +248,6 @@ def run_trial(
     near_rows = noise_rows(rng_near) if run_near else repeat(None)
     absent_far = ABSENT[ExpertId.FAR]
     absent_near = ABSENT[ExpertId.NEAR]
-    far = ExpertId.FAR
-    hold = VelocityCommand(0.0, 0.0, 0.0)
 
     for k, noise_far, noise_near in zip(range(config.max_steps), far_rows, near_rows):
         truth = project_helipad(state, pad, cam)
@@ -249,19 +273,13 @@ def run_trial(
             record(box)
             record((det_near.confidence, 1.0))
 
-        sb, selected, lost = select_expert(det_far, det_near, gate, cam)
-
-        # `selected` as its code into SELECTION_LABELS
-        code = 0.0 if selected is None else 1.0 if selected is far else 2.0
+        sb, code, lost, err, cmd = perceive(det_far, det_near, gate, cam, gains)
         record((k, k * dt, state.x, state.y, state.z, code))
-        if sb is not None:
-            err = compute_errors(sb, cam, gains)
-            cmd = compute_command(err, gains)
+        if err is None:
+            record(_BLANKS)
+        else:
             record((sb.u, sb.v))  # u_hat, v_hat, then e_x, e_y, A, e_z
             record(err)
-        else:
-            cmd = hold
-            record(_BLANKS)
         record(cmd)
 
         if lost:
@@ -291,6 +309,21 @@ def run_trial(
         },
     )
     return TrialRun(result=result, frames=records)
+
+
+def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Feed a (frames, LOG_STRIDE) detection log through a fresh gate and
+    the servo error computation, with no dynamics; returns one row of
+    REPLAY_COLUMNS per frame, blank cells (no smoothed box) as NaN."""
+    cam, gains = scenario.camera, scenario.gains
+    gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
+    rows: list[float] = []
+    record = rows.extend
+    for frame in range(len(log)):
+        sb, code, lost, err, _ = perceive(*replay_detect(log, frame), gate, cam, gains)
+        record((frame, code, lost))
+        record(_REPLAY_BLANKS if err is None else sb + err)  # u_hat to h_hat, then e_x to e_z
+    return np.array(rows, dtype=np.float64).reshape(-1, len(REPLAY_COLUMNS))
 
 
 @dataclass

@@ -23,6 +23,8 @@ import numpy as np
 from .experts import LOG_FIELDS, LOG_STRIDE, ExpertId
 from .harness import (
     RECORD_COLUMNS,
+    REPLAY_COLUMNS,
+    REPLAY_HEADER,
     SELECTION_LABELS,
     TRAJECTORY_COLUMNS,
     TRAJECTORY_HEADER,
@@ -32,9 +34,6 @@ from .harness import (
     TrialResult,
 )
 from .stats import ModeComparison, PairedComparison, compare_modes, format_comparison_table
-
-REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
-REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(","))
 
 # u and v of each expert: the detection-log columns the trajectory CSV
 # repeats, so a trial formats them once for both files
@@ -132,12 +131,14 @@ def _write_log(frames: np.ndarray, path: str | Path, positions: list[list[str]])
 
 def read_detection_log(path: str | Path) -> np.ndarray:
     """Parse a detection log file into a (frames, LOG_STRIDE) float64 array;
-    raises DetectionLogError naming the first offending line, or the file
-    if it is not text. Records may come in any order and blank lines are
-    skipped; every frame from 0 to the last needs one record of each expert.
-    """
+    raises DetectionLogError naming the file if it is missing or not text,
+    else the first offending line. Records may come in any order and blank
+    lines are skipped; every frame from 0 to the last needs one record of
+    each expert."""
     try:
         lines = Path(path).read_text().splitlines()
+    except FileNotFoundError:
+        raise DetectionLogError(f"detection log not found: {path}") from None
     except UnicodeDecodeError as exc:
         raise DetectionLogError(f"{path}: not a text file ({exc})") from None
     if not lines or lines[0].strip() != LOG_HEADER:

@@ -6,13 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from padland import cli
 from padland.cli import main
 from padland.config import CampaignSpec, ConfigError, build_campaign, default_config, load_config
+from padland.experts import LOG_FIELDS, LOG_STRIDE
 from padland.harness import Mode, Scenario, TrialConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+INSIDE = "210.0,230.5,24.0,24.0,0.81,1"  # a present detection inside the default image
+OUTSIDE = "447,224,4,4,0.5,1"  # one pixel past its right edge
 
 
 @pytest.fixture
@@ -383,6 +388,55 @@ class TestCliReplay:
         assert f"frame 0: {expert}" in err and "inside" in err
         assert "Traceback" not in err
         assert not (out / "replay.csv").exists()
+
+    def test_missing_log_rejected(self, tmp_path, config_path, capsys):
+        log = tmp_path / "nope.csv"
+        out = tmp_path / "o"
+        code = main(["replay", "--log", str(log), "--config", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: detection log not found: {log}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({(3, "NEAR"): OUTSIDE}, "frame 3: NEAR"),
+            ({(1, "NEAR"): OUTSIDE, (2, "FAR"): OUTSIDE}, "frame 1: NEAR"),
+            ({(2, "FAR"): OUTSIDE, (2, "NEAR"): OUTSIDE}, "frame 2: FAR"),
+        ],
+        ids=["first-at-frame-3", "earlier-frame-first", "far-before-near"],
+    )
+    def test_first_box_outside_image_named(self, tmp_path, config_path, capsys, bad, named):
+        rows = [
+            f"{frame},{expert},{bad.get((frame, expert), INSIDE)}"
+            for frame in range(5)
+            for expert in ("FAR", "NEAR")
+        ]
+        log = tmp_path / "outside.csv"
+        log.write_text("frame,expert,u,v,w,h,confidence,present\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        code = main(["replay", "--log", str(log), "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {named} BoundingBox(u=447.0, v=224.0, w=4.0, h=4.0) does not lie inside "
+            "the 448.0 x 448.0 camera image\n"
+        )
+        assert not (out / "replay.csv").exists()
+
+    def test_absent_records_never_flagged(self, tmp_path, config_path, monkeypatch):
+        # the reader zeros an absent record's fields; the check must not
+        # rely on that, so hand it a log whose absent cells lie outside
+        log = np.zeros((3, LOG_STRIDE))
+        log[:, :LOG_FIELDS] = (-5000.0, 1e9, 5.0, 5.0, 0.5, 0.0)  # FAR absent
+        log[:, LOG_FIELDS:] = (447.0, 224.0, 4.0, 4.0, 0.5, 0.0)  # NEAR absent
+        log[1, LOG_FIELDS:] = (210.0, 230.5, 24.0, 24.0, 0.81, 1.0)  # NEAR present
+        monkeypatch.setattr(cli, "read_detection_log", lambda path: log)
+        out = tmp_path / "o"
+        args = ["replay", "--log", "log.csv", "--config", str(config_path), "--out", str(out)]
+        assert main(args) == 0
+        lines = (out / "replay.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[1] for line in lines] == ["", "NEAR", ""]
 
 
 class TestCliReport:

@@ -186,6 +186,11 @@ clamp_cases = st.tuples(
 ULP_PAST_EDGE = (160.0, 25.0, 84.875, 50.0, 188.1, 100.0, 0.0, 0.0, 1.0, 1.0, False)
 
 
+# values at and around the default image's edges, mixed with arbitrary ones
+edge_coords = st.floats(-600.0, 600.0) | st.sampled_from((0.0, 2.0, 446.0, 447.0, 448.0))
+edge_sizes = st.floats(0.0, 1000.0) | st.sampled_from((0.0, 4.0, 448.0))
+
+
 def clamp_case(case):
     u, v, w, h, width, height, fu, fv, fw, fh, image_scale = case
     cam = CameraModel(image_width=width, image_height=height)
@@ -251,6 +256,19 @@ class TestInsideImage:
     )
     def test_edges(self, box, inside):
         assert inside_image(box, CAM) is inside
+
+    @settings(deadline=None)
+    @given(
+        st.lists(st.tuples(edge_coords, edge_coords, edge_sizes, edge_sizes), max_size=20),
+        st.sampled_from((CAM, CameraModel(image_width=188.1, image_height=100.0))),
+    )
+    @example([(446.0, 224.0, 4.0, 4.0), (447.0, 224.0, 4.0, 4.0), (224.0, 1.0, 4.0, 4.0)], CAM)
+    def test_columns_match_each_box(self, boxes, cam):
+        # replay checks a whole log at once on its u, v, w, h columns
+        columns = np.array(boxes, dtype=np.float64).reshape(-1, 4).T
+        inside = inside_image(tuple(columns), cam)
+        assert inside.dtype == bool
+        assert inside.tolist() == [inside_image(BoundingBox(*box), cam) for box in boxes]
 
 
 class TestValidation:

@@ -6,23 +6,30 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padland import harness
-from padland.experts import LOG_FIELDS, LOG_STRIDE, ExpertId, ExpertProfile
-from padland.geometry import VehicleState
+from padland.experts import ABSENT, LOG_FIELDS, LOG_STRIDE, ExpertId, ExpertProfile
+from padland.gating import GateState
+from padland.geometry import CameraModel, VehicleState
 from padland.harness import (
     RECORD_COLUMNS,
+    REPLAY_COLUMNS,
     TRAJECTORY_COLUMNS,
     Mode,
     Scenario,
     TerminationReason,
     TrialConfig,
     TrialResult,
+    perceive,
+    replay_log,
     run_campaign,
     run_trial,
     sample_initial,
 )
 from padland.reporting import write_campaign_outputs
+from padland.servo import ControllerGains
 
 COL = {name: i for i, name in enumerate(RECORD_COLUMNS)}
 
@@ -229,6 +236,47 @@ class TestRunTrial:
         e_z = e_z[~np.isnan(e_z)].tolist()
         assert all(b <= a + 1e-9 for a, b in zip(e_z, e_z[1:]))
         assert e_z[-1] < e_z[0]
+
+
+class TestPerceive:
+    def test_no_box_gives_no_errors_and_the_hold_command(self):
+        gate = GateState()
+        sb, code, lost, err, cmd = perceive(
+            ABSENT[ExpertId.FAR], ABSENT[ExpertId.NEAR], gate, CameraModel(), ControllerGains()
+        )
+        assert (sb, code, lost, err, tuple(cmd)) == (None, 0.0, False, None, (0.0, 0.0, 0.0))
+        assert gate.coast_counter == 1
+
+
+class TestReplayLog:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(Mode),
+        x=st.floats(-95.0, -65.0),
+        y=st.floats(60.0, 90.0),
+        z=st.sampled_from((70.0, 90.0, 110.0)),
+        window_size=st.integers(1, 8),
+        coast_limit=st.integers(0, 15),
+    )
+    # near_only loses tracking from 110 m (see test_near_only_loses_tracking_at_110m)
+    @example(seed=0, mode=Mode.NEAR_ONLY, x=-86.0, y=80.0, z=110.0, window_size=5, coast_limit=10)
+    def test_replay_reproduces_the_trial(self, seed, mode, x, y, z, window_size, coast_limit):
+        scenario = Scenario(window_size=window_size, coast_limit=coast_limit)
+        run = run_trial(VehicleState(x, y, z), mode, scenario, TrialConfig(), *rngs(seed))
+        replay = replay_log(run.frames[:, :LOG_STRIDE], scenario)
+        col = {name: replay[:, i] for i, name in enumerate(REPLAY_COLUMNS)}
+        steps = run.result.steps
+        assert replay.shape == (steps, len(REPLAY_COLUMNS))
+        assert col["frame"].tolist() == list(range(steps))
+        for name in ("selected", "u_hat", "v_hat", "e_x", "e_y", "A", "e_z"):
+            assert col[name].tobytes() == run.frames[:, COL[name]].tobytes(), name
+        # the trajectory has no w_hat, h_hat; its A is their product
+        assert np.array_equal(col["w_hat"] * col["h_hat"], col["A"], equal_nan=True)
+        lost = np.zeros(steps)
+        if run.result.termination_reason is TerminationReason.TRACKING_LOST:
+            lost[-1] = 1.0
+        assert col["tracking_lost"].tobytes() == lost.tobytes()
 
 
 class TestCampaign:
