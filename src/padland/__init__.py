@@ -13,7 +13,6 @@ from .experts import (
     detect,
     detection_probability,
     noise_rows,
-    replay_detect,
 )
 from .gating import GateOutput, GateState, l1_center_distance, select_expert
 from .geometry import (
@@ -30,18 +29,19 @@ from .harness import (
     SELECTION_LABELS,
     TRAJECTORY_COLUMNS,
     CampaignResult,
+    DetectionLogError,
     Mode,
     Scenario,
     TerminationReason,
     TrialConfig,
     TrialResult,
     TrialRun,
+    replay_detect,
     run_campaign,
     run_trial,
     sample_initial,
 )
 from .reporting import (
-    DetectionLogError,
     campaign_summary,
     read_detection_log,
     write_campaign_outputs,

@@ -16,17 +16,9 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, build_campaign, default_config, load_config
-from .experts import LOG_FIELDS, replay_detect
-from .geometry import inside_image
-from .harness import replay_log, run_campaign
-from .reporting import (
-    DetectionLogError,
-    read_detection_log,
-    rebuild_results,
-    write_campaign_outputs,
-    write_replay_csv,
-)
-from .stats import compare_modes, format_comparison_table
+from .harness import DetectionLogError, replay_log, run_campaign
+from .reporting import read_comparison, read_detection_log, write_campaign_outputs, write_replay_csv
+from .stats import format_comparison_table
 
 # unused here, but bench/spans.py wraps both names on this module
 from .gating import select_expert
@@ -62,38 +54,16 @@ def cmd_run(args) -> int:
 
 def cmd_replay(args) -> int:
     scenario = build_campaign(load_config(args.config)).scenario
-    log = read_detection_log(args.log)
-    # padland's own detections are clamped to the image, so a present box
-    # outside it was not recorded with this camera
-    cam = scenario.camera
-    u, v, w, h, _, present = log.reshape(-1, 2, LOG_FIELDS).transpose(2, 0, 1)
-    bad = (present == 1.0) & ~inside_image((u, v, w, h), cam)  # (frames, FAR then NEAR)
-    if bad.any():
-        frame, expert = divmod(int(bad.argmax()), 2)  # the first in frame order
-        det = replay_detect(log, frame)[expert]
-        raise DetectionLogError(
-            f"frame {frame}: {det.expert_id.value} {det.box} does not lie inside "
-            f"the {cam.image_width} x {cam.image_height} camera image"
-        )
-
+    replayed = replay_log(read_detection_log(args.log), scenario)
     out_path = Path(args.out) / "replay.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_replay_csv(replay_log(log, scenario), out_path)
-    print(f"replayed {len(log)} frames -> {out_path}")
+    write_replay_csv(replayed, out_path)
+    print(f"replayed {len(replayed)} frames -> {out_path}")
     return 0
 
 
 def cmd_report(args) -> int:
-    path = Path(args.summary)
-    if not path.exists():
-        raise ConfigError(f"summary file not found: {path}")
-    try:
-        comparison = compare_modes(rebuild_results(json.loads(path.read_text())))
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:  # not JSON, or not a summary's shape
-        raise ConfigError(f"{path}: not a padland summary ({type(exc).__name__}: {exc})") from None
-    print(format_comparison_table(comparison))
+    print(format_comparison_table(read_comparison(args.summary)))
     return 0
 
 

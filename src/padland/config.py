@@ -8,7 +8,8 @@ alone. A key the default document lacks is an error too, so a typo is
 never silently ignored. Two keys are converted when the objects are
 built: the expert distractor offset is configured in world meters
 (stored in pad-side units) and the descent target as the altitude
-``gains.z_ref`` (stored as the box area seen from it).
+``gains.z_ref`` (stored as the box area seen from it). ``read_text``
+reads every input file, config, detection log and summary alike.
 """
 
 from __future__ import annotations
@@ -239,12 +240,24 @@ def build_campaign(doc: dict) -> CampaignSpec:
     return _checked("trials", CampaignSpec, scenario=scenario, trials=trials, modes=modes)
 
 
-def load_config(path: str | Path) -> dict:
+def read_text(path: str | Path, what: str, error: type[ValueError] = ConfigError) -> str:
+    """The text of an input file; raises error naming the file as `what`
+    when it is missing, a directory or not text."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        return p.read_text()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {p}") from None
+    except IsADirectoryError:
+        raise error(f"{what} is a directory: {p}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{p}: not a text file ({exc})") from None
+
+
+def load_config(path: str | Path) -> dict:
+    text = read_text(path, "config file")
+    try:
+        doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

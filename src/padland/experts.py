@@ -1,13 +1,10 @@
-"""Synthetic scale-specialized detectors and replay of recorded detections.
+"""Synthetic scale-specialized detectors.
 
 Each expert is modeled as a stochastic detector whose per-frame detection
 probability follows a logistic curve over the pad's apparent width, with
 Gaussian center noise, multiplicative size noise, and (optionally) a
 distractor mode that locks onto a false pad-like target at a fixed world
-offset. A detection log's array (reporting writes and reads the file)
-holds each expert's raw output per frame, and replay_detect turns one of
-its rows back into Detections, so recorded detections replay through
-the rest of the pipeline verbatim.
+offset.
 """
 
 from __future__ import annotations
@@ -210,26 +207,3 @@ def detect(
         return ABSENT[profile.expert_id]
     return Detection(profile.expert_id, box, p_det)
 
-
-# A detection log's array (reporting owns the file format) holds one row
-# per frame: FAR's LOG_FIELDS, then NEAR's.
-LOG_FIELDS = 6  # u, v, w, h, confidence, present of one expert
-LOG_STRIDE = 2 * LOG_FIELDS  # FAR's fields, then NEAR's
-
-
-def _detection(expert: ExpertId, cells) -> Detection:
-    if not cells[5]:
-        return ABSENT[expert]
-    return Detection(expert_id=expert, box=BoundingBox(*cells[:4]), confidence=cells[4])
-
-
-def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detection]:
-    """Return the recorded (FAR, NEAR) detections for one frame, verbatim,
-    from a (frames, LOG_STRIDE) array as reporting.read_detection_log
-    returns it."""
-    if not 0 <= frame_index < len(log):
-        raise IndexError(
-            f"frame_index {frame_index} out of range (log has {len(log)} frames)"
-        )
-    row = log[frame_index, :LOG_STRIDE].tolist()
-    return _detection(ExpertId.FAR, row[:LOG_FIELDS]), _detection(ExpertId.NEAR, row[LOG_FIELDS:])

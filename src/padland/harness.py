@@ -17,13 +17,13 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
+from numbers import Integral, Real
 
 import numpy as np
 
 from .dynamics import DynamicsParams, step
 from .experts import (
     ABSENT,
-    LOG_FIELDS,
     Detection,
     ExpertId,
     ExpertProfile,
@@ -31,7 +31,6 @@ from .experts import (
     default_near_profile,
     detect,
     noise_rows,
-    replay_detect,
 )
 from .gating import GateState, select_expert
 from .geometry import (
@@ -40,6 +39,7 @@ from .geometry import (
     HelipadSpec,
     VehicleState,
     apparent_width,
+    inside_image,
     project_helipad,
 )
 from .servo import ControllerGains, ErrorSignals, VelocityCommand, compute_command, compute_errors
@@ -117,17 +117,17 @@ class TrialResult:
     expert_usage: dict[str, int]
 
     def __post_init__(self):
-        if not (math.isfinite(self.touchdown_error) and self.touchdown_error >= 0):
-            raise ValueError(
-                f"touchdown_error: must be finite and >= 0 (got {self.touchdown_error})"
-            )
+        error = self.touchdown_error  # read back from JSON, it may be a bool or a string
+        real = isinstance(error, Real) and type(error) is not bool
+        if not (real and math.isfinite(error) and error >= 0):
+            raise ValueError(f"touchdown_error: must be a finite number >= 0 (got {error!r})")
         if self.success is not (self.termination_reason is TerminationReason.LANDED):
             raise ValueError(
                 f"success: must be true exactly when termination_reason is landed "
                 f"(got {self.success}, {self.termination_reason.value})"
             )
-        if self.steps < 1:
-            raise ValueError(f"steps: must be >= 1 (got {self.steps})")
+        if type(self.steps) is bool or not (isinstance(self.steps, Integral) and self.steps >= 1):
+            raise ValueError(f"steps: must be an integer >= 1 (got {self.steps!r})")
         counts = self.expert_usage.values()
         if min(counts, default=0) < 0 or sum(counts) > self.steps:
             raise ValueError(
@@ -143,11 +143,14 @@ TRAJECTORY_HEADER = (
 TRAJECTORY_COLUMNS = tuple(TRAJECTORY_HEADER.split(","))
 # one frame's record: the detection log's fields (u, v, w, h, confidence,
 # present of FAR, then of NEAR), then the trajectory's own columns in
-# TRAJECTORY_HEADER order
+# TRAJECTORY_HEADER order. A detection log's array is the first LOG_STRIDE
+# columns: one row per frame (reporting owns the file format).
 _LOG_COLUMNS = tuple(
     "u_far,v_far,w_far,h_far,confidence_far,far_present,"
     "u_near,v_near,w_near,h_near,confidence_near,near_present".split(",")
 )
+LOG_STRIDE = len(_LOG_COLUMNS)  # FAR's fields, then NEAR's
+LOG_FIELDS = LOG_STRIDE // 2  # u, v, w, h, confidence, present of one expert
 RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS if c not in _LOG_COLUMNS)
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
@@ -311,11 +314,47 @@ def run_trial(
     return TrialRun(result=result, frames=records)
 
 
+class DetectionLogError(ValueError):
+    """Malformed detection log; the message names the offending line, frame or file."""
+
+
+def _detection(expert: ExpertId, cells) -> Detection:
+    if not cells[5]:
+        return ABSENT[expert]
+    return Detection(expert_id=expert, box=BoundingBox(*cells[:4]), confidence=cells[4])
+
+
+def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detection]:
+    """Return the recorded (FAR, NEAR) detections for one frame, verbatim,
+    from a (frames, LOG_STRIDE) array as reporting.read_detection_log
+    returns it."""
+    if not 0 <= frame_index < len(log):
+        raise IndexError(
+            f"frame_index {frame_index} out of range (log has {len(log)} frames)"
+        )
+    row = log[frame_index, :LOG_STRIDE].tolist()
+    return _detection(ExpertId.FAR, row[:LOG_FIELDS]), _detection(ExpertId.NEAR, row[LOG_FIELDS:])
+
+
 def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Feed a (frames, LOG_STRIDE) detection log through a fresh gate and
     the servo error computation, with no dynamics; returns one row of
-    REPLAY_COLUMNS per frame, blank cells (no smoothed box) as NaN."""
+    REPLAY_COLUMNS per frame, blank cells (no smoothed box) as NaN.
+
+    Raises DetectionLogError naming the first present box, in frame order
+    and FAR before NEAR, that does not lie inside the camera image:
+    padland's own detections are clamped to it, so such a box was not
+    recorded with this camera."""
     cam, gains = scenario.camera, scenario.gains
+    u, v, w, h, _, present = log[:, :LOG_STRIDE].reshape(-1, 2, LOG_FIELDS).transpose(2, 0, 1)
+    bad = (present != 0.0) & ~inside_image((u, v, w, h), cam)  # (frames, FAR then NEAR)
+    if bad.any():
+        frame, expert = divmod(int(bad.argmax()), 2)
+        det = replay_detect(log, frame)[expert]
+        raise DetectionLogError(
+            f"frame {frame}: {det.expert_id.value} {det.box} does not lie inside "
+            f"the {cam.image_width} x {cam.image_height} camera image"
+        )
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
     rows: list[float] = []
     record = rows.extend

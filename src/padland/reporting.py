@@ -1,6 +1,7 @@
 """Every file format padland writes or reads back: trajectory CSVs,
 detection logs (written, and read for replay), the replay CSV, summary
-JSON and the comparison table.
+JSON (written, and read back for `padland report`) and the comparison
+table.
 
 Floats are written via repr, so every file is a pure function of its
 inputs: the summary JSON sorts its keys, and trajectory paths inside it
@@ -20,8 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .experts import LOG_FIELDS, LOG_STRIDE, ExpertId
+from .config import ConfigError, read_text
+from .experts import ExpertId
 from .harness import (
+    LOG_FIELDS,
+    LOG_STRIDE,
     RECORD_COLUMNS,
     REPLAY_COLUMNS,
     REPLAY_HEADER,
@@ -29,6 +33,7 @@ from .harness import (
     TRAJECTORY_COLUMNS,
     TRAJECTORY_HEADER,
     CampaignResult,
+    DetectionLogError,
     Mode,
     TerminationReason,
     TrialResult,
@@ -93,10 +98,6 @@ def _write_trajectory(frames: np.ndarray, path: str | Path, positions: list[list
 LOG_HEADER = "frame,expert,u,v,w,h,confidence,present"
 
 
-class DetectionLogError(ValueError):
-    """Malformed detection log; the message names the offending line, frame or file."""
-
-
 def _expert_records(
     expert: ExpertId, positions: list[list[str]], columns: list[list[float]]
 ) -> list[str]:
@@ -131,16 +132,11 @@ def _write_log(frames: np.ndarray, path: str | Path, positions: list[list[str]])
 
 def read_detection_log(path: str | Path) -> np.ndarray:
     """Parse a detection log file into a (frames, LOG_STRIDE) float64 array;
-    raises DetectionLogError naming the file if it is missing or not text,
-    else the first offending line. Records may come in any order and blank
-    lines are skipped; every frame from 0 to the last needs one record of
-    each expert."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except FileNotFoundError:
-        raise DetectionLogError(f"detection log not found: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise DetectionLogError(f"{path}: not a text file ({exc})") from None
+    raises DetectionLogError naming the file if it is missing, a directory
+    or not text, else the first offending line. Records may come in any
+    order and blank lines are skipped; every frame from 0 to the last needs
+    one record of each expert."""
+    lines = read_text(path, "detection log", DetectionLogError).splitlines()
     if not lines or lines[0].strip() != LOG_HEADER:
         raise DetectionLogError("line 1: missing or malformed header")
     log = _read_writer_layout(lines[1:])
@@ -326,3 +322,17 @@ def rebuild_results(summary: dict) -> dict[Mode, list[TrialResult]]:
         Mode(mode_name): [_trial_result(t) for t in block["trials"]]
         for mode_name, block in summary["modes"].items()
     }
+
+
+def read_comparison(path: str | Path) -> ModeComparison:
+    """Compare the modes of a summary.json read back; raises ConfigError
+    naming the file if it is missing, a directory, not text, not JSON or
+    not a padland summary."""
+    path = Path(path)
+    text = read_text(path, "summary file")
+    try:
+        return compare_modes(rebuild_results(json.loads(text)))
+    except KeyError as exc:
+        raise ConfigError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:  # not JSON, or not a summary's shape
+        raise ConfigError(f"{path}: not a padland summary ({type(exc).__name__}: {exc})") from None

@@ -23,10 +23,10 @@ from padland.harness import (
     Scenario,
     TerminationReason,
     TrialConfig,
+    replay_detect,
     run_campaign,
     run_trial,
 )
-from padland.experts import replay_detect
 from padland.geometry import HelipadSpec
 from padland.reporting import read_detection_log, write_campaign_outputs, write_detection_log
 from padland.stats import compare_modes, wilcoxon_signed_rank

@@ -12,8 +12,7 @@ import pytest
 from padland import cli
 from padland.cli import main
 from padland.config import CampaignSpec, ConfigError, build_campaign, default_config, load_config
-from padland.experts import LOG_FIELDS, LOG_STRIDE
-from padland.harness import Mode, Scenario, TrialConfig
+from padland.harness import LOG_FIELDS, LOG_STRIDE, Mode, Scenario, TrialConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 INSIDE = "210.0,230.5,24.0,24.0,0.81,1"  # a present detection inside the default image
@@ -494,8 +493,12 @@ class TestCliReport:
             ("touchdown_error", math.inf),
             ("touchdown_error", -5.0),
             ("success", False),  # the trial landed
+            ("touchdown_error", True),
+            ("steps", 2.5),
         ],
-        ids=["nan", "inf", "negative", "success-contradicts-reason"],
+        ids=[
+            "nan", "inf", "negative", "success-contradicts-reason", "bool-error", "fractional-steps"
+        ],
     )
     def test_out_of_range_trial_value_named(self, tmp_path, config_path, capsys, key, bad):
         out = tmp_path / "run"
@@ -512,6 +515,33 @@ class TestCliReport:
         assert str(path) in captured.err and f"{key}:" in captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("flag", ["--config", "--log", "--summary"])
+def test_unreadable_input_file_named(tmp_path, config_path, capsys, flag, kind):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe not text\n")
+    argv = {
+        "--config": ["validate-config", "--config", str(path)],
+        "--log": [
+            "replay", "--log", str(path), "--config", str(config_path), "--out", str(tmp_path / "o")
+        ],
+        "--summary": ["report", "--summary", str(path)],
+    }[flag]
+    named = {
+        "missing": f"not found: {path}\n",
+        "directory": f"is a directory: {path}\n",
+        "not-utf8": f"error: {path}: not a text file",
+    }[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 class TestCliInitConfig:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from padland import harness, reporting
 from padland.experts import (
-    LOG_STRIDE,
     NOISE_CHUNK,
     Detection,
     ExpertId,
@@ -18,9 +17,9 @@ from padland.experts import (
     detect,
     detection_probability,
     noise_rows,
-    replay_detect,
 )
 from padland.geometry import BoundingBox, CameraModel, VehicleState
+from padland.harness import LOG_STRIDE, replay_detect
 from padland.reporting import (
     LOG_HEADER,
     DetectionLogError,

@@ -3,6 +3,7 @@ import gc
 import math
 import multiprocessing
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padland import harness
-from padland.experts import ABSENT, LOG_FIELDS, LOG_STRIDE, ExpertId, ExpertProfile
+from padland.experts import ABSENT, ExpertId, ExpertProfile
 from padland.gating import GateState
 from padland.geometry import CameraModel, VehicleState
 from padland.harness import (
+    LOG_FIELDS,
+    LOG_STRIDE,
     RECORD_COLUMNS,
     REPLAY_COLUMNS,
     TRAJECTORY_COLUMNS,
+    DetectionLogError,
     Mode,
     Scenario,
     TerminationReason,
@@ -249,6 +253,9 @@ class TestPerceive:
 
 
 class TestReplayLog:
+    INSIDE = (210.0, 230.5, 24.0, 24.0, 0.81, 1.0)  # a present box inside the default image
+    OUTSIDE = (447.0, 224.0, 4.0, 4.0, 0.5, 1.0)  # one pixel past its right edge
+
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -277,6 +284,36 @@ class TestReplayLog:
         if run.result.termination_reason is TerminationReason.TRACKING_LOST:
             lost[-1] = 1.0
         assert col["tracking_lost"].tobytes() == lost.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad, named",
+        [
+            ({(3, 1)}, "frame 3: NEAR"),
+            ({(1, 1), (2, 0)}, "frame 1: NEAR"),
+            ({(2, 0), (2, 1)}, "frame 2: FAR"),
+        ],
+        ids=["first-at-frame-3", "earlier-frame-first", "far-before-near"],
+    )
+    def test_first_box_outside_image_named(self, bad, named):
+        # (frame, expert) cells, expert 0 FAR and 1 NEAR
+        log = np.array([
+            [x for expert in (0, 1) for x in (self.OUTSIDE if (frame, expert) in bad else self.INSIDE)]
+            for frame in range(5)
+        ])
+        message = (
+            f"{named} BoundingBox(u=447.0, v=224.0, w=4.0, h=4.0) does not lie inside "
+            "the 448.0 x 448.0 camera image"
+        )
+        with pytest.raises(DetectionLogError, match=f"^{re.escape(message)}$"):
+            replay_log(log, Scenario())
+
+    def test_absent_cells_outside_image_never_flagged(self):
+        log = np.zeros((3, LOG_STRIDE))
+        log[:, :LOG_FIELDS] = (-5000.0, 1e9, 5.0, 5.0, 0.5, 0.0)  # FAR absent
+        log[:, LOG_FIELDS:] = self.OUTSIDE[:5] + (0.0,)  # NEAR absent
+        log[1, LOG_FIELDS:] = self.INSIDE  # NEAR present
+        replay = replay_log(log, Scenario())
+        assert replay[:, REPLAY_COLUMNS.index("selected")].tolist() == [0.0, 2.0, 0.0]
 
 
 class TestCampaign:
@@ -453,9 +490,13 @@ class TestTrialResultRules:
             ({"touchdown_error": math.nan}, "touchdown_error"),
             ({"touchdown_error": math.inf}, "touchdown_error"),
             ({"touchdown_error": -5.0}, "touchdown_error"),
+            ({"touchdown_error": True}, "touchdown_error"),
+            ({"touchdown_error": "0.5"}, "touchdown_error"),
             ({"success": False}, "success"),
             ({"termination_reason": TerminationReason.TIMEOUT}, "success"),
             ({"steps": 0, "expert_usage": {"FAR": 0, "NEAR": 0}}, "steps"),
+            ({"steps": 10.5}, "steps"),
+            ({"steps": True, "expert_usage": {"FAR": 1, "NEAR": 0}}, "steps"),
             ({"expert_usage": {"FAR": -1, "NEAR": 3}}, "expert_usage"),
             ({"expert_usage": {"FAR": 6, "NEAR": 5}}, "expert_usage"),  # 11 of 10 frames
         ],
