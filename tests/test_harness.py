@@ -490,17 +490,26 @@ class TestTrialResultRules:
             ({"touchdown_error": math.nan}, "touchdown_error"),
             ({"touchdown_error": math.inf}, "touchdown_error"),
             ({"touchdown_error": -5.0}, "touchdown_error"),
-            ({"touchdown_error": True}, "touchdown_error"),
-            ({"touchdown_error": "0.5"}, "touchdown_error"),
             ({"success": False}, "success"),
             ({"termination_reason": TerminationReason.TIMEOUT}, "success"),
             ({"steps": 0, "expert_usage": {"FAR": 0, "NEAR": 0}}, "steps"),
-            ({"steps": 10.5}, "steps"),
-            ({"steps": True, "expert_usage": {"FAR": 1, "NEAR": 0}}, "steps"),
             ({"expert_usage": {"FAR": -1, "NEAR": 3}}, "expert_usage"),
             ({"expert_usage": {"FAR": 6, "NEAR": 5}}, "expert_usage"),  # 11 of 10 frames
         ],
     )
     def test_out_of_range_rejected_by_name(self, changes, key):
+        with pytest.raises(ValueError, match=key):
+            self.result(**changes)
+
+    @pytest.mark.parametrize(
+        "changes, key",
+        [
+            ({"touchdown_error": True}, "touchdown_error"),
+            ({"touchdown_error": "0.5"}, "touchdown_error"),
+            ({"steps": 10.5}, "steps"),
+            ({"steps": True, "expert_usage": {"FAR": 1, "NEAR": 0}}, "steps"),
+        ],
+    )
+    def test_wrong_type_rejected_by_name(self, changes, key):
         with pytest.raises(ValueError, match=key):
             self.result(**changes)
