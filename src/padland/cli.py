@@ -97,7 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None, help="override trials.seed")
     p_run.add_argument("--modes", default=None, help="comma-separated mode list")
     p_run.add_argument("--trials", type=int, default=None, help="override trials.n_trials")
-    p_run.add_argument("--workers", type=int, default=1, help="parallel trial workers (>= 1)")
+    p_run.add_argument(
+        "--workers", type=int, default=1,
+        help="processes that run and write trials, this one included (>= 1)",
+    )
     p_run.set_defaults(func=cmd_run)
 
     p_replay = sub.add_parser("replay", help="replay a detection log through the gate")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import sys
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
@@ -117,23 +118,47 @@ class TrialResult:
     expert_usage: dict[str, int]
 
     def __post_init__(self):
-        error = self.touchdown_error  # read back from JSON, it may be a bool or a string
-        real = isinstance(error, Real) and type(error) is not bool
-        if not (real and math.isfinite(error) and error >= 0):
+        # read back from JSON, any field may hold a bool, a string or null
+        if not (_is_integer(self.trial_id) and self.trial_id >= 0):
+            raise ValueError(f"trial_id: must be an integer >= 0 (got {self.trial_id!r})")
+        for name, size in (("initial_position", 3), ("touchdown_xy", 2)):
+            point = getattr(self, name)
+            shaped = isinstance(point, tuple) and len(point) == size
+            if not (shaped and all(map(_is_finite, point))):
+                raise ValueError(f"{name}: must be {size} finite numbers (got {point!r})")
+        error = self.touchdown_error
+        if not (_is_finite(error) and error >= 0):
             raise ValueError(f"touchdown_error: must be a finite number >= 0 (got {error!r})")
         if self.success is not (self.termination_reason is TerminationReason.LANDED):
             raise ValueError(
                 f"success: must be true exactly when termination_reason is landed "
                 f"(got {self.success}, {self.termination_reason.value})"
             )
-        if type(self.steps) is bool or not (isinstance(self.steps, Integral) and self.steps >= 1):
+        if not (_is_integer(self.steps) and self.steps >= 1):
             raise ValueError(f"steps: must be an integer >= 1 (got {self.steps!r})")
-        counts = self.expert_usage.values()
-        if min(counts, default=0) < 0 or sum(counts) > self.steps:
+        usage = self.expert_usage
+        if set(usage) != set(filter(None, SELECTION_LABELS)):
             raise ValueError(
-                f"expert_usage: counts must be >= 0 and sum to at most steps "
-                f"(got {self.expert_usage}, steps {self.steps})"
+                f"expert_usage: keys must be {', '.join(filter(None, SELECTION_LABELS))} "
+                f"(got {', '.join(map(repr, usage))})"
             )
+        counts = usage.values()
+        if not all(_is_integer(c) and c >= 0 for c in counts) or sum(counts) > self.steps:
+            raise ValueError(
+                f"expert_usage: counts must be integers >= 0 that sum to at most steps "
+                f"(got {usage}, steps {self.steps})"
+            )
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, Integral) and type(x) is not bool
+
+
+def _is_finite(x) -> bool:
+    try:
+        return isinstance(x, Real) and type(x) is not bool and math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 TRAJECTORY_HEADER = (
@@ -388,12 +413,47 @@ class CampaignResult:
         return [run.result for run in self.runs[mode]]
 
     def map(self, fn, *iterables):
-        """fn over iterables on the campaign's workers, all submitted at
-        once, or lazily in this process when it ran without workers. The
-        results come in order, and reading them raises fn's first error."""
+        """fn over iterables: as a list, shared between the campaign's
+        workers and this process (see _shared_map), when it has workers; as
+        a lazy map in this process otherwise. The results come in order,
+        and fn's first error in that order is raised."""
         if self._pool is None:
             return map(fn, *iterables)
-        return self._pool.map(fn, *iterables)
+        return _shared_map(self._pool, fn, *iterables)
+
+
+# While this process runs its own share of a pool's calls, the pool's
+# result and feeder threads need the GIL for each 64 KB pipe read or write
+# of a call's arguments or result. At the default 5 ms switch interval each
+# one waits that long behind this process's computing, and the worker at the
+# other end of the pipe blocks meanwhile; a 230 KB TrialRun takes four reads.
+_SHARED_SWITCH_INTERVAL = 1e-4
+
+
+def _shared_map(pool: concurrent.futures.Executor, fn, *iterables) -> list:
+    """fn over iterables on pool's workers and in this process at once.
+
+    Every call is submitted; then this process runs calls from the back,
+    each one it can still cancel from the pool. The pool hands calls to its
+    workers in submission order, so at the first call it has claimed, every
+    earlier one is claimed too. Returns the results in order and raises the
+    first error in that order."""
+    calls = list(zip(*iterables))
+    futures = [pool.submit(fn, *args) for args in calls]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(min(interval, _SHARED_SWITCH_INTERVAL))
+    try:
+        for i in reversed(range(len(calls))):
+            if not futures[i].cancel():
+                break
+            futures[i] = done = concurrent.futures.Future()
+            try:
+                done.set_result(fn(*calls[i]))
+            except Exception as exc:
+                done.set_exception(exc)
+    finally:
+        sys.setswitchinterval(interval)
+    return [f.result() for f in futures]
 
 
 def check_modes(modes) -> None:
@@ -429,10 +489,12 @@ def run_campaign(
     All modes receive identical initial states, and each (trial, expert)
     pair owns a seed stream derived once from the campaign seed, so the
     comparison is paired with common random numbers. Trials are
-    independent; with n_workers > 1 they run in a process pool of at most
-    one worker per task and per usable CPU, and are reassembled in trial
-    order, giving output identical to a serial run. The pool stays with
-    the returned campaign (CampaignResult.map) until it is dropped.
+    independent. n_workers counts this process: capped at one per task and
+    per usable CPU, n_workers > 1 starts a process pool of n_workers - 1,
+    and this process runs trials alongside it (_shared_map). The trials
+    are reassembled in trial order, giving output identical to a serial
+    run. The pool stays with the returned campaign (CampaignResult.map)
+    until it is dropped.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
@@ -456,9 +518,9 @@ def run_campaign(
     n_workers = min(n_workers, len(tasks), cpus or 1)
     pool = None
     if n_workers > 1:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers)
+        pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers - 1)
         try:
-            finished = list(pool.map(_trial_task, tasks))
+            finished = _shared_map(pool, _trial_task, tasks)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise

@@ -277,9 +277,10 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
 
     Layout: trajectories/trial_###_<mode>.csv, detections/trial_###_<mode>.csv,
     summary.json, comparison.txt. Each trial's two CSVs are written by
-    write_trial_csvs through campaign.map: on the campaign's worker
-    processes when it has them, in this process otherwise. Returns after
-    every file is written, and raises the first error a write hit.
+    write_trial_csvs through campaign.map: shared between the campaign's
+    worker processes and this one when it has workers, in this process
+    otherwise. Returns after every file is written, and raises the first
+    error a write hit.
     """
     out = Path(out_dir)
     traj_dir = out / "trajectories"
@@ -289,7 +290,7 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
 
     runs = [(run.frames, _log_name(run.result.trial_id, mode))
             for mode, mode_runs in campaign.runs.items() for run in mode_runs]
-    # on the campaign's workers, if it has any, while this process builds the summary
+    # with workers, every CSV is written when map returns; without, the loop below writes them
     written = campaign.map(
         write_trial_csvs,
         [frames for frames, _ in runs],

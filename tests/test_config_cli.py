@@ -495,9 +495,14 @@ class TestCliReport:
             ("success", False),  # the trial landed
             ("touchdown_error", True),
             ("steps", 2.5),
+            ("expert_usage", {"FAR": 1.5, "NEAR": 0}),
+            ("expert_usage", {"FAR": 0, "NEAR": 0, "BOGUS": 0}),
+            ("trial_id", "x"),
+            ("touchdown_xy", [None, 1.0]),
         ],
         ids=[
-            "nan", "inf", "negative", "success-contradicts-reason", "bool-error", "fractional-steps"
+            "nan", "inf", "negative", "success-contradicts-reason", "bool-error", "fractional-steps",
+            "fractional-usage", "extra-usage-key", "string-trial-id", "null-touchdown",
         ],
     )
     def test_out_of_range_trial_value_named(self, tmp_path, config_path, capsys, key, bad):

@@ -1,9 +1,12 @@
 import concurrent.futures
+import functools
 import gc
 import math
 import multiprocessing
+import os
 import pickle
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -45,16 +48,16 @@ IDEAL = Scenario(
 
 @pytest.fixture
 def recording_pool(monkeypatch) -> list[int]:
-    """Replace the process pool by one that runs its tasks in this
-    process; returns the max_workers of each pool made."""
+    """Replace the process pool by one whose calls all stay pending, so
+    this process runs every one; returns the max_workers of each pool made."""
     sizes = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def submit(self, fn, *args):
+            return Unclaimed()
 
         def shutdown(self, wait=True, *, cancel_futures=False):
             pass
@@ -376,21 +379,21 @@ class TestCampaign:
     def test_pool_has_at_most_one_worker_per_task(self, recording_pool, monkeypatch):
         usable_cpus(monkeypatch, 8)
         run_campaign(Scenario(), TrialConfig(n_trials=1, max_steps=20), n_workers=6)
-        assert recording_pool == [3]  # one trial in each of three modes
+        assert recording_pool == [2]  # three tasks, one trial per mode: two workers and this process
 
-    @pytest.mark.parametrize("cpus, sizes", [(2, [2]), (1, [])])
+    @pytest.mark.parametrize("cpus, sizes", [(2, [1]), (1, [])])
     def test_pool_has_at_most_one_worker_per_usable_cpu(
         self, recording_pool, monkeypatch, cpus, sizes
     ):
         usable_cpus(monkeypatch, cpus)
         run_campaign(Scenario(), TrialConfig(n_trials=4, max_steps=20), n_workers=300)
-        assert recording_pool == sizes  # on one CPU, no pool at all
+        assert recording_pool == sizes  # this process is one; on one CPU, no pool at all
 
     def test_run_and_write_share_one_pool(self, recording_pool, monkeypatch, tmp_path):
         usable_cpus(monkeypatch, 2)
         camp = run_campaign(Scenario(), TrialConfig(n_trials=2, max_steps=20), n_workers=2)
         write_campaign_outputs(camp, tmp_path)
-        assert recording_pool == [2]
+        assert recording_pool == [1]
         assert len(list((tmp_path / "detections").iterdir())) == 6
 
     def test_campaign_with_workers_pickles_without_them(self, monkeypatch, tmp_path):
@@ -405,7 +408,7 @@ class TestCampaign:
     def test_dropping_the_campaign_stops_its_workers(self, monkeypatch):
         usable_cpus(monkeypatch, 2)
         camp = run_campaign(Scenario(), TrialConfig(n_trials=1, max_steps=20), n_workers=2)
-        assert len(multiprocessing.active_children()) == 2  # held for writing
+        assert len(multiprocessing.active_children()) == 1  # held for writing
         # the campaign joins its workers when dropped, even while the
         # executor itself is still referenced (an executor that is only
         # collected stops its workers later, on another thread)
@@ -414,6 +417,13 @@ class TestCampaign:
         gc.collect()
         assert multiprocessing.active_children() == []
         del pool
+
+    @pytest.mark.parametrize("cpus, workers", [(2, 1), (1, 2)])
+    def test_serial_campaign_starts_no_process(self, monkeypatch, cpus, workers):
+        usable_cpus(monkeypatch, cpus)
+        camp = run_campaign(Scenario(), TrialConfig(n_trials=1, max_steps=20), n_workers=workers)
+        assert camp._pool is None
+        assert multiprocessing.active_children() == []
 
     def test_common_noise_streams_across_modes(self):
         # FAR reads the same rows of the same seed stream in FAR_ONLY and
@@ -439,6 +449,96 @@ class TestCampaign:
             for r in camp.results(mode):
                 assert isinstance(r.termination_reason, TerminationReason)
                 assert r.success == (r.termination_reason is TerminationReason.LANDED)
+
+
+class Unclaimed(concurrent.futures.Future):
+    """A call no worker will ever run: waiting for it fails the test
+    instead of hanging it."""
+
+    def result(self, timeout=None):
+        assert self.done(), "a call was left to a worker that never came"
+        return super().result(timeout)
+
+
+@pytest.fixture
+def switch_interval():
+    """Set an unusual switch interval for the test; returns it."""
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(0.0042)
+    yield sys.getswitchinterval()
+    sys.setswitchinterval(saved)
+
+
+class ClaimedPool:
+    """A pool whose workers have claimed calls 0 to claimed: their futures
+    hold the result already and can no longer be cancelled. Later calls
+    stay pending. A claimed call's result is fn's, or its error."""
+
+    def __init__(self, claimed: int):
+        self.claimed = claimed
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        future = Unclaimed()
+        if self.submitted <= self.claimed:
+            future.set_running_or_notify_cancel()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+        self.submitted += 1
+        return future
+
+
+class TestSharedMap:
+    @pytest.mark.parametrize("claimed", [-1, 0, 3, 7])
+    def test_this_process_runs_every_call_after_the_last_claimed(self, claimed, switch_interval):
+        ran = []
+
+        def square(x):
+            ran.append(x)
+            return x * x
+
+        out = harness._shared_map(ClaimedPool(claimed), square, range(8))
+        assert out == [x * x for x in range(8)]
+        # the pool's calls ran as they were submitted, then this process's from the back
+        assert ran == list(range(claimed + 1)) + list(range(7, claimed, -1))
+        assert sys.getswitchinterval() == switch_interval
+
+    def test_first_error_in_call_order_raised(self):
+        def check(x):
+            if x in (1, 5):
+                raise ValueError(f"call {x}")
+            return x
+
+        with pytest.raises(ValueError, match="call 1"):
+            harness._shared_map(ClaimedPool(2), check, range(8))  # 5 runs here
+        with pytest.raises(ValueError, match="call 5"):
+            harness._shared_map(ClaimedPool(0), check, [0, 3, 5, 7])
+
+    def test_real_pool_gives_the_serial_results(self, switch_interval):
+        bases, exponents = range(40), [3, 7] * 20
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            out = harness._shared_map(pool, pow, bases, exponents)
+        assert out == list(map(pow, bases, exponents))
+        assert sys.getswitchinterval() == switch_interval
+
+    def test_error_in_this_process_share_stops_the_campaign(self, monkeypatch, switch_interval):
+        usable_cpus(monkeypatch, 2)
+        here = os.getpid()
+        task = harness._trial_task
+
+        @functools.wraps(task)  # pickled by name, so workers run it too
+        def fail_here(args):
+            if os.getpid() == here:
+                raise RuntimeError("trial failed in the calling process")
+            return task(args)
+
+        monkeypatch.setattr(harness, "_trial_task", fail_here)
+        with pytest.raises(RuntimeError, match="calling process"):
+            run_campaign(Scenario(), TrialConfig(n_trials=4, max_steps=20), n_workers=2)
+        assert multiprocessing.active_children() == []
+        assert sys.getswitchinterval() == switch_interval
 
 
 class TestConfigValidation:
@@ -495,6 +595,11 @@ class TestTrialResultRules:
             ({"steps": 0, "expert_usage": {"FAR": 0, "NEAR": 0}}, "steps"),
             ({"expert_usage": {"FAR": -1, "NEAR": 3}}, "expert_usage"),
             ({"expert_usage": {"FAR": 6, "NEAR": 5}}, "expert_usage"),  # 11 of 10 frames
+            ({"trial_id": -3}, "trial_id"),
+            ({"expert_usage": {"FAR": 4, "NEAR": 3, "BOGUS": 0}}, "expert_usage"),
+            ({"expert_usage": {"FAR": 4}}, "expert_usage"),
+            ({"touchdown_xy": (-80.5, math.nan)}, "touchdown_xy"),
+            ({"initial_position": (-86.0, 80.0)}, "initial_position"),
         ],
     )
     def test_out_of_range_rejected_by_name(self, changes, key):
@@ -508,6 +613,15 @@ class TestTrialResultRules:
             ({"touchdown_error": "0.5"}, "touchdown_error"),
             ({"steps": 10.5}, "steps"),
             ({"steps": True, "expert_usage": {"FAR": 1, "NEAR": 0}}, "steps"),
+            ({"expert_usage": {"FAR": 1.5, "NEAR": 3}}, "expert_usage"),
+            ({"expert_usage": {"FAR": True, "NEAR": 3}}, "expert_usage"),
+            ({"trial_id": "x"}, "trial_id"),
+            ({"trial_id": 1.0}, "trial_id"),
+            ({"touchdown_xy": (None, 1.0)}, "touchdown_xy"),
+            ({"touchdown_xy": ("a", "b")}, "touchdown_xy"),
+            ({"touchdown_xy": [-80.5, 75.2]}, "touchdown_xy"),
+            ({"initial_position": (-86.0, 80.0, True)}, "initial_position"),
+            ({"touchdown_error": 10**400}, "touchdown_error"),
         ],
     )
     def test_wrong_type_rejected_by_name(self, changes, key):
