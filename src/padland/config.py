@@ -1,9 +1,10 @@
 """Campaign configuration: one JSON document covering every tunable.
 
-The defaults are the dataclass defaults, and each range rule lives in the
-dataclass that owns the field. This module parses types, applies the rules
-that span two objects, and prefixes every error with the dotted key (for
-example ``gains.k_xy``) so a bad config is diagnosable from the message
+The defaults are the dataclass defaults, each range rule lives in the
+dataclass that owns the field, and the rules that span two objects live
+in ``harness.check_campaign``. This module parses types, applies all of
+those rules, and prefixes every error with the dotted key (for example
+``gains.k_xy``) so a bad config is diagnosable from the message
 alone. A key the default document lacks is an error too, so a typo is
 never silently ignored. Two keys are converted when the objects are
 built: the expert distractor offset is configured in world meters
@@ -22,7 +23,7 @@ from pathlib import Path
 from .dynamics import DynamicsParams
 from .experts import ExpertId, ExpertProfile
 from .geometry import CameraModel, HelipadSpec
-from .harness import Mode, Scenario, TrialConfig, check_modes
+from .harness import Mode, Scenario, TrialConfig, check_campaign, check_modes
 from .servo import ControllerGains, area_ref_for_altitude
 
 
@@ -150,11 +151,12 @@ def _pair(doc: dict, path: str) -> tuple[float, float]:
 
 def _checked(section: str, make, *args, **kwargs):
     """make(*args, **kwargs), re-raising a range rule's ValueError (whose
-    message starts with the field name) as a ConfigError naming the key."""
+    message starts with the field name, or with the dotted key when section
+    is empty) as a ConfigError naming the key."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{section}.{exc}") from None
+        raise ConfigError(f"{section}.{exc}" if section else str(exc)) from None
 
 
 def _profile(doc: dict, key: str, expert_id: ExpertId, pad_side: float) -> ExpertProfile:
@@ -224,17 +226,7 @@ def build_campaign(doc: dict) -> CampaignSpec:
         max_steps=_integer(doc, "trials.max_steps"),
         commit_altitude=_number(doc, "trials.commit_altitude"),
     )
-    if z_ref >= trials.commit_altitude:
-        raise ConfigError(
-            f"gains.z_ref: must be below trials.commit_altitude (got {z_ref} >= "
-            f"{trials.commit_altitude}); the descent would stop at z_ref and every trial time out"
-        )
-    descent = min(trials.altitude_set) - trials.commit_altitude
-    if dynamics.dt * gains.k_z > descent / 20:  # at least 20 full-rate steps to commit
-        raise ConfigError(
-            f"dynamics.dt: dynamics.dt * gains.k_z ({dynamics.dt * gains.k_z} m per step) must "
-            f"be at most 1/20 of min(trials.altitude_set) - trials.commit_altitude ({descent} m)"
-        )
+    _checked("", check_campaign, scenario, trials)
 
     modes = tuple(_member(Mode, "trials.modes", name) for name in _get(doc, "trials.modes", list))
     return _checked("trials", CampaignSpec, scenario=scenario, trials=trials, modes=modes)

@@ -58,6 +58,11 @@ class TerminationReason(Enum):
     TIMEOUT = "timeout"
 
 
+# a campaign holds every trial's frames (~0.7 MB per trial over three
+# modes) until they are written
+MAX_TRIALS = 10_000
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     x_range: tuple[float, float] = (-95.0, -65.0)
@@ -77,9 +82,10 @@ class TrialConfig:
             raise ValueError(f"altitude_set: must be nonempty and > 0 (got {self.altitude_set})")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0 (got {self.seed})")
-        for name in ("n_trials", "max_steps"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be >= 1 (got {getattr(self, name)})")
+        if not 1 <= self.n_trials <= MAX_TRIALS:
+            raise ValueError(f"n_trials: must be between 1 and {MAX_TRIALS} (got {self.n_trials})")
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps: must be >= 1 (got {self.max_steps})")
         if not 0 < self.commit_altitude < min(self.altitude_set):
             raise ValueError(
                 f"commit_altitude: must be positive and below the lowest altitude_set entry "
@@ -412,13 +418,9 @@ class CampaignResult:
     def results(self, mode: Mode) -> list[TrialResult]:
         return [run.result for run in self.runs[mode]]
 
-    def map(self, fn, *iterables):
-        """fn over iterables: as a list, shared between the campaign's
-        workers and this process (see _shared_map), when it has workers; as
-        a lazy map in this process otherwise. The results come in order,
-        and fn's first error in that order is raised."""
-        if self._pool is None:
-            return map(fn, *iterables)
+    def map(self, fn, *iterables) -> list:
+        """fn over iterables, shared between the campaign's workers, if it
+        has any, and this process (see _shared_map)."""
         return _shared_map(self._pool, fn, *iterables)
 
 
@@ -430,21 +432,22 @@ class CampaignResult:
 _SHARED_SWITCH_INTERVAL = 1e-4
 
 
-def _shared_map(pool: concurrent.futures.Executor, fn, *iterables) -> list:
-    """fn over iterables on pool's workers and in this process at once.
+def _shared_map(pool: concurrent.futures.Executor | None, fn, *iterables) -> list:
+    """fn over iterables on pool's workers and in this process at once;
+    without a pool, in this process alone.
 
     Every call is submitted; then this process runs calls from the back,
     each one it can still cancel from the pool. The pool hands calls to its
     workers in submission order, so at the first call it has claimed, every
-    earlier one is claimed too. Returns the results in order and raises the
-    first error in that order."""
+    earlier one is claimed too. Every call runs; returns the results in
+    order and raises the first error in that order."""
     calls = list(zip(*iterables))
-    futures = [pool.submit(fn, *args) for args in calls]
+    futures = [None if pool is None else pool.submit(fn, *args) for args in calls]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(min(interval, _SHARED_SWITCH_INTERVAL))
     try:
         for i in reversed(range(len(calls))):
-            if not futures[i].cancel():
+            if futures[i] is not None and not futures[i].cancel():
                 break
             futures[i] = done = concurrent.futures.Future()
             try:
@@ -453,6 +456,7 @@ def _shared_map(pool: concurrent.futures.Executor, fn, *iterables) -> list:
                 done.set_exception(exc)
     finally:
         sys.setswitchinterval(interval)
+    concurrent.futures.wait(futures)  # every call ends before an error is raised
     return [f.result() for f in futures]
 
 
@@ -462,6 +466,30 @@ def check_modes(modes) -> None:
         raise ValueError(f"modes: each must be a Mode (got {list(modes)!r})")
     if not modes or len(set(modes)) != len(modes):
         raise ValueError(f"modes: must be nonempty and distinct (got {[m.value for m in modes]})")
+
+
+def check_campaign(scenario: Scenario, config: TrialConfig) -> None:
+    """Raise ValueError, naming the key, for the rules that span scenario
+    and config: the descent target gains.z_ref (the altitude from which
+    the pad's box has gains.area_ref) must lie below commit_altitude, and
+    one step at full descent rate, dynamics.dt * gains.k_z, must be at
+    most 1/20 of the shortest descent."""
+    cam, pad, gains = scenario.camera, scenario.helipad, scenario.gains
+    commit = config.commit_altitude
+    side = cam.focal_length * pad.side_length / commit  # as servo.area_ref_for_altitude
+    if gains.area_ref <= side * side:
+        z_ref = cam.focal_length * pad.side_length / math.sqrt(gains.area_ref)
+        raise ValueError(
+            f"gains.z_ref: must be below trials.commit_altitude (got {z_ref:.6g} >= {commit}); "
+            f"the descent would stop at z_ref and every trial time out"
+        )
+    descent = min(config.altitude_set) - commit
+    step_z = scenario.dynamics.dt * gains.k_z
+    if step_z > descent / 20:  # at least 20 full-rate steps to commit
+        raise ValueError(
+            f"dynamics.dt: dynamics.dt * gains.k_z ({step_z} m per step) must be at most "
+            f"1/20 of min(trials.altitude_set) - trials.commit_altitude ({descent} m)"
+        )
 
 
 def _trial_task(args) -> tuple[Mode, int, TrialRun]:
@@ -488,19 +516,22 @@ def run_campaign(
 
     All modes receive identical initial states, and each (trial, expert)
     pair owns a seed stream derived once from the campaign seed, so the
-    comparison is paired with common random numbers. Trials are
-    independent. n_workers counts this process: capped at one per task and
-    per usable CPU, n_workers > 1 starts a process pool of n_workers - 1,
-    and this process runs trials alongside it (_shared_map). The trials
-    are reassembled in trial order, giving output identical to a serial
-    run. The pool stays with the returned campaign (CampaignResult.map)
-    until it is dropped.
+    comparison is paired with common random numbers. Raises ValueError
+    naming the key before any trial runs if modes, or scenario and config
+    together (check_campaign), break a rule. Trials are independent.
+    n_workers counts this process: capped at one per task and per usable
+    CPU, n_workers > 1 starts a process pool of n_workers - 1, and this
+    process runs trials alongside it (_shared_map). The trials are
+    reassembled in trial order, giving output identical to a serial run.
+    The pool stays with the returned campaign (CampaignResult.map) until
+    it is dropped.
     """
     if n_workers < 1:
         raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
     if modes is None:
         modes = tuple(Mode)
     check_modes(modes)
+    check_campaign(scenario, config)
     n = config.n_trials
 
     root = np.random.SeedSequence(config.seed)
@@ -519,13 +550,12 @@ def run_campaign(
     pool = None
     if n_workers > 1:
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers - 1)
-        try:
-            finished = _shared_map(pool, _trial_task, tasks)
-        except BaseException:
+    try:
+        finished = _shared_map(pool, _trial_task, tasks)
+    except BaseException:
+        if pool is not None:
             pool.shutdown(cancel_futures=True)
-            raise
-    else:
-        finished = map(_trial_task, tasks)
+        raise
     runs = {mode: [None] * n for mode in modes}
     for mode, idx, run in finished:
         runs[mode][idx] = run

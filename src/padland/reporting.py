@@ -6,7 +6,8 @@ table.
 Floats are written via repr, so every file is a pure function of its
 inputs: the summary JSON sorts its keys, and trajectory paths inside it
 are relative to the output directory. The CSVs are formatted column by
-column, with one list of strings per column, then joined row by row.
+column, by name, into one list of strings per column (a trial's
+trajectory CSV and detection log share theirs), then joined row by row.
 A detection log in the writer's own layout is read back column by
 column too; any other log is read, or rejected, one line at a time.
 """
@@ -40,13 +41,8 @@ from .harness import (
 )
 from .stats import ModeComparison, PairedComparison, compare_modes, format_comparison_table
 
-# u and v of each expert: the detection-log columns the trajectory CSV
-# repeats, so a trial formats them once for both files
-POSITION_INDEX = (0, 1, LOG_FIELDS, LOG_FIELDS + 1)
-_POSITIONS = [RECORD_COLUMNS[i] for i in POSITION_INDEX]
-_TRAJECTORY_INDEX = [RECORD_COLUMNS.index(c) for c in TRAJECTORY_COLUMNS]
-# how a column of the trajectory or replay CSV is formatted, by name;
-# every other column is repr of each float
+# how a column of a CSV is formatted, by name; every other column is repr
+# of each float
 _INT_COLUMNS = frozenset(("step", "frame", "far_present", "near_present", "tracking_lost"))
 _BLANKABLE_COLUMNS = frozenset(("u_hat", "v_hat", "w_hat", "h_hat", "e_x", "e_y", "A", "e_z"))
 
@@ -61,6 +57,12 @@ def _format_column(name: str, values: list[float]) -> list[str]:
     return [repr(x) for x in values]
 
 
+def _format_columns(array: np.ndarray, names: tuple[str, ...]) -> dict[str, list[str]]:
+    """The first len(names) columns of a (rows, columns) array, each
+    formatted by its name, one column at a time."""
+    return {name: _format_column(name, array[:, i].tolist()) for i, name in enumerate(names)}
+
+
 def _write_rows(path: str | Path, header: str, columns: list[list[str]]) -> None:
     """Write a header line, then one line per row of the formatted columns."""
     lines = [header]
@@ -68,66 +70,38 @@ def _write_rows(path: str | Path, header: str, columns: list[list[str]]) -> None
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _positions(frames: np.ndarray) -> list[list[str]]:
-    """repr of each POSITION_INDEX column of a (frames, columns) record
-    array: the strings the detection log and the trajectory CSV share."""
-    return [list(map(repr, column)) for column in frames[:, POSITION_INDEX].T.tolist()]
-
-
-def write_trajectory_csv(frames: np.ndarray, path: str | Path) -> None:
-    """Write the TRAJECTORY_COLUMNS of a (frames, RECORD_COLUMNS) array,
-    formatted column by column (floats via repr: round-trippable and
-    byte-stable across identical runs; NaN blanks as empty cells;
-    `selected` as its label)."""
-    _write_trajectory(frames, path, _positions(frames))
-
-
-def _write_trajectory(frames: np.ndarray, path: str | Path, positions: list[list[str]]) -> None:
-    shared = dict(zip(_POSITIONS, positions))
-    columns = [
-        shared[name] if name in shared else _format_column(name, values)
-        for name, values in zip(TRAJECTORY_COLUMNS, frames[:, _TRAJECTORY_INDEX].T.tolist())
-    ]
-    _write_rows(path, TRAJECTORY_HEADER, columns)
-
-
 # Detection log: LOG_HEADER, then a record per expert per frame (present
-# 0 or 1, zeros in the numeric fields of an absent detection). The writer
+# 0 or 1, "0" in every other field of an absent detection). The writer
 # puts frame k's FAR record, then its NEAR record, for k = 0, 1, ...
 
 LOG_HEADER = "frame,expert,u,v,w,h,confidence,present"
 
 
-def _expert_records(
-    expert: ExpertId, positions: list[list[str]], columns: list[list[float]]
-) -> list[str]:
-    """One expert's records without the frame number, formatted column by
-    column: u and v from their formatted positions, w, h and confidence via
-    repr, "0" for every field of an absent detection."""
-    *values, present = columns
-    fields = [[x if p else "0" for x, p in zip(col, present)] for col in positions]
-    fields += [[repr(x) if p else "0" for x, p in zip(col, present)] for col in values]
-    flags = ["1" if p else "0" for p in present]
-    label = expert.value + ","
-    return [label + ",".join(cells) for cells in zip(*fields, flags)]
+def _expert_records(expert: ExpertId, columns: list[list[str]]) -> list[str]:
+    """One expert's records without the frame number, from its formatted
+    u, v, w, h, confidence and present columns."""
+    present = expert.value + ","
+    absent = present + ",".join(["0"] * LOG_FIELDS)
+    return [present + ",".join(cells) if cells[-1] == "1" else absent for cells in zip(*columns)]
+
+
+def _write_log(path: str | Path, columns: dict[str, list[str]]) -> None:
+    """Write a detection log from the formatted RECORD_COLUMNS of its log fields."""
+    names = RECORD_COLUMNS[:LOG_STRIDE]
+    far = _expert_records(ExpertId.FAR, [columns[name] for name in names[:LOG_FIELDS]])
+    near = _expert_records(ExpertId.NEAR, [columns[name] for name in names[LOG_FIELDS:]])
+    lines = [LOG_HEADER]
+    for frame, (f, n) in enumerate(zip(far, near)):
+        lines.append(f"{frame},{f}")
+        lines.append(f"{frame},{n}")
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_detection_log(frames: np.ndarray, path: str | Path) -> None:
     """Write the first LOG_STRIDE columns of a (frames, columns) record
     array as a detection log (floats via repr, so a write/read round trip
     is value-exact)."""
-    _write_log(frames, path, _positions(frames))
-
-
-def _write_log(frames: np.ndarray, path: str | Path, positions: list[list[str]]) -> None:
-    columns = frames[:, :LOG_STRIDE].T.tolist()
-    far = _expert_records(ExpertId.FAR, positions[:2], columns[2:LOG_FIELDS])
-    near = _expert_records(ExpertId.NEAR, positions[2:], columns[LOG_FIELDS + 2 :])
-    lines = [LOG_HEADER]
-    for frame, (f, n) in enumerate(zip(far, near)):
-        lines.append(f"{frame},{f}")
-        lines.append(f"{frame},{n}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_log(path, _format_columns(frames, RECORD_COLUMNS[:LOG_STRIDE]))
 
 
 def read_detection_log(path: str | Path) -> np.ndarray:
@@ -218,18 +192,20 @@ def _read_records(records: list[str]) -> np.ndarray:
 
 def write_trial_csvs(frames: np.ndarray, trajectory_path: str | Path, log_path: str | Path) -> None:
     """Write one trial's trajectory CSV and detection log from its
-    (frames, RECORD_COLUMNS) array, formatting the shared u, v columns once."""
-    positions = _positions(frames)
-    _write_trajectory(frames, trajectory_path, positions)
-    _write_log(frames, log_path, positions)
+    (frames, RECORD_COLUMNS) array, formatting each column once for both
+    files (floats via repr: round-trippable and byte-stable across
+    identical runs; NaN blanks as empty cells; `selected` as its label)."""
+    columns = _format_columns(frames, RECORD_COLUMNS)
+    trajectory = [columns[name] for name in TRAJECTORY_COLUMNS]
+    _write_rows(trajectory_path, TRAJECTORY_HEADER, trajectory)
+    _write_log(log_path, columns)
 
 
 def write_replay_csv(records: np.ndarray, path: str | Path) -> None:
     """Write a (frames, REPLAY_COLUMNS) float array as the replay CSV:
     `frame` and `tracking_lost` as integers, `selected` as its label in
     SELECTION_LABELS, NaN as an empty cell, every other float via repr."""
-    columns = records.T.tolist()
-    _write_rows(path, REPLAY_HEADER, list(map(_format_column, REPLAY_COLUMNS, columns)))
+    _write_rows(path, REPLAY_HEADER, list(_format_columns(records, REPLAY_COLUMNS).values()))
 
 
 def _log_name(trial_id: int, mode: Mode) -> str:
@@ -277,10 +253,10 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
 
     Layout: trajectories/trial_###_<mode>.csv, detections/trial_###_<mode>.csv,
     summary.json, comparison.txt. Each trial's two CSVs are written by
-    write_trial_csvs through campaign.map: shared between the campaign's
-    worker processes and this one when it has workers, in this process
-    otherwise. Returns after every file is written, and raises the first
-    error a write hit.
+    write_trial_csvs through campaign.map, shared between the campaign's
+    worker processes, if it has any, and this one. Every trial's write
+    runs; the first error among them is raised before summary.json and
+    comparison.txt are written.
     """
     out = Path(out_dir)
     traj_dir = out / "trajectories"
@@ -290,8 +266,7 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
 
     runs = [(run.frames, _log_name(run.result.trial_id, mode))
             for mode, mode_runs in campaign.runs.items() for run in mode_runs]
-    # with workers, every CSV is written when map returns; without, the loop below writes them
-    written = campaign.map(
+    campaign.map(
         write_trial_csvs,
         [frames for frames, _ in runs],
         [traj_dir / name for _, name in runs],
@@ -304,8 +279,6 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
         json.dumps(summary, sort_keys=True, indent=2) + "\n"
     )
     (out / "comparison.txt").write_text(format_comparison_table(comparison) + "\n")
-    for _ in written:  # wait for every trial's CSVs; raises the first error
-        pass
     return summary
 
 

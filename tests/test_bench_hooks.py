@@ -73,6 +73,8 @@ def test_benchmark_hooks_record_spans(tmp_path):
     assert campaign["gating.select_expert"] == campaign["geometry.project_helipad"] == steps
     assert campaign["servo.compute_errors"] == campaign["servo.compute_command"]
     assert campaign["experts.detect"] == 2 * campaign["geometry.apparent_width"]
-    # replay goes through the wrappers installed on padland.cli
+    # replay reads the log through the wrapper on padland.cli, and calls
+    # select_expert and compute_errors through harness.perceive, so the
+    # wrappers on padland.harness count those two
     for name in ("gating.select_expert", "servo.compute_errors", "experts.read_detection_log"):
         assert total[name] > campaign.get(name, 0), name

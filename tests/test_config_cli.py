@@ -161,6 +161,18 @@ class TestCliRun:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trials_above_bound_rejected(self, tmp_path, config_path, capsys, monkeypatch):
+        # a bound that stopped holding fails here instead of running the campaign
+        def refuse(**kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", refuse)
+        out = tmp_path / "o"
+        argv = ("run", "--config", str(config_path), "--out", str(out), "--trials", "10001")
+        assert self.run_cli(*argv) == 2
+        assert "trials.n_trials" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_section_that_is_not_an_object_is_named(self, tmp_path, config_path, capsys):
         doc = default_config()
         doc["trials"] = [1]
@@ -243,6 +255,8 @@ class TestCliValidate:
             pytest.param("dynamics.dt", 2.1, id="dynamics.dt-above-step-bound"),
             pytest.param("gains.k_z", 62.5, id="dynamics.dt-k_z-above-step-bound"),
             pytest.param("trials.altitude_set", [70.0, 9.4], id="dynamics.dt-descent-too-short"),
+            # at most MAX_TRIALS: a campaign holds every trial's frames until written
+            pytest.param("trials.n_trials", 10_001, id="trials.n_trials-above-bound"),
         ],
     )
     def test_bad_value_rejected_with_key_name(self, tmp_path, capsys, key, value):
@@ -574,13 +588,21 @@ class TestModuleEntryPoint:
         assert done.returncode == 2
         assert "--workers" in done.stderr and "Traceback" not in done.stderr
 
-    def test_error_writing_on_a_worker_is_reported(self, tmp_path):
-        # a directory where a worker must write one trial's trajectory CSV
-        (tmp_path / "o" / "trajectories" / "trial_000_dual.csv").mkdir(parents=True)
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_error_writing_on_a_worker_is_reported(self, tmp_path, workers):
+        # a directory where one trial's trajectory CSV must go
+        out = tmp_path / "o"
+        (out / "trajectories" / "trial_000_dual.csv").mkdir(parents=True)
         done = self.padland(
-            "run", "--config", "configs/default.json", "--out", str(tmp_path / "o"),
-            "--trials", "1", "--workers", "2",
+            "run", "--config", "configs/default.json", "--out", str(out),
+            "--trials", "2", "--workers", workers,
         )
         assert done.returncode == 1
         assert done.stderr.startswith("error: ") and "trial_000_dual.csv" in done.stderr
         assert "Traceback" not in done.stderr
+        # serial or not, every other trial's CSVs are written, and neither
+        # summary.json nor comparison.txt, which would name the missing CSV
+        written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+        names = {f"trial_{i:03d}_{mode.value}.csv" for i in range(2) for mode in Mode}
+        names.remove("trial_000_dual.csv")
+        assert written == {f"{d}/{n}" for d in ("trajectories", "detections") for n in names}

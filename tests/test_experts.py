@@ -25,7 +25,6 @@ from padland.reporting import (
     DetectionLogError,
     read_detection_log,
     write_detection_log,
-    write_trajectory_csv,
     write_trial_csvs,
 )
 
@@ -580,17 +579,15 @@ def test_writer_layout_needs_no_line_reader(tmp_path, monkeypatch):
 
 
 def test_shared_positions_write_the_same_bytes(tmp_path):
-    # write_trial_csvs formats the shared u, v columns once for both files;
-    # that must not change a byte of either
+    # write_trial_csvs formats each column once for both files; its log must
+    # be byte for byte the one write_detection_log writes alone
     run = harness.run_trial(
         VehicleState(-30.0, 20.0, 90.0), harness.Mode.NEAR_ONLY, harness.Scenario(),
         harness.TrialConfig(max_steps=300), *[np.random.default_rng(s) for s in (3, 4)],
     )
     write_trial_csvs(run.frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
-    write_trajectory_csv(run.frames, tmp_path / "own_trajectory.csv")
     write_detection_log(run.frames, tmp_path / "own_log.csv")
-    for name in ("trajectory.csv", "log.csv"):
-        assert (tmp_path / name).read_bytes() == (tmp_path / f"own_{name}").read_bytes()
+    assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "own_log.csv").read_bytes()
 
 
 class TestDefaultProfiles:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padland import harness
+from padland.dynamics import DynamicsParams
 from padland.experts import ABSENT, ExpertId, ExpertProfile
 from padland.gating import GateState
 from padland.geometry import CameraModel, VehicleState
@@ -36,7 +37,7 @@ from padland.harness import (
     sample_initial,
 )
 from padland.reporting import write_campaign_outputs
-from padland.servo import ControllerGains
+from padland.servo import ControllerGains, area_ref_for_altitude
 
 COL = {name: i for i, name in enumerate(RECORD_COLUMNS)}
 
@@ -516,6 +517,21 @@ class TestSharedMap:
         with pytest.raises(ValueError, match="call 5"):
             harness._shared_map(ClaimedPool(0), check, [0, 3, 5, 7])
 
+    def test_without_a_pool_this_process_runs_every_call(self, switch_interval):
+        ran = []
+
+        def check(x):
+            ran.append(x)
+            if x in (1, 5):
+                raise ValueError(f"call {x}")
+            return x
+
+        with pytest.raises(ValueError, match="call 1"):
+            harness._shared_map(None, check, range(8))
+        assert sorted(ran) == list(range(8))  # the calls after each error ran too
+        assert harness._shared_map(None, pow, range(5), [2] * 5) == [0, 1, 4, 9, 16]
+        assert sys.getswitchinterval() == switch_interval
+
     def test_real_pool_gives_the_serial_results(self, switch_interval):
         bases, exponents = range(40), [3, 7] * 20
         with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
@@ -558,11 +574,48 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrialConfig(seed=-1)
 
+    def test_trial_count_bounded(self):
+        # the bound alone: a campaign of MAX_TRIALS is never run here
+        assert TrialConfig(n_trials=harness.MAX_TRIALS).n_trials == harness.MAX_TRIALS
+        with pytest.raises(ValueError, match="n_trials"):
+            TrialConfig(n_trials=harness.MAX_TRIALS + 1)
+
     def test_scenario_gate_invariants(self):
         with pytest.raises(ValueError):
             Scenario(window_size=0)
         with pytest.raises(ValueError):
             Scenario(coast_limit=-1)
+
+
+class TestCampaignRules:
+    """The rules that span a Scenario and a TrialConfig (check_campaign):
+    run_campaign applies them before any trial runs, as the config does."""
+
+    @staticmethod
+    def rejected(monkeypatch, scenario, config, key):
+        def refuse(args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_trial_task", refuse)
+        with pytest.raises(ValueError, match=re.escape(key)):
+            run_campaign(scenario, config, modes=[Mode.DUAL])
+
+    @pytest.mark.parametrize("z_ref, commit", [(8.0, 8.0), (9.0, 8.0), (12.5, 12.5)])
+    def test_descent_target_at_or_above_commit_altitude_rejected(self, monkeypatch, z_ref, commit):
+        gains = ControllerGains(area_ref=area_ref_for_altitude(z_ref, 224.0, 12.0))
+        config = TrialConfig(n_trials=2, commit_altitude=commit)
+        self.rejected(monkeypatch, Scenario(gains=gains), config, "gains.z_ref")
+
+    def test_step_through_the_descent_rejected(self, monkeypatch):
+        # 7.5 m per step over a 62 m descent: the trials would "land" with meters of error
+        scenario = Scenario(dynamics=DynamicsParams(dt=5.0))
+        self.rejected(monkeypatch, scenario, TrialConfig(n_trials=2), "dynamics.dt")
+
+    def test_rules_accept_their_near_side(self):
+        gains = ControllerGains(area_ref=area_ref_for_altitude(7.99, 224.0, 12.0))
+        harness.check_campaign(Scenario(gains=gains), TrialConfig())
+        # 3.0 m per step, within 1/20 of the 62 m descent (3.1 m)
+        harness.check_campaign(Scenario(dynamics=DynamicsParams(dt=2.0)), TrialConfig())
 
 
 class TestTrialResultRules:

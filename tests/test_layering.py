@@ -60,3 +60,18 @@ def test_experts_defines_no_log_layout():
 def test_no_module_imports_cli(module):
     # __main__ is `python -m padland`, the command line's other entry point
     assert "cli" not in imports(module)
+
+
+FILE_WRITERS = {"write_text", "write_bytes", "mkdir", "open"}
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m not in ("reporting", "cli")])
+def test_only_reporting_and_cli_write_files(module):
+    # reporting writes every output format and cli the files its subcommands
+    # name; every other module only computes, reading through config.read_text
+    calls = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    assert not calls & FILE_WRITERS
