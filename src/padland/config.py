@@ -1,30 +1,32 @@
 """Campaign configuration: one JSON document covering every tunable.
 
 The defaults are the dataclass defaults, each range rule lives in the
-dataclass that owns the field, and the rules that span two objects live
-in ``harness.check_campaign``. This module parses types, applies all of
-those rules, and prefixes every error with the dotted key (for example
-``gains.k_xy``) so a bad config is diagnosable from the message
-alone. A key the default document lacks is an error too, so a typo is
-never silently ignored. Two keys are converted when the objects are
-built: the expert distractor offset is configured in world meters
-(stored in pad-side units) and the descent target as the altitude
-``gains.z_ref`` (stored as the box area seen from it). ``read_text``
-reads every input file, config, detection log and summary alike.
+dataclass that owns the field, and the rules that span objects, modes
+included, live in ``harness.check_campaign``, which ``CampaignSpec``
+applies. This module parses types (a finite number or an integer as
+``TrialResult`` decides it, by ``harness._is_finite`` and
+``_is_integer``), applies all of those rules, and prefixes every error
+with the dotted key (for example ``gains.k_xy``) so a bad config is
+diagnosable from the message alone. A key the default document lacks
+is an error too, so a typo is never silently ignored. Two keys are
+converted when the objects are built: the expert distractor offset is
+configured in world meters (stored in pad-side units) and the descent
+target as the altitude ``gains.z_ref`` (stored as the box area seen
+from it). ``read_text`` reads every input file, config, detection log
+and summary alike.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .dynamics import DynamicsParams
 from .experts import ExpertId, ExpertProfile
 from .geometry import CameraModel, HelipadSpec
-from .harness import Mode, Scenario, TrialConfig, check_campaign, check_modes
-from .servo import ControllerGains, area_ref_for_altitude
+from .harness import Mode, Scenario, TrialConfig, _is_finite, _is_integer, check_campaign
+from .servo import ControllerGains, altitude_for_area_ref, area_ref_for_altitude
 
 
 class ConfigError(ValueError):
@@ -40,7 +42,7 @@ class CampaignSpec:
     modes: tuple[Mode, ...] = tuple(Mode)
 
     def __post_init__(self):
-        check_modes(self.modes)
+        check_campaign(self.scenario, self.trials, self.modes)
 
 
 def _profile_doc(profile: ExpertProfile, pad_side: float) -> dict:
@@ -58,7 +60,8 @@ def default_config() -> dict:
     scenario = spec.scenario
     camera, pad = scenario.camera, scenario.helipad
     gains = asdict(scenario.gains)
-    gains["z_ref"] = camera.focal_length * pad.side_length / math.sqrt(gains.pop("area_ref"))
+    area_ref = gains.pop("area_ref")
+    gains["z_ref"] = altitude_for_area_ref(area_ref, camera.focal_length, pad.side_length)
     doc = {
         "camera": asdict(camera),
         "helipad": {"center": [pad.x, pad.y], "side_length": pad.side_length},
@@ -92,24 +95,11 @@ def _get(doc: dict, path: str, expected=None):
 _INT_LIMIT = 2**63  # integer keys must lie strictly inside +/- this
 
 
-def _finite(value) -> float | None:
-    """value as a finite float, or None if it is not a finite number
-    (booleans are not numbers; integers too large for a float are not finite)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        number = float(value)
-    except OverflowError:
-        return None
-    return number if math.isfinite(number) else None
-
-
 def _number(doc: dict, path: str) -> float:
     value = _get(doc, path)
-    number = _finite(value)
-    if number is None:
+    if not _is_finite(value):
         raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return number
+    return float(value)
 
 
 def _integer(doc: dict, path: str) -> int:
@@ -117,7 +107,7 @@ def _integer(doc: dict, path: str) -> int:
     value = _get(doc, path)
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_integer(value):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if not -_INT_LIMIT < value < _INT_LIMIT:
         raise ConfigError(f"{path}: integer out of range (magnitude must be below 2**63)")
@@ -141,12 +131,13 @@ def _numbers(doc: dict, section: str, cls, converted=()) -> dict:
     }
 
 
-def _pair(doc: dict, path: str) -> tuple[float, float]:
+def _floats(doc: dict, path: str, size: int | None = None) -> tuple[float, ...]:
+    """A list of finite numbers, of exactly size of them if size is given."""
     value = _get(doc, path, list)
-    pair = [_finite(v) for v in value]
-    if len(pair) != 2 or None in pair:
-        raise ConfigError(f"{path}: expected a pair of finite numbers")
-    return pair[0], pair[1]
+    if size not in (None, len(value)) or not all(map(_is_finite, value)):
+        shape = "a list" if size is None else "a pair"
+        raise ConfigError(f"{path}: expected {shape} of finite numbers")
+    return tuple(map(float, value))
 
 
 def _checked(section: str, make, *args, **kwargs):
@@ -161,7 +152,7 @@ def _checked(section: str, make, *args, **kwargs):
 
 def _profile(doc: dict, key: str, expert_id: ExpertId, pad_side: float) -> ExpertProfile:
     base = f"experts.{key}"
-    offset_m = _pair(doc, f"{base}.distractor_offset_m")
+    offset_m = _floats(doc, f"{base}.distractor_offset_m", 2)
     return _checked(
         base,
         ExpertProfile,
@@ -185,7 +176,7 @@ def build_campaign(doc: dict) -> CampaignSpec:
     """Validate a config document and construct the runnable objects."""
     _reject_unknown(doc, default_config())
     camera = _checked("camera", CameraModel, **_numbers(doc, "camera", CameraModel))
-    pad_x, pad_y = _pair(doc, "helipad.center")
+    pad_x, pad_y = _floats(doc, "helipad.center", 2)
     pad = _checked(
         "helipad", HelipadSpec, x=pad_x, y=pad_y, side_length=_number(doc, "helipad.side_length")
     )
@@ -212,24 +203,21 @@ def build_campaign(doc: dict) -> CampaignSpec:
         coast_limit=_integer(doc, "gate.coast_limit"),
     )
 
-    altitudes = [_finite(z) for z in _get(doc, "trials.altitude_set", list)]
-    if None in altitudes:
-        raise ConfigError("trials.altitude_set: expected a list of finite numbers")
+    altitudes = _floats(doc, "trials.altitude_set")
     trials = _checked(
         "trials",
         TrialConfig,
-        x_range=_pair(doc, "trials.x_range"),
-        y_range=_pair(doc, "trials.y_range"),
-        altitude_set=tuple(altitudes),
+        x_range=_floats(doc, "trials.x_range", 2),
+        y_range=_floats(doc, "trials.y_range", 2),
+        altitude_set=altitudes,
         seed=_integer(doc, "trials.seed"),
         n_trials=_integer(doc, "trials.n_trials"),
         max_steps=_integer(doc, "trials.max_steps"),
         commit_altitude=_number(doc, "trials.commit_altitude"),
     )
-    _checked("", check_campaign, scenario, trials)
 
     modes = tuple(_member(Mode, "trials.modes", name) for name in _get(doc, "trials.modes", list))
-    return _checked("trials", CampaignSpec, scenario=scenario, trials=trials, modes=modes)
+    return _checked("", CampaignSpec, scenario=scenario, trials=trials, modes=modes)
 
 
 def read_text(path: str | Path, what: str, error: type[ValueError] = ConfigError) -> str:

@@ -7,6 +7,7 @@ floored at the ground.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -24,10 +25,10 @@ class DynamicsParams:
     tau: float = 0.4  # velocity-tracking time constant; 0 = instantaneous
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt: must be strictly positive (got {self.dt})")
-        if self.tau < 0:
-            raise ValueError(f"tau: must be >= 0 (got {self.tau})")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt: must be positive and finite (got {self.dt})")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau: must be finite and >= 0 (got {self.tau})")
 
     @cached_property
     def alpha(self) -> float:

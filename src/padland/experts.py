@@ -90,13 +90,18 @@ class ExpertProfile:
     distractor_offset_pads: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
+        if not math.isfinite(self.s_center):
+            raise ValueError(f"s_center: must be finite (got {self.s_center})")
         if not (self.s_slope != 0 and math.isfinite(self.s_slope)):
             raise ValueError(f"s_slope: must be nonzero and finite (got {self.s_slope})")
         for name in ("sigma_center_base", "sigma_center_scale", "sigma_size_frac"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be >= 0 (got {getattr(self, name)})")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be finite and >= 0 (got {getattr(self, name)})")
         if not 0.0 <= self.distractor_prob <= 1.0:
             raise ValueError(f"distractor_prob: must be in [0, 1] (got {self.distractor_prob})")
+        offset = self.distractor_offset_pads
+        if not all(map(math.isfinite, offset)):
+            raise ValueError(f"distractor_offset_pads: must be finite (got {offset})")
 
     @classmethod
     def ideal(cls, expert_id: ExpertId) -> "ExpertProfile":

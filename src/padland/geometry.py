@@ -28,8 +28,8 @@ class CameraModel:
 
     def __post_init__(self):
         for name in ("image_width", "image_height", "focal_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be strictly positive (got {getattr(self, name)})")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name}: must be positive and finite (got {getattr(self, name)})")
 
     # cached: the per-frame loop reads the principal point several times
     # per frame, and the frozen fields never change
@@ -51,8 +51,11 @@ class HelipadSpec:
     side_length: float = 12.0
 
     def __post_init__(self):
-        if self.side_length <= 0:
-            raise ValueError(f"side_length: must be strictly positive (got {self.side_length})")
+        for name in ("x", "y"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name}: must be finite (got {getattr(self, name)})")
+        if not 0 < self.side_length < math.inf:
+            raise ValueError(f"side_length: must be positive and finite (got {self.side_length})")
 
 
 class BoundingBox(NamedTuple):

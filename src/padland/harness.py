@@ -43,7 +43,14 @@ from .geometry import (
     inside_image,
     project_helipad,
 )
-from .servo import ControllerGains, ErrorSignals, VelocityCommand, compute_command, compute_errors
+from .servo import (
+    ControllerGains,
+    ErrorSignals,
+    VelocityCommand,
+    altitude_for_area_ref,
+    compute_command,
+    compute_errors,
+)
 
 
 class Mode(Enum):
@@ -76,10 +83,11 @@ class TrialConfig:
     def __post_init__(self):
         for name in ("x_range", "y_range"):
             lo, hi = getattr(self, name)
-            if hi < lo:
-                raise ValueError(f"{name}: low must not exceed high (got {lo} > {hi})")
-        if not self.altitude_set or min(self.altitude_set) <= 0:
-            raise ValueError(f"altitude_set: must be nonempty and > 0 (got {self.altitude_set})")
+            if not (_is_finite(lo) and _is_finite(hi) and lo <= hi):
+                raise ValueError(f"{name}: must be finite with low <= high (got {lo}, {hi})")
+        altitudes = self.altitude_set
+        if not (altitudes and all(map(_is_finite, altitudes)) and min(altitudes) > 0):
+            raise ValueError(f"altitude_set: must be nonempty, finite and > 0 (got {altitudes})")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0 (got {self.seed})")
         if not 1 <= self.n_trials <= MAX_TRIALS:
@@ -257,9 +265,7 @@ def run_trial(
     detect row k of noise_rows(rng) for each expert the mode runs, and an
     expert the mode does not run draws nothing.
     """
-    if not isinstance(mode, Mode):
-        # any other value would run neither expert and lose tracking
-        raise ValueError(f"mode: must be a Mode (got {mode!r})")
+    check_campaign(scenario, config, (mode,))
     cam = scenario.camera
     pad = scenario.helipad
     far_profile = scenario.far_profile
@@ -460,25 +466,17 @@ def _shared_map(pool: concurrent.futures.Executor | None, fn, *iterables) -> lis
     return [f.result() for f in futures]
 
 
-def check_modes(modes) -> None:
-    """Raise ValueError unless modes is nonempty and names each Mode once."""
-    if not all(isinstance(m, Mode) for m in modes):
-        raise ValueError(f"modes: each must be a Mode (got {list(modes)!r})")
-    if not modes or len(set(modes)) != len(modes):
-        raise ValueError(f"modes: must be nonempty and distinct (got {[m.value for m in modes]})")
-
-
-def check_campaign(scenario: Scenario, config: TrialConfig) -> None:
-    """Raise ValueError, naming the key, for the rules that span scenario
-    and config: the descent target gains.z_ref (the altitude from which
-    the pad's box has gains.area_ref) must lie below commit_altitude, and
-    one step at full descent rate, dynamics.dt * gains.k_z, must be at
-    most 1/20 of the shortest descent."""
+def check_campaign(scenario: Scenario, config: TrialConfig, modes) -> None:
+    """Raise ValueError, naming the key, for the rules that span a campaign:
+    gains.z_ref (the altitude from which the pad's box has gains.area_ref)
+    below commit_altitude; one full-rate descent step, dynamics.dt *
+    gains.k_z, at most 1/20 of the shortest descent; modes nonempty, each
+    a Mode (any other value runs neither expert) and named once."""
     cam, pad, gains = scenario.camera, scenario.helipad, scenario.gains
     commit = config.commit_altitude
     side = cam.focal_length * pad.side_length / commit  # as servo.area_ref_for_altitude
     if gains.area_ref <= side * side:
-        z_ref = cam.focal_length * pad.side_length / math.sqrt(gains.area_ref)
+        z_ref = altitude_for_area_ref(gains.area_ref, cam.focal_length, pad.side_length)
         raise ValueError(
             f"gains.z_ref: must be below trials.commit_altitude (got {z_ref:.6g} >= {commit}); "
             f"the descent would stop at z_ref and every trial time out"
@@ -490,6 +488,11 @@ def check_campaign(scenario: Scenario, config: TrialConfig) -> None:
             f"dynamics.dt: dynamics.dt * gains.k_z ({step_z} m per step) must be at most "
             f"1/20 of min(trials.altitude_set) - trials.commit_altitude ({descent} m)"
         )
+    if not all(isinstance(m, Mode) for m in modes):
+        raise ValueError(f"trials.modes: each must be a Mode (got {list(modes)!r})")
+    if not modes or len(set(modes)) != len(modes):
+        names = [m.value for m in modes]
+        raise ValueError(f"trials.modes: must be nonempty and distinct (got {names})")
 
 
 def _trial_task(args) -> tuple[Mode, int, TrialRun]:
@@ -517,8 +520,8 @@ def run_campaign(
     All modes receive identical initial states, and each (trial, expert)
     pair owns a seed stream derived once from the campaign seed, so the
     comparison is paired with common random numbers. Raises ValueError
-    naming the key before any trial runs if modes, or scenario and config
-    together (check_campaign), break a rule. Trials are independent.
+    naming the key before any trial runs if scenario, config and modes
+    together break a rule (check_campaign). Trials are independent.
     n_workers counts this process: capped at one per task and per usable
     CPU, n_workers > 1 starts a process pool of n_workers - 1, and this
     process runs trials alongside it (_shared_map). The trials are
@@ -530,8 +533,7 @@ def run_campaign(
         raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
     if modes is None:
         modes = tuple(Mode)
-    check_modes(modes)
-    check_campaign(scenario, config)
+    check_campaign(scenario, config, modes)
     n = config.n_trials
 
     root = np.random.SeedSequence(config.seed)

@@ -40,6 +40,11 @@ def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) ->
     return side * side
 
 
+def altitude_for_area_ref(area_ref: float, focal_length: float, pad_side: float) -> float:
+    """The z_ref whose area_ref_for_altitude is area_ref."""
+    return focal_length * pad_side / math.sqrt(area_ref)
+
+
 @dataclass(frozen=True)
 class ControllerGains:
     k_xy: float = 0.02  # (m/s) per pixel of lateral error

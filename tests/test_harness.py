@@ -7,6 +7,7 @@ import os
 import pickle
 import re
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,9 +16,10 @@ from hypothesis import strategies as st
 
 from padland import harness
 from padland.dynamics import DynamicsParams
-from padland.experts import ABSENT, ExpertId, ExpertProfile
+from padland.config import CampaignSpec
+from padland.experts import ABSENT, ExpertId, ExpertProfile, default_far_profile
 from padland.gating import GateState
-from padland.geometry import CameraModel, VehicleState
+from padland.geometry import CameraModel, HelipadSpec, VehicleState
 from padland.harness import (
     LOG_FIELDS,
     LOG_STRIDE,
@@ -347,7 +349,7 @@ class TestCampaign:
 
     def test_trial_rejects_a_mode_that_is_not_a_mode(self):
         # "dual" used to run neither expert and lose tracking on frame 11
-        with pytest.raises(ValueError, match="mode"):
+        with pytest.raises(ValueError, match="trials.modes"):
             run_trial(VehicleState(-80.0, 75.0, 70.0), "dual", Scenario(), TrialConfig(), *rngs())
 
     def test_same_seed_reproduces_everything(self):
@@ -557,6 +559,30 @@ class TestSharedMap:
         assert sys.getswitchinterval() == switch_interval
 
 
+def _non_finite_fields():
+    """(object, field, value) for each float field of the parameter objects,
+    and each entry of a tuple of floats in turn, set to NaN, inf and -inf."""
+    bases = (
+        CameraModel(),
+        HelipadSpec(),
+        DynamicsParams(),
+        ControllerGains(),
+        default_far_profile(),
+        TrialConfig(),
+    )
+    for base in bases:
+        for f in fields(base):
+            value = getattr(base, f.name)
+            label = f"{type(base).__name__}.{f.name}"
+            for bad in (math.nan, math.inf, -math.inf):
+                if isinstance(value, float):
+                    yield pytest.param(base, f.name, bad, id=f"{label}={bad}")
+                elif isinstance(value, tuple):
+                    for i in range(len(value)):
+                        entries = value[:i] + (bad,) + value[i + 1 :]
+                        yield pytest.param(base, f.name, entries, id=f"{label}[{i}]={bad}")
+
+
 class TestConfigValidation:
     def test_trial_config_invariants(self):
         with pytest.raises(ValueError):
@@ -586,6 +612,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             Scenario(coast_limit=-1)
 
+    @pytest.mark.parametrize("base, name, value", _non_finite_fields())
+    def test_non_finite_parameter_rejected_by_name(self, base, name, value):
+        # NaN passes a rule written as `x < 0`: a NaN FAR sigma_center_base
+        # used to turn a dual campaign into near-only without an error
+        with pytest.raises(ValueError, match=f"^{name}:"):
+            replace(base, **{name: value})
+
 
 class TestCampaignRules:
     """The rules that span a Scenario and a TrialConfig (check_campaign):
@@ -613,9 +646,17 @@ class TestCampaignRules:
 
     def test_rules_accept_their_near_side(self):
         gains = ControllerGains(area_ref=area_ref_for_altitude(7.99, 224.0, 12.0))
-        harness.check_campaign(Scenario(gains=gains), TrialConfig())
+        harness.check_campaign(Scenario(gains=gains), TrialConfig(), tuple(Mode))
         # 3.0 m per step, within 1/20 of the 62 m descent (3.1 m)
-        harness.check_campaign(Scenario(dynamics=DynamicsParams(dt=2.0)), TrialConfig())
+        harness.check_campaign(Scenario(dynamics=DynamicsParams(dt=2.0)), TrialConfig(), tuple(Mode))
+
+    def test_a_single_trial_and_a_spec_apply_the_rules(self):
+        # run_trial used to land this trial in 12 steps with 0.32 m of error
+        scenario = Scenario(dynamics=DynamicsParams(dt=5.0))
+        with pytest.raises(ValueError, match=re.escape("dynamics.dt")):
+            run_trial(VehicleState(-74.0, 68.0, 90.0), Mode.DUAL, scenario, TrialConfig(), *rngs())
+        with pytest.raises(ValueError, match=re.escape("dynamics.dt")):
+            CampaignSpec(scenario=scenario)
 
 
 class TestTrialResultRules:

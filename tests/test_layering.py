@@ -34,6 +34,16 @@ def imports(module: str) -> dict[str, set[str]]:
     return found
 
 
+def calls(module: str) -> set[str]:
+    """The names that module calls, as `f(...)` or `x.f(...)`."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            found.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
+    return found
+
+
 def test_cli_imports_only_the_layers_it_dispatches_to():
     found = imports("cli")
     assert {"config", "harness", "reporting"} <= set(found)  # the reader finds imports at all
@@ -69,9 +79,16 @@ FILE_WRITERS = {"write_text", "write_bytes", "mkdir", "open"}
 def test_only_reporting_and_cli_write_files(module):
     # reporting writes every output format and cli the files its subcommands
     # name; every other module only computes, reading through config.read_text
-    calls = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
-        if isinstance(node, ast.Call):
-            func = node.func
-            calls.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
-    assert not calls & FILE_WRITERS
+    assert not calls(module) & FILE_WRITERS
+
+
+def test_one_owner_for_the_number_rules_and_the_campaign_check():
+    # config decides what is a finite number through harness._is_finite, and
+    # harness.check_campaign is the one check of a campaign's modes
+    called = calls("config")
+    assert "_is_finite" in called  # the reader finds calls at all
+    assert "isfinite" not in called
+    for module in MODULES:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        assert "check_modes" not in defined, module
