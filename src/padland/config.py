@@ -12,13 +12,15 @@ is an error too, so a typo is never silently ignored. Two keys are
 converted when the objects are built: the expert distractor offset is
 configured in world meters (stored in pad-side units) and the descent
 target as the altitude ``gains.z_ref`` (stored as the box area seen
-from it). ``read_text`` reads every input file, config, detection log
-and summary alike.
+from it); a converted value that overflows is reported under the
+config's key. ``read_text`` reads every input file, config, detection
+log and summary alike.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -153,11 +155,17 @@ def _checked(section: str, make, *args, **kwargs):
 def _profile(doc: dict, key: str, expert_id: ExpertId, pad_side: float) -> ExpertProfile:
     base = f"experts.{key}"
     offset_m = _floats(doc, f"{base}.distractor_offset_m", 2)
+    offset_pads = (offset_m[0] / pad_side, offset_m[1] / pad_side)
+    if not all(map(math.isfinite, offset_pads)):
+        raise ConfigError(
+            f"{base}.distractor_offset_m: each offset / helipad.side_length must be finite "
+            f"(got {list(offset_m)}, side_length {pad_side})"
+        )
     return _checked(
         base,
         ExpertProfile,
         expert_id=expert_id,
-        distractor_offset_pads=(offset_m[0] / pad_side, offset_m[1] / pad_side),
+        distractor_offset_pads=offset_pads,
         **_numbers(doc, base, ExpertProfile, {"expert_id", "distractor_offset_pads"}),
     )
 

@@ -17,7 +17,7 @@ import sys
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -201,6 +201,38 @@ REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(","))
 _REPLAY_BLANKS = (float("nan"),) * 8  # u_hat to e_z without a smoothed box
 _FAR = ExpertId.FAR
 _HOLD = VelocityCommand(0.0, 0.0, 0.0)
+RECORD_BLOCK = 64  # frames a loop keeps as Python floats before converting them
+
+
+class _RecordBlocks:
+    """Per-frame rows of `width` floats, converted to float64 RECORD_BLOCK
+    frames at a time: a loop over frame_numbers(n) extends `cells` with
+    each frame's values, so `cells` never holds more than one block, and
+    array() returns every row as one (frames, width) array."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.cells: list[float] = []
+        self._blocks: list[np.ndarray] = []
+
+    def frame_numbers(self, n: int):
+        """0 to n - 1, a block at a time: a block's rows are converted when
+        the loop asks for the next block's first frame, once the block's
+        last frame is recorded."""
+        return chain.from_iterable(self._block_ranges(n))
+
+    def _block_ranges(self, n: int):
+        for start in range(0, n, RECORD_BLOCK):
+            yield range(start, min(start + RECORD_BLOCK, n))
+            self._convert()
+
+    def _convert(self) -> None:
+        self._blocks.append(np.array(self.cells, dtype=np.float64).reshape(-1, self.width))
+        self.cells.clear()  # the same list: a bound `cells.extend` stays valid
+
+    def array(self) -> np.ndarray:
+        self._convert()
+        return np.concatenate(self._blocks)
 
 
 @dataclass(eq=False)
@@ -277,8 +309,8 @@ def run_trial(
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
 
     state = initial
-    frames: list[float] = []
-    record = frames.extend
+    recorder = _RecordBlocks(len(RECORD_COLUMNS))
+    record = recorder.cells.extend
 
     reason = TerminationReason.TIMEOUT
 
@@ -289,7 +321,8 @@ def run_trial(
     absent_far = ABSENT[ExpertId.FAR]
     absent_near = ABSENT[ExpertId.NEAR]
 
-    for k, noise_far, noise_near in zip(range(config.max_steps), far_rows, near_rows):
+    frame_numbers = recorder.frame_numbers(config.max_steps)
+    for k, noise_far, noise_near in zip(frame_numbers, far_rows, near_rows):
         truth = project_helipad(state, pad, cam)
         if truth is None:
             det_far, det_near = absent_far, absent_near
@@ -332,7 +365,7 @@ def run_trial(
             reason = TerminationReason.LANDED
             break
 
-    records = np.array(frames, dtype=np.float64).reshape(-1, len(RECORD_COLUMNS))
+    records = recorder.array()
     selections = records[:, _SELECTED]
     result = TrialResult(
         trial_id=trial_id,
@@ -393,13 +426,13 @@ def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
             f"the {cam.image_width} x {cam.image_height} camera image"
         )
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
-    rows: list[float] = []
-    record = rows.extend
-    for frame in range(len(log)):
+    recorder = _RecordBlocks(len(REPLAY_COLUMNS))
+    record = recorder.cells.extend
+    for frame in recorder.frame_numbers(len(log)):
         sb, code, lost, err, _ = perceive(*replay_detect(log, frame), gate, cam, gains)
         record((frame, code, lost))
         record(_REPLAY_BLANKS if err is None else sb + err)  # u_hat to h_hat, then e_x to e_z
-    return np.array(rows, dtype=np.float64).reshape(-1, len(REPLAY_COLUMNS))
+    return recorder.array()
 
 
 @dataclass

@@ -5,9 +5,11 @@ table.
 
 Floats are written via repr, so every file is a pure function of its
 inputs: the summary JSON sorts its keys, and trajectory paths inside it
-are relative to the output directory. The CSVs are formatted column by
+are relative to the output directory. Each CSV file is opened once and
+written WRITE_BLOCK rows at a time: a block is formatted column by
 column, by name, into one list of strings per column (a trial's
-trajectory CSV and detection log share theirs), then joined row by row.
+trajectory CSV and detection log share theirs), then joined row by row,
+so a trial of any length holds one block of strings at a time.
 A detection log in the writer's own layout is read back column by
 column too; any other log is read, or rejected, one line at a time.
 """
@@ -16,8 +18,9 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import asdict, fields
-from itertools import repeat
+from itertools import count, repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,7 @@ from .stats import ModeComparison, PairedComparison, compare_modes, format_compa
 # of each float
 _INT_COLUMNS = frozenset(("step", "frame", "far_present", "near_present", "tracking_lost"))
 _BLANKABLE_COLUMNS = frozenset(("u_hat", "v_hat", "w_hat", "h_hat", "e_x", "e_y", "A", "e_z"))
+WRITE_BLOCK = 256  # rows formatted and written at a time
 
 
 def _format_column(name: str, values: list[float]) -> list[str]:
@@ -63,11 +67,32 @@ def _format_columns(array: np.ndarray, names: tuple[str, ...]) -> dict[str, list
     return {name: _format_column(name, array[:, i].tolist()) for i, name in enumerate(names)}
 
 
-def _write_rows(path: str | Path, header: str, columns: list[list[str]]) -> None:
-    """Write a header line, then one line per row of the formatted columns."""
-    lines = [header]
-    lines.extend(",".join(row) for row in zip(*columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+def _table(names: tuple[str, ...]):
+    """The block writer of a CSV of the named columns, in that order: one
+    line per row of a block."""
+
+    def block(columns: dict[str, list[str]], start: int) -> str:
+        return "\n".join(map(",".join, zip(*[columns[name] for name in names]))) + "\n"
+
+    return block
+
+
+def _write_rows(array: np.ndarray, names: tuple[str, ...], files) -> None:
+    """Write each of files, a (path, header, block writer) triple, from the
+    first len(names) columns of array: open each file once and write its
+    header, then format WRITE_BLOCK rows at a time, each column once by its
+    name, and write each file's text for them, which its block writer
+    returns given the formatted columns by name and the block's first row."""
+    with ExitStack() as stack:
+        outs = []
+        for path, header, block in files:
+            out = stack.enter_context(open(path, "w"))
+            out.write(header + "\n")
+            outs.append((out, block))
+        for start in range(0, len(array), WRITE_BLOCK):
+            columns = _format_columns(array[start : start + WRITE_BLOCK], names)
+            for out, block in outs:
+                out.write(block(columns, start))
 
 
 # Detection log: LOG_HEADER, then a record per expert per frame (present
@@ -85,23 +110,20 @@ def _expert_records(expert: ExpertId, columns: list[list[str]]) -> list[str]:
     return [present + ",".join(cells) if cells[-1] == "1" else absent for cells in zip(*columns)]
 
 
-def _write_log(path: str | Path, columns: dict[str, list[str]]) -> None:
-    """Write a detection log from the formatted RECORD_COLUMNS of its log fields."""
+def _log_block(columns: dict[str, list[str]], start: int) -> str:
+    """The detection log's lines for a block of frames from start, from the
+    formatted RECORD_COLUMNS of its log fields."""
     names = RECORD_COLUMNS[:LOG_STRIDE]
     far = _expert_records(ExpertId.FAR, [columns[name] for name in names[:LOG_FIELDS]])
     near = _expert_records(ExpertId.NEAR, [columns[name] for name in names[LOG_FIELDS:]])
-    lines = [LOG_HEADER]
-    for frame, (f, n) in enumerate(zip(far, near)):
-        lines.append(f"{frame},{f}")
-        lines.append(f"{frame},{n}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "".join([f"{k},{f}\n{k},{n}\n" for k, f, n in zip(count(start), far, near)])
 
 
 def write_detection_log(frames: np.ndarray, path: str | Path) -> None:
     """Write the first LOG_STRIDE columns of a (frames, columns) record
     array as a detection log (floats via repr, so a write/read round trip
     is value-exact)."""
-    _write_log(path, _format_columns(frames, RECORD_COLUMNS[:LOG_STRIDE]))
+    _write_rows(frames, RECORD_COLUMNS[:LOG_STRIDE], [(path, LOG_HEADER, _log_block)])
 
 
 def read_detection_log(path: str | Path) -> np.ndarray:
@@ -192,20 +214,25 @@ def _read_records(records: list[str]) -> np.ndarray:
 
 def write_trial_csvs(frames: np.ndarray, trajectory_path: str | Path, log_path: str | Path) -> None:
     """Write one trial's trajectory CSV and detection log from its
-    (frames, RECORD_COLUMNS) array, formatting each column once for both
-    files (floats via repr: round-trippable and byte-stable across
-    identical runs; NaN blanks as empty cells; `selected` as its label)."""
-    columns = _format_columns(frames, RECORD_COLUMNS)
-    trajectory = [columns[name] for name in TRAJECTORY_COLUMNS]
-    _write_rows(trajectory_path, TRAJECTORY_HEADER, trajectory)
-    _write_log(log_path, columns)
+    (frames, RECORD_COLUMNS) array, WRITE_BLOCK rows at a time, formatting
+    each column of a block once for both files (floats via repr:
+    round-trippable and byte-stable across identical runs; NaN blanks as
+    empty cells; `selected` as its label)."""
+    _write_rows(
+        frames,
+        RECORD_COLUMNS,
+        [
+            (trajectory_path, TRAJECTORY_HEADER, _table(TRAJECTORY_COLUMNS)),
+            (log_path, LOG_HEADER, _log_block),
+        ],
+    )
 
 
 def write_replay_csv(records: np.ndarray, path: str | Path) -> None:
     """Write a (frames, REPLAY_COLUMNS) float array as the replay CSV:
     `frame` and `tracking_lost` as integers, `selected` as its label in
     SELECTION_LABELS, NaN as an empty cell, every other float via repr."""
-    _write_rows(path, REPLAY_HEADER, list(_format_columns(records, REPLAY_COLUMNS).values()))
+    _write_rows(records, REPLAY_COLUMNS, [(path, REPLAY_HEADER, _table(REPLAY_COLUMNS))])
 
 
 def _log_name(trial_id: int, mode: Mode) -> str:

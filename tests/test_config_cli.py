@@ -272,6 +272,17 @@ class TestCliValidate:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    def test_distractor_offset_overflowing_pad_units_named(self, tmp_path, capsys):
+        # 1e308 m over a 0.5 m pad side is inf pad sides; the config key is
+        # distractor_offset_m, not the stored distractor_offset_pads
+        doc = default_config()
+        doc["helipad"]["side_length"] = 0.5
+        doc["experts"]["far"]["distractor_offset_m"] = [1e308, 0]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert "experts.far.distractor_offset_m" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "key, value",
         [("dynamics.dt", 2.0), ("gains.k_z", 60.0), ("trials.altitude_set", [70.0, 9.6])],

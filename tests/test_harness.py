@@ -19,7 +19,7 @@ from padland.dynamics import DynamicsParams
 from padland.config import CampaignSpec
 from padland.experts import ABSENT, ExpertId, ExpertProfile, default_far_profile
 from padland.gating import GateState
-from padland.geometry import CameraModel, HelipadSpec, VehicleState
+from padland.geometry import CameraModel, HelipadSpec, VehicleState, apparent_width
 from padland.harness import (
     LOG_FIELDS,
     LOG_STRIDE,
@@ -174,6 +174,43 @@ class TestRunTrial:
         run = run_trial(VehicleState(-86.0, 75.0, 70.0), Mode.DUAL, IDEAL, cfg, *rngs())
         assert run.result.termination_reason is TerminationReason.TIMEOUT
         assert run.result.steps == 20
+
+    def test_records_across_block_boundaries(self):
+        # run_trial and replay_log convert their rows RECORD_BLOCK frames at
+        # a time: a timeout trial of n steps is the first n rows of a longer
+        # one, and replaying the first n frames of a log gives n replay rows
+        block = harness.RECORD_BLOCK
+        hover = Scenario(gains=ControllerGains(align_threshold=1e-9))  # never descends
+        start = VehicleState(-86.0, 75.0, 70.0)
+        longer = run_trial(start, Mode.DUAL, hover, TrialConfig(max_steps=3 * block), *rngs(5))
+        assert longer.result.termination_reason is TerminationReason.TIMEOUT
+        replayed = replay_log(longer.frames[:, :LOG_STRIDE], hover)
+        for n in (1, block - 1, block, block + 1, 2 * block + 1):
+            run = run_trial(start, Mode.DUAL, hover, TrialConfig(max_steps=n), *rngs(5))
+            assert run.result.steps == n
+            assert run.frames.tobytes() == longer.frames[:n].tobytes()
+            replay = replay_log(longer.frames[:n, :LOG_STRIDE], hover)
+            assert replay.tobytes() == replayed[:n].tobytes()
+
+    def test_records_of_a_trial_that_stops_mid_block(self):
+        # the NEAR expert goes blind once the pad looks larger than from
+        # 60 m, so near_only loses tracking mid-block, after a full block
+        pad, cam = HelipadSpec(), CameraModel()
+        blind_below_60m = ExpertProfile(
+            expert_id=ExpertId.NEAR,
+            s_center=apparent_width(VehicleState(pad.x, pad.y, 60.0), pad, cam),
+            s_slope=-1e-9,
+        )
+        scenario = Scenario(near_profile=blind_below_60m)
+        start = VehicleState(pad.x + 0.5, pad.y, 70.0)
+        run = run_trial(start, Mode.NEAR_ONLY, scenario, TrialConfig(), *rngs(1))
+        assert run.result.termination_reason is TerminationReason.TRACKING_LOST
+        steps = run.result.steps
+        assert steps > harness.RECORD_BLOCK and steps % harness.RECORD_BLOCK
+        # the frame that lost tracking is the last one recorded
+        replay = replay_log(run.frames[:, :LOG_STRIDE], scenario)
+        lost = replay[:, REPLAY_COLUMNS.index("tracking_lost")].tolist()
+        assert lost == [0.0] * (steps - 1) + [1.0]
 
     def test_trajectory_rows_cover_every_step(self):
         run = run_trial(

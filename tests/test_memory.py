@@ -1,0 +1,67 @@
+"""Per-trial transient memory: run_trial and write_trial_csvs hold one
+block of frames as Python objects at a time, whatever the trial's length.
+Peaks are measured with tracemalloc, which also traces numpy's arrays."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from padland.geometry import VehicleState
+from padland.harness import Mode, Scenario, TerminationReason, TrialConfig, run_trial
+from padland.reporting import write_trial_csvs
+from padland.servo import ControllerGains
+
+# align_threshold 1e-9 never lets the descent start: the vehicle hovers
+# until its step budget runs out
+HOVER = Scenario(gains=ControllerGains(align_threshold=1e-9))
+STEPS = 6000
+
+
+def hovering_trial(max_steps: int):
+    rngs = [np.random.default_rng(seed) for seed in (1, 2)]
+    config = TrialConfig(max_steps=max_steps)
+    return run_trial(VehicleState(-85.0, 80.0, 70.0), Mode.DUAL, HOVER, config, *rngs)
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the most memory it held at once beyond what was
+    already allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    out = tmp_path_factory.mktemp("memory")
+    return out / "trajectory.csv", out / "log.csv"
+
+
+@pytest.fixture(scope="module")
+def long_trial(paths):
+    # a short trial and write first, so lazy set-up falls outside the traces
+    write_trial_csvs(hovering_trial(300).frames, *paths)
+    run, peak = traced_peak(hovering_trial, STEPS)
+    assert run.result.termination_reason is TerminationReason.TIMEOUT
+    assert run.result.steps == STEPS
+    return run, peak
+
+
+def test_run_trial_holds_about_its_array(long_trial):
+    # the array, plus its blocks while they are joined, plus one block of
+    # Python floats (a list of every frame's floats took over 4.5 times it)
+    run, peak = long_trial
+    assert peak < 3 * run.frames.nbytes
+
+
+def test_write_trial_csvs_holds_one_block_of_strings(long_trial, paths):
+    # formatting all 6000 rows at once held over 16 MB of strings
+    run, _ = long_trial
+    _, peak = traced_peak(write_trial_csvs, run.frames, *paths)
+    assert peak < 2_000_000

@@ -1,12 +1,35 @@
 import hashlib
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from padland.cli import main
-from padland.harness import Mode, Scenario, TerminationReason, TrialConfig, run_campaign
-from padland.reporting import rebuild_results, write_campaign_outputs
+from padland.harness import (
+    LOG_STRIDE,
+    RECORD_COLUMNS,
+    REPLAY_COLUMNS,
+    REPLAY_HEADER,
+    TRAJECTORY_COLUMNS,
+    TRAJECTORY_HEADER,
+    Mode,
+    Scenario,
+    TerminationReason,
+    TrialConfig,
+    run_campaign,
+)
+from padland.reporting import (
+    LOG_HEADER,
+    WRITE_BLOCK,
+    read_detection_log,
+    rebuild_results,
+    write_campaign_outputs,
+    write_detection_log,
+    write_replay_csv,
+    write_trial_csvs,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 # SHA-256 of every file `padland run` writes for configs/default.json, in
@@ -77,3 +100,74 @@ def test_rebuilt_results_equal_originals(written_campaign):
     # a list never equals a tuple, nor a value its enum member, so this also
     # checks that positions and termination reasons come back restored
     assert rebuild_results(loaded) == {m: campaign.results(m) for m in campaign.runs}
+
+
+# The writers format and write WRITE_BLOCK rows at a time. These arrays end
+# on each side of a block boundary, and their rows cycle through present
+# and absent detections of each expert, all three `selected` codes and
+# rows with and without a smoothed box (NaN blanks).
+BOUNDARY_ROWS = (1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 1)
+_BLANK_NAMES = {"u_hat", "v_hat", "w_hat", "h_hat", "e_x", "e_y", "A", "e_z"}
+
+
+def _synthetic_rows(n: int, names: tuple[str, ...]) -> np.ndarray:
+    """n rows of the named RECORD_COLUMNS or REPLAY_COLUMNS."""
+    rng = np.random.default_rng(n)
+    k = np.arange(n)
+    cols = {name: rng.uniform(-500.0, 500.0, n) for name in dict.fromkeys(RECORD_COLUMNS + names)}
+    cols.update(step=k, frame=k, selected=k % 3, tracking_lost=k % 7 == 6)
+    for expert, present in (("far", k % 3 != 1), ("near", k % 4 != 2)):
+        cols[f"w_{expert}"] = rng.uniform(1.0, 60.0, n)
+        cols[f"h_{expert}"] = rng.uniform(1.0, 60.0, n)
+        cols[f"confidence_{expert}"] = rng.random(n)
+        cols[f"{expert}_present"] = present
+        for f in ("u", "v", "w", "h", "confidence"):
+            cols[f"{f}_{expert}"] = np.where(present, cols[f"{f}_{expert}"], 0.0)
+    for name in _BLANK_NAMES & set(names):
+        cols[name] = np.where(k % 5 == 0, math.nan, cols[name])
+    return np.column_stack([cols[name] for name in names]).astype(np.float64)
+
+
+def _cell(name: str, x: float) -> str:
+    """One cell as the CSVs spell it, formatted on its own."""
+    if name in ("step", "frame", "far_present", "near_present", "tracking_lost"):
+        return str(int(x))
+    if name == "selected":
+        return ("", "FAR", "NEAR")[int(x)]
+    return "" if math.isnan(x) else repr(x)
+
+
+def _oracle_table(header: str, rows: np.ndarray, names, columns) -> str:
+    lines = [header]
+    for row in rows.tolist():
+        lines.append(",".join(_cell(name, row[names.index(name)]) for name in columns))
+    return "\n".join(lines) + "\n"
+
+
+def _oracle_log(rows: np.ndarray) -> str:
+    lines = [LOG_HEADER]
+    for k, row in enumerate(rows.tolist()):
+        for expert, cells in (("FAR", row[:6]), ("NEAR", row[6:12])):
+            if cells[5] == 1.0:
+                lines.append(f"{k},{expert}," + ",".join(map(repr, cells[:5])) + ",1")
+            else:
+                lines.append(f"{k},{expert},0,0,0,0,0,0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", BOUNDARY_ROWS)
+def test_block_writers_match_a_row_by_row_formatter(tmp_path, n):
+    frames = _synthetic_rows(n, RECORD_COLUMNS)
+    write_trial_csvs(frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
+    write_detection_log(frames, tmp_path / "own_log.csv")
+    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS, TRAJECTORY_COLUMNS)
+    assert (tmp_path / "trajectory.csv").read_text() == trajectory
+    assert (tmp_path / "log.csv").read_text() == _oracle_log(frames)
+    assert (tmp_path / "own_log.csv").read_text() == _oracle_log(frames)
+    log = read_detection_log(tmp_path / "log.csv")
+    assert log.tobytes() == np.ascontiguousarray(frames[:, :LOG_STRIDE]).tobytes()
+
+    replay = _synthetic_rows(n, REPLAY_COLUMNS)
+    write_replay_csv(replay, tmp_path / "replay.csv")
+    expected = _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, REPLAY_COLUMNS)
+    assert (tmp_path / "replay.csv").read_text() == expected
