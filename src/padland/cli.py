@@ -38,6 +38,8 @@ def cmd_run(args) -> int:
         if args.modes is not None:
             trials["modes"] = [name.strip() for name in args.modes.split(",")]
     spec = build_campaign(doc)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any trial runs
 
     campaign = run_campaign(
         scenario=spec.scenario,
@@ -45,7 +47,6 @@ def cmd_run(args) -> int:
         modes=list(spec.modes),
         n_workers=args.workers,
     )
-    out = Path(args.out)
     write_campaign_outputs(campaign, out)
     print((out / "comparison.txt").read_text(), end="")
     print(f"outputs written to {out}")

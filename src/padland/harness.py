@@ -17,7 +17,7 @@ import sys
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import repeat
 from numbers import Integral, Real
 
 import numpy as np
@@ -65,9 +65,11 @@ class TerminationReason(Enum):
     TIMEOUT = "timeout"
 
 
-# a campaign holds every trial's frames (~0.7 MB per trial over three
-# modes) until they are written
+# a campaign holds every trial's frames until they are written: ~0.7 MB
+# per trial over three modes by default, and at most MAX_STEPS frames of
+# 216 B (21.6 MB) per trial and mode
 MAX_TRIALS = 10_000
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,8 @@ class TrialConfig:
             raise ValueError(f"seed: must be >= 0 (got {self.seed})")
         if not 1 <= self.n_trials <= MAX_TRIALS:
             raise ValueError(f"n_trials: must be between 1 and {MAX_TRIALS} (got {self.n_trials})")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps: must be >= 1 (got {self.max_steps})")
+        if not 1 <= self.max_steps <= MAX_STEPS:
+            raise ValueError(f"max_steps: must be between 1 and {MAX_STEPS} (got {self.max_steps})")
         if not 0 < self.commit_altitude < min(self.altitude_set):
             raise ValueError(
                 f"commit_altitude: must be positive and below the lowest altitude_set entry "
@@ -204,37 +206,6 @@ _HOLD = VelocityCommand(0.0, 0.0, 0.0)
 RECORD_BLOCK = 64  # frames a loop keeps as Python floats before converting them
 
 
-class _RecordBlocks:
-    """Per-frame rows of `width` floats, converted to float64 RECORD_BLOCK
-    frames at a time: a loop over frame_numbers(n) extends `cells` with
-    each frame's values, so `cells` never holds more than one block, and
-    array() returns every row as one (frames, width) array."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.cells: list[float] = []
-        self._blocks: list[np.ndarray] = []
-
-    def frame_numbers(self, n: int):
-        """0 to n - 1, a block at a time: a block's rows are converted when
-        the loop asks for the next block's first frame, once the block's
-        last frame is recorded."""
-        return chain.from_iterable(self._block_ranges(n))
-
-    def _block_ranges(self, n: int):
-        for start in range(0, n, RECORD_BLOCK):
-            yield range(start, min(start + RECORD_BLOCK, n))
-            self._convert()
-
-    def _convert(self) -> None:
-        self._blocks.append(np.array(self.cells, dtype=np.float64).reshape(-1, self.width))
-        self.cells.clear()  # the same list: a bound `cells.extend` stays valid
-
-    def array(self) -> np.ndarray:
-        self._convert()
-        return np.concatenate(self._blocks)
-
-
 @dataclass(eq=False)
 class TrialRun:
     """A finished trial plus its per-frame records.
@@ -309,8 +280,9 @@ def run_trial(
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
 
     state = initial
-    recorder = _RecordBlocks(len(RECORD_COLUMNS))
-    record = recorder.cells.extend
+    cells: list[float] = []  # one block of frames' values, in RECORD_COLUMNS order
+    record = cells.extend
+    blocks = []
 
     reason = TerminationReason.TIMEOUT
 
@@ -321,51 +293,60 @@ def run_trial(
     absent_far = ABSENT[ExpertId.FAR]
     absent_near = ABSENT[ExpertId.NEAR]
 
-    frame_numbers = recorder.frame_numbers(config.max_steps)
-    for k, noise_far, noise_near in zip(frame_numbers, far_rows, near_rows):
-        truth = project_helipad(state, pad, cam)
-        if truth is None:
-            det_far, det_near = absent_far, absent_near
-        else:
-            s = apparent_width(state, pad, cam)
-            det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else absent_far
-            det_near = detect(near_profile, truth, s, noise_near, cam) if run_near else absent_near
+    n = config.max_steps
+    for start in range(0, n, RECORD_BLOCK):
+        # the block's frame numbers come first, so zip draws no noise row past them
+        frames = range(start, min(start + RECORD_BLOCK, n))
+        for k, noise_far, noise_near in zip(frames, far_rows, near_rows):
+            truth = project_helipad(state, pad, cam)
+            if truth is None:
+                det_far, det_near = absent_far, absent_near
+            else:
+                s = apparent_width(state, pad, cam)
+                det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else absent_far
+                det_near = (
+                    detect(near_profile, truth, s, noise_near, cam) if run_near else absent_near
+                )
 
-        # the frame's record, piece by piece in RECORD_COLUMNS order: each
-        # expert's log fields (zeros when absent), then the trajectory's own
-        box = det_far.box
-        if box is None:
-            record(_ABSENT_CELLS)
-        else:
-            record(box)
-            record((det_far.confidence, 1.0))
-        box = det_near.box
-        if box is None:
-            record(_ABSENT_CELLS)
-        else:
-            record(box)
-            record((det_near.confidence, 1.0))
+            # the frame's record, piece by piece in RECORD_COLUMNS order: each
+            # expert's log fields (zeros when absent), then the trajectory's own
+            box = det_far.box
+            if box is None:
+                record(_ABSENT_CELLS)
+            else:
+                record(box)
+                record((det_far.confidence, 1.0))
+            box = det_near.box
+            if box is None:
+                record(_ABSENT_CELLS)
+            else:
+                record(box)
+                record((det_near.confidence, 1.0))
 
-        sb, code, lost, err, cmd = perceive(det_far, det_near, gate, cam, gains)
-        record((k, k * dt, state.x, state.y, state.z, code))
-        if err is None:
-            record(_BLANKS)
-        else:
-            record((sb.u, sb.v))  # u_hat, v_hat, then e_x, e_y, A, e_z
-            record(err)
-        record(cmd)
+            sb, code, lost, err, cmd = perceive(det_far, det_near, gate, cam, gains)
+            record((k, k * dt, state.x, state.y, state.z, code))
+            if err is None:
+                record(_BLANKS)
+            else:
+                record((sb.u, sb.v))  # u_hat, v_hat, then e_x, e_y, A, e_z
+                record(err)
+            record(cmd)
 
-        if lost:
-            # blind descent from here: score the frozen lateral position
-            reason = TerminationReason.TRACKING_LOST
+            if lost:
+                # blind descent from here: score the frozen lateral position
+                reason = TerminationReason.TRACKING_LOST
+                break
+
+            state = step(state, cmd, dynamics)
+            if state.z <= commit_altitude:
+                reason = TerminationReason.LANDED
+                break
+        blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(RECORD_COLUMNS)))
+        cells.clear()
+        if reason is not TerminationReason.TIMEOUT:
             break
 
-        state = step(state, cmd, dynamics)
-        if state.z <= commit_altitude:
-            reason = TerminationReason.LANDED
-            break
-
-    records = recorder.array()
+    records = np.concatenate(blocks)
     selections = records[:, _SELECTED]
     result = TrialResult(
         trial_id=trial_id,
@@ -426,13 +407,17 @@ def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
             f"the {cam.image_width} x {cam.image_height} camera image"
         )
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
-    recorder = _RecordBlocks(len(REPLAY_COLUMNS))
-    record = recorder.cells.extend
-    for frame in recorder.frame_numbers(len(log)):
-        sb, code, lost, err, _ = perceive(*replay_detect(log, frame), gate, cam, gains)
-        record((frame, code, lost))
-        record(_REPLAY_BLANKS if err is None else sb + err)  # u_hat to h_hat, then e_x to e_z
-    return recorder.array()
+    cells: list[float] = []  # one block of frames' values, in REPLAY_COLUMNS order
+    record = cells.extend
+    blocks = [np.empty((0, len(REPLAY_COLUMNS)))]  # a log of no frames replays to none
+    for start in range(0, len(log), RECORD_BLOCK):
+        for frame in range(start, min(start + RECORD_BLOCK, len(log))):
+            sb, code, lost, err, _ = perceive(*replay_detect(log, frame), gate, cam, gains)
+            record((frame, code, lost))
+            record(_REPLAY_BLANKS if err is None else sb + err)  # u_hat to h_hat, e_x to e_z
+        blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(REPLAY_COLUMNS)))
+        cells.clear()
+    return np.concatenate(blocks)
 
 
 @dataclass

@@ -10,8 +10,10 @@ written WRITE_BLOCK rows at a time: a block is formatted column by
 column, by name, into one list of strings per column (a trial's
 trajectory CSV and detection log share theirs), then joined row by row,
 so a trial of any length holds one block of strings at a time.
-A detection log in the writer's own layout is read back column by
-column too; any other log is read, or rejected, one line at a time.
+A detection log in the writer's own layout is read back the same way,
+WRITE_BLOCK frames at a time, each block checked and converted column
+by column into one preallocated array; any other log is read, or
+rejected, one line at a time.
 """
 
 from __future__ import annotations
@@ -141,27 +143,35 @@ def read_detection_log(path: str | Path) -> np.ndarray:
 
 def _read_writer_layout(records: list[str]) -> np.ndarray | None:
     """The log of records in exactly write_detection_log's layout, every
-    rule met, converted column by column; None for any other records."""
+    rule met, checked and converted WRITE_BLOCK frames at a time, column by
+    column; None for any other records."""
     n, odd = divmod(len(records), 2)
-    if odd or set(map(str.count, records, repeat(","))) != {7}:
+    if odd:
         return None
-    fields = ",".join(records).split(",")
-    if not (
-        fields[0::16] == fields[8::16] == list(map(str, range(n)))
-        and fields[1::16].count("FAR") == fields[9::16].count("NEAR") == n
-        and set(fields[7::8]) <= {"0", "1"}
-    ):
-        return None
-    try:
-        cells = np.array([list(map(float, fields[k::8])) for k in range(2, 8)])
-    except ValueError:
-        return None
-    _, _, w, h, conf, flag = cells
-    present = flag == 1.0
-    out_of_range = (w <= 0) | (h <= 0) | (conf < 0) | (conf > 1)
-    if not np.isfinite(cells).all() or (present & out_of_range).any():
-        return None
-    return np.where(present, cells, 0.0).T.reshape(n, LOG_STRIDE)
+    log = np.empty((n, LOG_STRIDE))
+    for start in range(0, n, WRITE_BLOCK):
+        block = records[2 * start : 2 * (start + WRITE_BLOCK)]
+        m = len(block) // 2
+        if set(map(str.count, block, repeat(","))) != {7}:
+            return None
+        fields = ",".join(block).split(",")
+        if not (
+            fields[0::16] == fields[8::16] == list(map(str, range(start, start + m)))
+            and fields[1::16].count("FAR") == fields[9::16].count("NEAR") == m
+            and set(fields[7::8]) <= {"0", "1"}
+        ):
+            return None
+        try:
+            cells = np.array([list(map(float, fields[k::8])) for k in range(2, 8)])
+        except ValueError:
+            return None
+        _, _, w, h, conf, flag = cells
+        present = flag == 1.0
+        out_of_range = (w <= 0) | (h <= 0) | (conf < 0) | (conf > 1)
+        if not np.isfinite(cells).all() or (present & out_of_range).any():
+            return None
+        log[start : start + m] = np.where(present, cells, 0.0).T.reshape(m, LOG_STRIDE)
+    return log
 
 
 def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId, tuple[float, ...]]:

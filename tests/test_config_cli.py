@@ -173,6 +173,18 @@ class TestCliRun:
         assert "trials.n_trials" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_file_fails_before_any_trial(self, tmp_path, config_path, capsys, monkeypatch):
+        def refuse(**kwargs):
+            raise AssertionError("the campaign ran")
+
+        monkeypatch.setattr(cli, "run_campaign", refuse)
+        out = tmp_path / "o"
+        out.write_text("not a directory")
+        assert self.run_cli("run", "--config", str(config_path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "not a directory"
+
     def test_section_that_is_not_an_object_is_named(self, tmp_path, config_path, capsys):
         doc = default_config()
         doc["trials"] = [1]
@@ -257,6 +269,9 @@ class TestCliValidate:
             pytest.param("trials.altitude_set", [70.0, 9.4], id="dynamics.dt-descent-too-short"),
             # at most MAX_TRIALS: a campaign holds every trial's frames until written
             pytest.param("trials.n_trials", 10_001, id="trials.n_trials-above-bound"),
+            # at most MAX_STEPS: a trial that never descends records every step
+            pytest.param("trials.max_steps", 100_001, id="trials.max_steps-above-bound"),
+            pytest.param("trials.max_steps", 10**15, id="trials.max_steps-far-above-bound"),
         ],
     )
     def test_bad_value_rejected_with_key_name(self, tmp_path, capsys, key, value):

@@ -27,6 +27,7 @@ from padland.reporting import (
     write_detection_log,
     write_trial_csvs,
 )
+from padland.servo import ControllerGains
 
 CAM = CameraModel()
 TRUE_BOX = BoundingBox(224.0, 224.0, 24.0, 24.0)
@@ -506,6 +507,13 @@ def detection_log_texts(draw):
     return "\n".join([LOG_HEADER, *lines]) + "\n"
 
 
+def campaign_trial(scenario=harness.Scenario(), max_steps=harness.TrialConfig.max_steps):
+    return harness.run_trial(
+        VehicleState(-85.0, 80.0, 70.0), harness.Mode.DUAL, scenario,
+        harness.TrialConfig(max_steps=max_steps), *[np.random.default_rng(s) for s in (1, 2)],
+    )
+
+
 def read_outcome(reader, path):
     try:
         log = reader(path)
@@ -523,10 +531,7 @@ def test_reader_matches_line_by_line_oracle(tmp_path_factory, text):
 
 
 def test_oracle_agrees_on_a_campaign_log(tmp_path):
-    run = harness.run_trial(
-        VehicleState(-85.0, 80.0, 70.0), harness.Mode.DUAL, harness.Scenario(),
-        harness.TrialConfig(), *[np.random.default_rng(s) for s in (1, 2)],
-    )
+    run = campaign_trial()
     path = tmp_path / "log.csv"
     write_detection_log(run.frames, path)
     log = read_detection_log(path)
@@ -560,13 +565,72 @@ def test_non_canonical_spelling_reads_as_the_oracle_does(
     assert got[0] == outcome
 
 
+# align_threshold 1e-9 never lets the descent start: the vehicle hovers, so
+# a trial runs its whole step budget, here parts of three read blocks
+HOVER = harness.Scenario(gains=ControllerGains(align_threshold=1e-9))
+MULTI_BLOCK_FRAMES = 700
+
+
+@pytest.fixture(scope="module")
+def multi_block_records(tmp_path_factory):
+    """A hovering trial's detection log records (header dropped)."""
+    assert 2 * reporting.WRITE_BLOCK < MULTI_BLOCK_FRAMES < 3 * reporting.WRITE_BLOCK
+    run = campaign_trial(HOVER, MULTI_BLOCK_FRAMES)
+    path = tmp_path_factory.mktemp("multi_block") / "log.csv"
+    write_detection_log(run.frames, path)
+    header, *records = path.read_text().splitlines()
+    assert len(records) == 2 * MULTI_BLOCK_FRAMES
+    return records
+
+
+CHANGES = ["frame+1", "frame+600", "expert", "flag", "confidence", "drop", "duplicate", "swap"]
+
+
+def change_record(records, kind, at) -> list[str]:
+    """records with one change of a kind in CHANGES at record index at."""
+    records = list(records)
+    if kind == "drop":
+        del records[at]
+    elif kind == "duplicate":
+        records.insert(at, records[at])
+    elif kind == "swap":  # with the next record, or the previous one at the end
+        other = at + 1 if at + 1 < len(records) else at - 1
+        records[at], records[other] = records[other], records[at]
+    else:
+        fields = records[at].split(",")
+        if kind.startswith("frame+"):
+            fields[0] = str(int(fields[0]) + int(kind[len("frame+"):]))
+        elif kind == "expert":
+            fields[1] = {"FAR": "NEAR", "NEAR": "FAR"}[fields[1]]
+        elif kind == "flag":
+            fields[7] = "1.0"
+        else:  # confidence
+            fields[6] = "1.5"
+        records[at] = ",".join(fields)
+    return records
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(CHANGES),
+    at=st.integers(2 * reporting.WRITE_BLOCK, 2 * MULTI_BLOCK_FRAMES - 1),
+)
+def test_reader_matches_oracle_past_the_first_block(
+    tmp_path_factory, multi_block_records, kind, at
+):
+    # the oracle strategy's logs fit in one read block; here one record of
+    # the second block or a later one is changed
+    path = tmp_path_factory.getbasetemp() / "multi_block_log.csv"
+    path.write_text("\n".join([LOG_HEADER, *change_record(multi_block_records, kind, at)]) + "\n")
+    assert read_outcome(read_detection_log, path) == read_outcome(oracle_read_detection_log, path)
+
+
 def test_writer_layout_needs_no_line_reader(tmp_path, monkeypatch):
     # padland's own logs are read column by column; a fast path that stopped
-    # matching the writer's layout would send every log to the line reader
-    run = harness.run_trial(
-        VehicleState(-85.0, 80.0, 70.0), harness.Mode.DUAL, harness.Scenario(),
-        harness.TrialConfig(), *[np.random.default_rng(s) for s in (1, 2)],
-    )
+    # matching the writer's layout would send every log to the line reader.
+    # This one spans several read blocks, so each block's checks are met.
+    run = campaign_trial()
+    assert len(run.frames) > 2 * reporting.WRITE_BLOCK
     path = tmp_path / "log.csv"
     write_detection_log(run.frames, path)
 

@@ -643,6 +643,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_trials"):
             TrialConfig(n_trials=harness.MAX_TRIALS + 1)
 
+    def test_step_count_bounded(self):
+        # the bound alone: a trial of MAX_STEPS is never run here
+        assert TrialConfig(max_steps=harness.MAX_STEPS).max_steps == harness.MAX_STEPS
+        with pytest.raises(ValueError, match="max_steps: must be between 1 and 100000"):
+            TrialConfig(max_steps=harness.MAX_STEPS + 1)
+
     def test_scenario_gate_invariants(self):
         with pytest.raises(ValueError):
             Scenario(window_size=0)

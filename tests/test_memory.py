@@ -1,6 +1,7 @@
-"""Per-trial transient memory: run_trial and write_trial_csvs hold one
-block of frames as Python objects at a time, whatever the trial's length.
-Peaks are measured with tracemalloc, which also traces numpy's arrays."""
+"""Per-trial transient memory: run_trial, replay_log, write_trial_csvs
+and read_detection_log hold one block of frames as Python objects at a
+time, whatever the trial's length. Peaks are measured with tracemalloc,
+which also traces numpy's arrays."""
 
 import tracemalloc
 
@@ -8,8 +9,16 @@ import numpy as np
 import pytest
 
 from padland.geometry import VehicleState
-from padland.harness import Mode, Scenario, TerminationReason, TrialConfig, run_trial
-from padland.reporting import write_trial_csvs
+from padland.harness import (
+    LOG_STRIDE,
+    Mode,
+    Scenario,
+    TerminationReason,
+    TrialConfig,
+    replay_log,
+    run_trial,
+)
+from padland.reporting import read_detection_log, write_detection_log, write_trial_csvs
 from padland.servo import ControllerGains
 
 # align_threshold 1e-9 never lets the descent start: the vehicle hovers
@@ -65,3 +74,31 @@ def test_write_trial_csvs_holds_one_block_of_strings(long_trial, paths):
     run, _ = long_trial
     _, peak = traced_peak(write_trial_csvs, run.frames, *paths)
     assert peak < 2_000_000
+
+
+@pytest.fixture(scope="module")
+def long_log(long_trial, tmp_path_factory):
+    run, _ = long_trial
+    out = tmp_path_factory.mktemp("log")
+    short, path = out / "short.csv", out / "long.csv"
+    write_detection_log(run.frames[:300], short)
+    write_detection_log(run.frames, path)
+    replay_log(read_detection_log(short), HOVER)  # lazy set-up outside the traces
+    return path
+
+
+def test_read_detection_log_holds_one_block_of_fields(long_log):
+    # the log's text and lines, plus one block of fields; splitting every
+    # field of the log at once held over 19 times the array
+    log, peak = traced_peak(read_detection_log, long_log)
+    assert log.shape == (STEPS, LOG_STRIDE)
+    assert peak < 8 * log.nbytes
+
+
+def test_replay_log_holds_about_its_output(long_log):
+    # the output, plus its blocks while they are joined, plus one block of
+    # Python floats (a recorder that never converted mid-loop took 4.6 times it)
+    log = read_detection_log(long_log)
+    replay, peak = traced_peak(replay_log, log, HOVER)
+    assert len(replay) == STEPS
+    assert peak < 3 * replay.nbytes
