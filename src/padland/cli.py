@@ -55,11 +55,11 @@ def cmd_run(args) -> int:
 
 def cmd_replay(args) -> int:
     scenario = build_campaign(load_config(args.config)).scenario
-    replayed = replay_log(read_detection_log(args.log), scenario)
+    log = read_detection_log(args.log)
     out_path = Path(args.out) / "replay.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_replay_csv(replayed, out_path)
-    print(f"replayed {len(replayed)} frames -> {out_path}")
+    out_path.parent.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the replay
+    write_replay_csv(replay_log(log, scenario), out_path)
+    print(f"replayed {len(log)} frames -> {out_path}")
     return 0
 
 

@@ -3,18 +3,19 @@
 The defaults are the dataclass defaults, each range rule lives in the
 dataclass that owns the field, and the rules that span objects, modes
 included, live in ``harness.check_campaign``, which ``CampaignSpec``
-applies. This module parses types (a finite number or an integer as
-``TrialResult`` decides it, by ``harness._is_finite`` and
-``_is_integer``), applies all of those rules, and prefixes every error
+applies. A section's keys are its dataclass's field names, and each key
+is read by its field's annotation (``_section``): an integer, a finite
+number or a list of them, as ``TrialResult`` decides it, by
+``harness._is_finite`` and ``_is_integer``. Every error is prefixed
 with the dotted key (for example ``gains.k_xy``) so a bad config is
 diagnosable from the message alone. A key the default document lacks
-is an error too, so a typo is never silently ignored. Two keys are
-converted when the objects are built: the expert distractor offset is
-configured in world meters (stored in pad-side units) and the descent
-target as the altitude ``gains.z_ref`` (stored as the box area seen
-from it); a converted value that overflows is reported under the
-config's key. ``read_text`` reads every input file, config, detection
-log and summary alike.
+is an error too, so a typo is never silently ignored. Three keys are
+not fields: ``helipad.center`` holds the pad's ``x`` and ``y``, the
+expert distractor offset is configured in world meters (stored in
+pad-side units) and the descent target as the altitude ``gains.z_ref``
+(stored as the box area seen from it); a converted value that overflows
+is reported under the config's key. ``read_text`` reads every input
+file, config, detection log and summary alike.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
+from functools import cache, partial
 from pathlib import Path
+from typing import get_type_hints
 
 from .dynamics import DynamicsParams
 from .experts import ExpertId, ExpertProfile
@@ -125,14 +128,6 @@ def _member(enum, path: str, value):
         ) from None
 
 
-def _numbers(doc: dict, section: str, cls, converted=()) -> dict:
-    """`section.<name>` as a finite number for each field of cls not in
-    converted: the keys of a section are its dataclass's field names."""
-    return {
-        f.name: _number(doc, f"{section}.{f.name}") for f in fields(cls) if f.name not in converted
-    }
-
-
 def _floats(doc: dict, path: str, size: int | None = None) -> tuple[float, ...]:
     """A list of finite numbers, of exactly size of them if size is given."""
     value = _get(doc, path, list)
@@ -152,22 +147,37 @@ def _checked(section: str, make, *args, **kwargs):
         raise ConfigError(f"{section}.{exc}" if section else str(exc)) from None
 
 
+_hints = cache(get_type_hints)  # each parameter class's annotations, evaluated once
+_READERS = {  # a key's reader, by its field's annotation
+    int: _integer,
+    float: _number,
+    tuple[float, float]: partial(_floats, size=2),
+    tuple[float, ...]: _floats,
+}
+
+
+def _section(doc: dict, section: str, cls, **given):
+    """cls(**given, other fields read from `section.<name>` by their
+    annotation's reader) through _checked; no reader is a TypeError."""
+    hints = _hints(cls)
+    names = [f.name for f in fields(cls) if f.name not in given]
+    for name in names:
+        if hints[name] not in _READERS:
+            raise TypeError(f"{cls.__name__}.{name}: config has no reader for {hints[name]}")
+    read = {name: _READERS[hints[name]](doc, f"{section}.{name}") for name in names}
+    return _checked(section, cls, **given, **read)
+
+
 def _profile(doc: dict, key: str, expert_id: ExpertId, pad_side: float) -> ExpertProfile:
     base = f"experts.{key}"
     offset_m = _floats(doc, f"{base}.distractor_offset_m", 2)
-    offset_pads = (offset_m[0] / pad_side, offset_m[1] / pad_side)
-    if not all(map(math.isfinite, offset_pads)):
+    pads = (offset_m[0] / pad_side, offset_m[1] / pad_side)
+    if not all(map(math.isfinite, pads)):
         raise ConfigError(
             f"{base}.distractor_offset_m: each offset / helipad.side_length must be finite "
             f"(got {list(offset_m)}, side_length {pad_side})"
         )
-    return _checked(
-        base,
-        ExpertProfile,
-        expert_id=expert_id,
-        distractor_offset_pads=offset_pads,
-        **_numbers(doc, base, ExpertProfile, {"expert_id", "distractor_offset_pads"}),
-    )
+    return _section(doc, base, ExpertProfile, expert_id=expert_id, distractor_offset_pads=pads)
 
 
 def _reject_unknown(doc: dict, known: dict, prefix: str = "") -> None:
@@ -183,22 +193,15 @@ def _reject_unknown(doc: dict, known: dict, prefix: str = "") -> None:
 def build_campaign(doc: dict) -> CampaignSpec:
     """Validate a config document and construct the runnable objects."""
     _reject_unknown(doc, default_config())
-    camera = _checked("camera", CameraModel, **_numbers(doc, "camera", CameraModel))
+    camera = _section(doc, "camera", CameraModel)
     pad_x, pad_y = _floats(doc, "helipad.center", 2)
-    pad = _checked(
-        "helipad", HelipadSpec, x=pad_x, y=pad_y, side_length=_number(doc, "helipad.side_length")
-    )
+    pad = _section(doc, "helipad", HelipadSpec, x=pad_x, y=pad_y)
     z_ref = _number(doc, "gains.z_ref")
     area_ref = _checked("gains", area_ref_for_altitude, z_ref, camera.focal_length, pad.side_length)
-    gains = _checked(
-        "gains",
-        ControllerGains,
-        area_ref=area_ref,
-        **_numbers(doc, "gains", ControllerGains, {"area_ref"}),
-    )
-    dynamics = _checked("dynamics", DynamicsParams, **_numbers(doc, "dynamics", DynamicsParams))
-    # the gate fields are the only ones Scenario itself checks
-    scenario = _checked(
+    gains = _section(doc, "gains", ControllerGains, area_ref=area_ref)
+    dynamics = _section(doc, "dynamics", DynamicsParams)
+    scenario = _section(
+        doc,
         "gate",
         Scenario,
         camera=camera,
@@ -207,23 +210,8 @@ def build_campaign(doc: dict) -> CampaignSpec:
         near_profile=_profile(doc, "near", ExpertId.NEAR, pad.side_length),
         gains=gains,
         dynamics=dynamics,
-        window_size=_integer(doc, "gate.window_size"),
-        coast_limit=_integer(doc, "gate.coast_limit"),
     )
-
-    altitudes = _floats(doc, "trials.altitude_set")
-    trials = _checked(
-        "trials",
-        TrialConfig,
-        x_range=_floats(doc, "trials.x_range", 2),
-        y_range=_floats(doc, "trials.y_range", 2),
-        altitude_set=altitudes,
-        seed=_integer(doc, "trials.seed"),
-        n_trials=_integer(doc, "trials.n_trials"),
-        max_steps=_integer(doc, "trials.max_steps"),
-        commit_altitude=_number(doc, "trials.commit_altitude"),
-    )
-
+    trials = _section(doc, "trials", TrialConfig)
     modes = tuple(_member(Mode, "trials.modes", name) for name in _get(doc, "trials.modes", list))
     return _checked("", CampaignSpec, scenario=scenario, trials=trials, modes=modes)
 

@@ -18,7 +18,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .experts import (
     detect,
     noise_rows,
 )
-from .gating import GateState, select_expert
+from .gating import GateState, _is_integer, select_expert
 from .geometry import (
     BoundingBox,
     CameraModel,
@@ -90,6 +90,9 @@ class TrialConfig:
         altitudes = self.altitude_set
         if not (altitudes and all(map(_is_finite, altitudes)) and min(altitudes) > 0):
             raise ValueError(f"altitude_set: must be nonempty, finite and > 0 (got {altitudes})")
+        for name in ("seed", "n_trials", "max_steps"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name}: must be an integer (got {getattr(self, name)!r})")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0 (got {self.seed})")
         if not 1 <= self.n_trials <= MAX_TRIALS:
@@ -164,10 +167,6 @@ class TrialResult:
                 f"expert_usage: counts must be integers >= 0 that sum to at most steps "
                 f"(got {usage}, steps {self.steps})"
             )
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, Integral) and type(x) is not bool
 
 
 def _is_finite(x) -> bool:

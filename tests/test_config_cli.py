@@ -4,12 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from padland import cli
+from padland import cli, config
 from padland.cli import main
 from padland.config import CampaignSpec, ConfigError, build_campaign, default_config, load_config
 from padland.harness import LOG_FIELDS, LOG_STRIDE, Mode, Scenario, TrialConfig
@@ -70,6 +71,17 @@ class TestConfig:
         shipped = ROOT / "configs" / "default.json"
         assert json.loads(shipped.read_text()) == default_config()
         build_campaign(load_config(shipped))
+
+    def test_section_refuses_an_annotation_it_has_no_reader_for(self):
+        @dataclass(frozen=True)
+        class Flags:
+            rate: float = 1.0
+            enabled: bool = True
+
+        doc = {"flags": {"rate": 2.0, "enabled": True}}
+        with pytest.raises(TypeError, match="Flags.enabled"):
+            config._section(doc, "flags", Flags)
+        assert config._section(doc, "flags", Flags, enabled=False) == Flags(2.0, False)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -436,6 +448,23 @@ class TestCliReplay:
         assert code == 2
         assert err == f"error: detection log not found: {log}\n"
         assert not out.exists()
+
+    def test_out_file_fails_before_the_replay(self, tmp_path, config_path, capsys, monkeypatch):
+        def refuse(log, scenario):
+            raise AssertionError("the log was replayed")
+
+        monkeypatch.setattr(cli, "replay_log", refuse)
+        log = tmp_path / "log.csv"
+        log.write_text(
+            f"frame,expert,u,v,w,h,confidence,present\n0,FAR,{INSIDE}\n0,NEAR,0,0,0,0,0,0\n"
+        )
+        out = tmp_path / "o"
+        out.write_text("not a directory")
+        code = main(["replay", "--log", str(log), "--config", str(config_path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and str(out) in err
+        assert out.read_text() == "not a directory"
 
     @pytest.mark.parametrize(
         "bad, named",

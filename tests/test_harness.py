@@ -662,6 +662,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"^{name}:"):
             replace(base, **{name: value})
 
+    @pytest.mark.parametrize(
+        "make, name, value",
+        [
+            (TrialConfig, "seed", True),
+            (TrialConfig, "seed", 42.0),
+            (TrialConfig, "n_trials", 2.5),
+            (TrialConfig, "max_steps", 20.5),
+            (Scenario, "coast_limit", 1.5),
+            (Scenario, "coast_limit", False),
+            (Scenario, "window_size", 5.0),
+            (Scenario, "window_size", 2**70),
+            (GateState, "window_size", sys.maxsize + 1),
+        ],
+    )
+    def test_integer_field_rejects_a_non_integer_by_name(self, make, name, value):
+        # a float count used to fail inside run_campaign, a bool seed or a
+        # float coast limit to run, and a huge window in deque's OverflowError
+        with pytest.raises(ValueError, match=f"^{name}:"):
+            make(**{name: value})
+
+    def test_window_size_up_to_what_a_deque_holds(self):
+        assert GateState(window_size=sys.maxsize).window.maxlen == sys.maxsize
+
 
 class TestCampaignRules:
     """The rules that span a Scenario and a TrialConfig (check_campaign):

@@ -92,3 +92,41 @@ def test_one_owner_for_the_number_rules_and_the_campaign_check():
         tree = ast.parse((SRC / f"{module}.py").read_text())
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert "check_modes" not in defined, module
+
+
+PARAMETER_CLASSES = {
+    "CameraModel",
+    "HelipadSpec",
+    "ControllerGains",
+    "DynamicsParams",
+    "ExpertProfile",
+    "Scenario",
+    "TrialConfig",
+}
+
+
+def test_config_builds_parameter_objects_only_through_section():
+    # _section reads each key by its field's annotation, so no call in
+    # config states a section's key types a second time
+    tree = ast.parse((SRC / "config.py").read_text())
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_section" in defined and "_numbers" not in defined
+    built = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "id", None)
+            args = node.args + [k.value for k in node.keywords]
+            passed = {a.id for a in args if isinstance(a, ast.Name)}
+            if func == "_section":
+                built |= passed & PARAMETER_CLASSES
+            elif func != "field":  # CampaignSpec's default_factory
+                assert not ({func} | passed) & PARAMETER_CLASSES, func
+    assert built == PARAMETER_CLASSES
+    # the only keys read by hand are the three that are not fields
+    readers = {"_integer", "_number", "_floats"}
+    keys = {
+        ast.unparse(node.args[1])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers
+    }
+    assert keys == {"'helipad.center'", "'gains.z_ref'", "f'{base}.distractor_offset_m'"}
