@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .dynamics import DynamicsParams
-from .experts import ExpertId, ExpertProfile
+from .experts import ExpertProfile
 from .geometry import CameraModel, HelipadSpec
 from .harness import Mode, Scenario, TrialConfig, _is_finite, _is_integer, check_campaign
 from .servo import ControllerGains, altitude_for_area_ref, area_ref_for_altitude
@@ -52,7 +52,6 @@ class CampaignSpec:
 
 def _profile_doc(profile: ExpertProfile, pad_side: float) -> dict:
     doc = asdict(profile)
-    del doc["expert_id"]
     offset = doc.pop("distractor_offset_pads")
     doc["distractor_offset_m"] = [offset[0] * pad_side, offset[1] * pad_side]
     return doc
@@ -168,7 +167,7 @@ def _section(doc: dict, section: str, cls, **given):
     return _checked(section, cls, **given, **read)
 
 
-def _profile(doc: dict, key: str, expert_id: ExpertId, pad_side: float) -> ExpertProfile:
+def _profile(doc: dict, key: str, pad_side: float) -> ExpertProfile:
     base = f"experts.{key}"
     offset_m = _floats(doc, f"{base}.distractor_offset_m", 2)
     pads = (offset_m[0] / pad_side, offset_m[1] / pad_side)
@@ -177,7 +176,7 @@ def _profile(doc: dict, key: str, expert_id: ExpertId, pad_side: float) -> Exper
             f"{base}.distractor_offset_m: each offset / helipad.side_length must be finite "
             f"(got {list(offset_m)}, side_length {pad_side})"
         )
-    return _section(doc, base, ExpertProfile, expert_id=expert_id, distractor_offset_pads=pads)
+    return _section(doc, base, ExpertProfile, distractor_offset_pads=pads)
 
 
 def _reject_unknown(doc: dict, known: dict, prefix: str = "") -> None:
@@ -206,8 +205,8 @@ def build_campaign(doc: dict) -> CampaignSpec:
         Scenario,
         camera=camera,
         helipad=pad,
-        far_profile=_profile(doc, "far", ExpertId.FAR, pad.side_length),
-        near_profile=_profile(doc, "near", ExpertId.NEAR, pad.side_length),
+        far_profile=_profile(doc, "far", pad.side_length),
+        near_profile=_profile(doc, "near", pad.side_length),
         gains=gains,
         dynamics=dynamics,
     )

@@ -5,6 +5,9 @@ probability follows a logistic curve over the pad's apparent width, with
 Gaussian center noise, multiplicative size noise, and (optionally) a
 distractor mode that locks onto a false pad-like target at a fixed world
 offset.
+
+An expert is the slot it fills (Scenario.far_profile, select_expert's
+det_far, FAR's log fields first): no profile or detection names it.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ class ExpertId(Enum):
 
 
 class _DetectionFields(NamedTuple):
-    expert_id: ExpertId
     box: BoundingBox | None = None
     confidence: float = 0.0
 
@@ -38,19 +40,19 @@ class _DetectionFields(NamedTuple):
 class Detection(_DetectionFields):
     """One expert's output for one frame; box is None when nothing was found.
 
-    An immutable tuple (expert_id, box, confidence). Its constructor is the
-    one place that checks it: an absent detection carries confidence 0,
-    and confidence lies in [0, 1]. _make and _replace go through it too.
+    An immutable tuple (box, confidence); its expert is the slot it fills.
+    Its constructor, which _make and _replace go through too, is the one
+    check: an absent detection carries confidence 0, confidence is in [0, 1].
     """
 
     __slots__ = ()
 
-    def __new__(cls, expert_id: ExpertId, box: BoundingBox | None = None, confidence: float = 0.0):
+    def __new__(cls, box: BoundingBox | None = None, confidence: float = 0.0):
         if box is None and confidence != 0.0:
             raise ValueError("absent detection must carry confidence 0")
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(f"confidence {confidence} outside [0, 1]")
-        return tuple.__new__(cls, (expert_id, box, confidence))
+        return tuple.__new__(cls, (box, confidence))
 
     @classmethod
     def _make(cls, iterable) -> "Detection":
@@ -61,9 +63,9 @@ class Detection(_DetectionFields):
         return self.box is not None
 
 
-# the one absent Detection of each expert: immutable, so detect and the
-# replay path share it instead of building one per frame
-ABSENT = {expert: Detection(expert_id=expert) for expert in ExpertId}
+# the one absent Detection: immutable, so detect and the replay path share
+# it instead of building one per frame
+ABSENT = Detection()
 
 
 @dataclass(frozen=True)
@@ -80,7 +82,6 @@ class ExpertProfile:
     i.e. world-meter offset divided by pad side) instead of the true pad.
     """
 
-    expert_id: ExpertId
     s_center: float
     s_slope: float
     sigma_center_base: float = 0.0
@@ -104,16 +105,15 @@ class ExpertProfile:
             raise ValueError(f"distractor_offset_pads: must be finite (got {offset})")
 
     @classmethod
-    def ideal(cls, expert_id: ExpertId) -> "ExpertProfile":
+    def ideal(cls) -> "ExpertProfile":
         """Noise-free always-on detector (useful for closed-loop checks)."""
-        return cls(expert_id=expert_id, s_center=-1e9, s_slope=1.0)
+        return cls(s_center=-1e9, s_slope=1.0)
 
 
 def default_far_profile() -> ExpertProfile:
     """Long-range specialist: detects even tiny pads but jitters more as the
     pad grows, and occasionally locks onto a pad-like rooftop 25 m away."""
     return ExpertProfile(
-        expert_id=ExpertId.FAR,
         s_center=8.0,
         s_slope=2.0,
         sigma_center_base=2.0,
@@ -128,7 +128,6 @@ def default_near_profile() -> ExpertProfile:
     """Close-range specialist: precise once the pad is large enough, but
     blind to the small footprints seen from high altitude."""
     return ExpertProfile(
-        expert_id=ExpertId.NEAR,
         s_center=27.0,
         s_slope=0.75,
         sigma_center_base=1.5,
@@ -141,10 +140,10 @@ def default_near_profile() -> ExpertProfile:
 def detection_probability(profile: ExpertProfile, s: float) -> float:
     """Per-frame detection probability at apparent width s.
 
-    The exponential is numpy's, returned as a float: np.exp gives the same
-    double for a scalar as for that value inside an array, which
-    math.exp does not on every CPU, so a vectorised engine can reproduce
-    these probabilities bit for bit.
+    The exponential is numpy's, as a float: np.exp gives a scalar the same
+    double as an array on one machine, but numpy's AVX-512 and baseline exp
+    loops differ on 4.6 % of inputs, so the golden digest (and a vectorised
+    engine's bit-exactness) holds only on CPUs that take the same path.
     """
     x = (s - profile.s_center) / profile.s_slope
     # numerically stable sigmoid
@@ -194,7 +193,7 @@ def detect(
 
     p_det = detection_probability(profile, s)
     if u_present >= p_det:
-        return ABSENT[profile.expert_id]
+        return ABSENT
 
     if profile.distractor_prob > 0.0 and u_distract < profile.distractor_prob:
         du, dv = profile.distractor_offset_pads
@@ -209,6 +208,6 @@ def detect(
     box = tuple.__new__(BoundingBox, (u, v, true_box.w * scale, true_box.h * scale))
     box = clamp_box(box, cam)
     if box is None:
-        return ABSENT[profile.expert_id]
-    return Detection(profile.expert_id, box, p_det)
+        return ABSENT
+    return Detection(box, p_det)
 

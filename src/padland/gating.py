@@ -29,6 +29,10 @@ def _is_integer(x) -> bool:
     return isinstance(x, Integral) and type(x) is not bool
 
 
+# globals: reading an Enum member off its class takes a slow __getattr__ path
+_FAR, _NEAR = ExpertId.FAR, ExpertId.NEAR
+
+
 def l1_center_distance(box: BoundingBox, cam: CameraModel) -> float:
     """|u - c_x| + |v - c_y|; zero iff the box sits on the principal point."""
     return abs(box.u - cam.cx) + abs(box.v - cam.cy)
@@ -99,7 +103,8 @@ def select_expert(
     Both present: argmin of the L1 center distance, ties keeping the
     previously selected expert (NEAR if none yet). One present: select it.
     None present: coast on the existing window for up to coast_limit
-    consecutive frames, then report tracking lost.
+    consecutive frames, then report tracking lost. The selection is named
+    by the argument that won: FAR for det_far, NEAR for det_near.
     """
     box_far = det_far.box
     box_near = det_near.box
@@ -111,9 +116,9 @@ def select_expert(
         return tuple.__new__(GateOutput, (smoothed, None, lost))
 
     if box_near is None:
-        chosen = det_far
+        far_won = True
     elif box_far is None:
-        chosen = det_near
+        far_won = False
     else:
         # l1_center_distance of each, inlined: this runs once per frame
         cx = cam.cx
@@ -121,16 +126,16 @@ def select_expert(
         d_far = abs(box_far.u - cx) + abs(box_far.v - cy)
         d_near = abs(box_near.u - cx) + abs(box_near.v - cy)
         if d_far < d_near:
-            chosen = det_far
+            far_won = True
         elif d_near < d_far:
-            chosen = det_near
+            far_won = False
         else:
             # exact tie: hysteresis on the previous selection, NEAR at start
-            keep = state.last_selected if state.last_selected is not None else ExpertId.NEAR
-            chosen = det_far if keep is ExpertId.FAR else det_near
+            far_won = state.last_selected is _FAR
 
-    state.window.append(chosen.box)  # the deque's maxlen drops the oldest
-    state.last_selected = chosen.expert_id
+    chosen = _FAR if far_won else _NEAR
+    state.window.append(box_far if far_won else box_near)  # maxlen drops the oldest
+    state.last_selected = chosen
     state.coast_counter = 0
 
-    return tuple.__new__(GateOutput, (_window_mean(state.window), chosen.expert_id, False))
+    return tuple.__new__(GateOutput, (_window_mean(state.window), chosen, False))

@@ -33,7 +33,7 @@ from .experts import (
     detect,
     noise_rows,
 )
-from .gating import GateState, _is_integer, select_expert
+from .gating import _FAR, GateState, _is_integer, select_expert
 from .geometry import (
     BoundingBox,
     CameraModel,
@@ -200,7 +200,6 @@ _ABSENT_CELLS = (0.0,) * LOG_FIELDS  # an absent detection's log fields
 REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
 REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(","))
 _REPLAY_BLANKS = (float("nan"),) * 8  # u_hat to e_z without a smoothed box
-_FAR = ExpertId.FAR
 _HOLD = VelocityCommand(0.0, 0.0, 0.0)
 RECORD_BLOCK = 64  # frames a loop keeps as Python floats before converting them
 
@@ -289,8 +288,6 @@ def run_trial(
     run_near = mode in (Mode.NEAR_ONLY, Mode.DUAL)
     far_rows = noise_rows(rng_far) if run_far else repeat(None)
     near_rows = noise_rows(rng_near) if run_near else repeat(None)
-    absent_far = ABSENT[ExpertId.FAR]
-    absent_near = ABSENT[ExpertId.NEAR]
 
     n = config.max_steps
     for start in range(0, n, RECORD_BLOCK):
@@ -299,13 +296,11 @@ def run_trial(
         for k, noise_far, noise_near in zip(frames, far_rows, near_rows):
             truth = project_helipad(state, pad, cam)
             if truth is None:
-                det_far, det_near = absent_far, absent_near
+                det_far = det_near = ABSENT
             else:
                 s = apparent_width(state, pad, cam)
-                det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else absent_far
-                det_near = (
-                    detect(near_profile, truth, s, noise_near, cam) if run_near else absent_near
-                )
+                det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else ABSENT
+                det_near = detect(near_profile, truth, s, noise_near, cam) if run_near else ABSENT
 
             # the frame's record, piece by piece in RECORD_COLUMNS order: each
             # expert's log fields (zeros when absent), then the trajectory's own
@@ -368,10 +363,8 @@ class DetectionLogError(ValueError):
     """Malformed detection log; the message names the offending line, frame or file."""
 
 
-def _detection(expert: ExpertId, cells) -> Detection:
-    if not cells[5]:
-        return ABSENT[expert]
-    return Detection(expert_id=expert, box=BoundingBox(*cells[:4]), confidence=cells[4])
+def _detection(cells) -> Detection:
+    return Detection(BoundingBox(*cells[:4]), cells[4]) if cells[5] else ABSENT
 
 
 def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detection]:
@@ -383,7 +376,7 @@ def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detecti
             f"frame_index {frame_index} out of range (log has {len(log)} frames)"
         )
     row = log[frame_index, :LOG_STRIDE].tolist()
-    return _detection(ExpertId.FAR, row[:LOG_FIELDS]), _detection(ExpertId.NEAR, row[LOG_FIELDS:])
+    return _detection(row[:LOG_FIELDS]), _detection(row[LOG_FIELDS:])
 
 
 def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
@@ -399,10 +392,10 @@ def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
     u, v, w, h, _, present = log[:, :LOG_STRIDE].reshape(-1, 2, LOG_FIELDS).transpose(2, 0, 1)
     bad = (present != 0.0) & ~inside_image((u, v, w, h), cam)  # (frames, FAR then NEAR)
     if bad.any():
-        frame, expert = divmod(int(bad.argmax()), 2)
-        det = replay_detect(log, frame)[expert]
+        frame, slot = divmod(int(bad.argmax()), 2)  # slot 0 is FAR's columns, 1 NEAR's
+        box = replay_detect(log, frame)[slot].box
         raise DetectionLogError(
-            f"frame {frame}: {det.expert_id.value} {det.box} does not lie inside "
+            f"frame {frame}: {tuple(ExpertId)[slot].value} {box} does not lie inside "
             f"the {cam.image_width} x {cam.image_height} camera image"
         )
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)

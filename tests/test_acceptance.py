@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import rankdata
 
-from padland.experts import Detection, ExpertId, ExpertProfile
+from padland.experts import ABSENT, Detection, ExpertId, ExpertProfile
 from padland.gating import GateState, l1_center_distance, select_expert
 from padland.geometry import BoundingBox, CameraModel, VehicleState, apparent_width, project_helipad
 from padland.harness import (
@@ -40,15 +40,11 @@ def ok(criterion: str, detail: str = ""):
 
 
 def far(u, v):
-    return Detection(ExpertId.FAR, BoundingBox(u, v, 24.0, 24.0), 0.9)
+    return Detection(BoundingBox(u, v, 24.0, 24.0), 0.9)
 
 
 def near(u, v):
-    return Detection(ExpertId.NEAR, BoundingBox(u, v, 24.0, 24.0), 0.9)
-
-
-ABSENT_FAR = Detection(ExpertId.FAR)
-ABSENT_NEAR = Detection(ExpertId.NEAR)
+    return Detection(BoundingBox(u, v, 24.0, 24.0), 0.9)
 
 
 def test_criterion_1_gating_exactness():
@@ -74,7 +70,7 @@ def test_criterion_1_gating_exactness():
     state = GateState()
     out = select_expert(far(254.0, 224.0), near(194.0, 224.0), state, CAM)
     assert out.selected_expert is ExpertId.NEAR  # no prior selection: NEAR
-    select_expert(far(250.0, 224.0), ABSENT_NEAR, state, CAM)
+    select_expert(far(250.0, 224.0), ABSENT, state, CAM)
     out = select_expert(far(254.0, 224.0), near(194.0, 224.0), state, CAM)
     assert out.selected_expert is ExpertId.FAR  # keeps last selection on tie
     ok("1 (gating exactness)", f"0 violations in 10000 pairs, {elapsed:.3f}s")
@@ -87,8 +83,8 @@ def test_criterion_2_smoothing_exactness_and_variance_reduction():
     raw_selected = []
     for _ in range(2000):
         r = rng.uniform()
-        df = far(rng.uniform(0, 448), rng.uniform(0, 448)) if r < 0.7 else ABSENT_FAR
-        dn = near(rng.uniform(0, 448), rng.uniform(0, 448)) if rng.uniform() < 0.7 else ABSENT_NEAR
+        df = far(rng.uniform(0, 448), rng.uniform(0, 448)) if r < 0.7 else ABSENT
+        dn = near(rng.uniform(0, 448), rng.uniform(0, 448)) if rng.uniform() < 0.7 else ABSENT
         out = select_expert(df, dn, state, CAM)
         if out.selected_expert is not None:
             chosen = df if out.selected_expert is ExpertId.FAR else dn
@@ -107,7 +103,7 @@ def test_criterion_2_smoothing_exactness_and_variance_reduction():
     state = GateState(window_size=5)
     smoothed = []
     for i in range(10_004):
-        out = select_expert(far(224.0 + sigma * rng.standard_normal(), 224.0), ABSENT_NEAR, state, CAM)
+        out = select_expert(far(224.0 + sigma * rng.standard_normal(), 224.0), ABSENT, state, CAM)
         if i >= 4:
             smoothed.append(out.smoothed_box.u)
     empirical = float(np.std(smoothed))
@@ -119,8 +115,8 @@ def test_criterion_2_smoothing_exactness_and_variance_reduction():
 
 def test_criterion_3_servo_convergence():
     scen = Scenario(
-        far_profile=ExpertProfile.ideal(ExpertId.FAR),
-        near_profile=ExpertProfile.ideal(ExpertId.NEAR),
+        far_profile=ExpertProfile.ideal(),
+        near_profile=ExpertProfile.ideal(),
     )
     root = np.random.SeedSequence(3)
     rf, rn = (np.random.default_rng(s) for s in root.spawn(2))

@@ -67,9 +67,13 @@ class TestConfig:
         spec = build_campaign(default_config())
         assert spec.scenario.far_profile.distractor_offset_pads[0] == pytest.approx(25.0 / 12.0)
 
-    def test_shipped_default_file_in_sync(self):
+    def test_shipped_default_file_in_sync(self, tmp_path, capsys):
+        # the shipped file is the file init-config writes, byte for byte:
+        # float fields as floats, keys in field order
         shipped = ROOT / "configs" / "default.json"
         assert json.loads(shipped.read_text()) == default_config()
+        assert main(["init-config", "--out", str(tmp_path / "default.json")]) == 0
+        assert shipped.read_bytes() == (tmp_path / "default.json").read_bytes()
         build_campaign(load_config(shipped))
 
     def test_section_refuses_an_annotation_it_has_no_reader_for(self):

@@ -43,7 +43,6 @@ def log_cells(det: Detection) -> tuple:
 
 def quiet_profile(**kwargs) -> ExpertProfile:
     base = dict(
-        expert_id=ExpertId.FAR,
         s_center=-1e9,
         s_slope=1.0,
         sigma_center_base=0.0,
@@ -58,14 +57,14 @@ def quiet_profile(**kwargs) -> ExpertProfile:
 class TestDetectionProbability:
     def test_near_profile_value_at_high_altitude(self):
         # the calibrated shape: logistic((s - 27) / 1.5) at s = 24.44
-        profile = ExpertProfile(expert_id=ExpertId.NEAR, s_center=27.0, s_slope=1.5)
+        profile = ExpertProfile(s_center=27.0, s_slope=1.5)
         p = detection_probability(profile, 24.44)
         assert p == pytest.approx(1.0 / (1.0 + math.exp((27.0 - 24.44) / 1.5)))
         assert p == pytest.approx(0.154, abs=5e-4)
 
     def test_monotone_in_declared_direction(self):
-        above = ExpertProfile(expert_id=ExpertId.NEAR, s_center=30.0, s_slope=2.0)
-        below = ExpertProfile(expert_id=ExpertId.FAR, s_center=30.0, s_slope=-2.0)
+        above = ExpertProfile(s_center=30.0, s_slope=2.0)
+        below = ExpertProfile(s_center=30.0, s_slope=-2.0)
         grid = np.linspace(1.0, 300.0, 50)
         p_above = [detection_probability(above, s) for s in grid]
         p_below = [detection_probability(below, s) for s in grid]
@@ -75,15 +74,15 @@ class TestDetectionProbability:
     def test_negative_slope_mirrors_the_curve_bitwise(self):
         # with s_center = 0, slope -k at s is slope k at -s, to the bit
         for k in (0.75, 2.0, 3.1):
-            falling = ExpertProfile(expert_id=ExpertId.FAR, s_center=0.0, s_slope=-k)
-            rising = ExpertProfile(expert_id=ExpertId.FAR, s_center=0.0, s_slope=k)
+            falling = ExpertProfile(s_center=0.0, s_slope=-k)
+            rising = ExpertProfile(s_center=0.0, s_slope=k)
             for s in (1e-6, 0.5, 7.25, 33.0, 123456.789):
                 assert detection_probability(falling, s) == detection_probability(rising, -s)
 
     @pytest.mark.parametrize("slope", [0.0, -0.0, math.nan, math.inf, -math.inf])
     def test_slope_must_be_nonzero_and_finite(self, slope):
         with pytest.raises(ValueError, match="s_slope"):
-            ExpertProfile(expert_id=ExpertId.FAR, s_center=8.0, s_slope=slope)
+            ExpertProfile(s_center=8.0, s_slope=slope)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=64))
@@ -99,7 +98,7 @@ class TestDetectionProbability:
     def test_extreme_arguments_do_not_overflow(self):
         p = detection_probability(quiet_profile(), 1e-6)
         assert p == 1.0
-        hopeless = ExpertProfile(expert_id=ExpertId.NEAR, s_center=1e9, s_slope=1.0)
+        hopeless = ExpertProfile(s_center=1e9, s_slope=1.0)
         assert detection_probability(hopeless, 10.0) == 0.0
 
 
@@ -110,9 +109,7 @@ def rows(seed: int):
 
 class TestDetect:
     def test_empirical_rate_matches_probability(self):
-        profile = ExpertProfile(
-            expert_id=ExpertId.NEAR, s_center=27.0, s_slope=1.5, sigma_center_base=1.5
-        )
+        profile = ExpertProfile(s_center=27.0, s_slope=1.5, sigma_center_base=1.5)
         noise = rows(2024)
         hits = sum(
             detect(profile, TRUE_BOX, 24.44, next(noise), CAM).present for _ in range(1000)
@@ -120,7 +117,7 @@ class TestDetect:
         assert hits / 1000 == pytest.approx(0.154, abs=0.04)
 
     def test_rate_converges_within_binomial_bound(self):
-        profile = ExpertProfile(expert_id=ExpertId.NEAR, s_center=30.0, s_slope=4.0)
+        profile = ExpertProfile(s_center=30.0, s_slope=4.0)
         s = 33.0
         p = detection_probability(profile, s)
         n = 10_000
@@ -200,13 +197,15 @@ class TestDetect:
         frame = [-1]
         seen = {ExpertId.FAR: {}, ExpertId.NEAR: {}}
         project, real_detect = harness.project_helipad, harness.detect
+        scenario = harness.Scenario()
 
         def project_helipad(state, pad, cam):
             frame[0] += 1
             return None if frame[0] % 3 == 1 else project(state, pad, cam)
 
         def detect_spy(profile, true_box, s, noise, cam):
-            seen[profile.expert_id][frame[0]] = noise
+            expert = ExpertId.FAR if profile is scenario.far_profile else ExpertId.NEAR
+            seen[expert][frame[0]] = noise
             return real_detect(profile, true_box, s, noise, cam)
 
         monkeypatch.setattr(harness, "project_helipad", project_helipad)
@@ -221,7 +220,7 @@ class TestDetect:
                 calls.clear()
             streams = {ExpertId.FAR: np.random.default_rng(1), ExpertId.NEAR: np.random.default_rng(2)}
             result = harness.run_trial(
-                VehicleState(-86.0, 80.0, 70.0), mode, harness.Scenario(),
+                VehicleState(-86.0, 80.0, 70.0), mode, scenario,
                 harness.TrialConfig(max_steps=steps), streams[ExpertId.FAR], streams[ExpertId.NEAR],
             ).result
             assert result.steps == steps
@@ -261,22 +260,22 @@ class TestNoiseRows:
 class TestDetectionType:
     def test_absent_must_have_zero_confidence(self):
         with pytest.raises(ValueError):
-            Detection(expert_id=ExpertId.FAR, box=None, confidence=0.3)
+            Detection(box=None, confidence=0.3)
 
     def test_confidence_bounds(self):
         with pytest.raises(ValueError):
-            Detection(expert_id=ExpertId.FAR, box=TRUE_BOX, confidence=1.5)
+            Detection(box=TRUE_BOX, confidence=1.5)
 
 
 class TestDetectionLog:
     DETECTIONS = [
         (
-            Detection(ExpertId.FAR, BoundingBox(210.0, 230.5, 24.0, 24.0), 0.81),
-            Detection(ExpertId.NEAR),
+            Detection(BoundingBox(210.0, 230.5, 24.0, 24.0), 0.81),
+            Detection(),
         ),
         (
-            Detection(ExpertId.FAR, BoundingBox(211.25, 229.0, 24.5, 23.5), 0.9),
-            Detection(ExpertId.NEAR, BoundingBox(224.0, 224.0, 25.0, 25.0), 0.55),
+            Detection(BoundingBox(211.25, 229.0, 24.5, 23.5), 0.9),
+            Detection(BoundingBox(224.0, 224.0, 25.0, 25.0), 0.55),
         ),
     ]
 

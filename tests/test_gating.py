@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from padland.experts import Detection, ExpertId
+from padland.experts import ABSENT, Detection, ExpertId
 from padland.gating import GateOutput, GateState, l1_center_distance, select_expert
 from padland.geometry import BoundingBox, CameraModel
 
@@ -11,15 +11,11 @@ CAM = CameraModel()
 
 
 def far(u, v, w=24.0, h=24.0, conf=0.9) -> Detection:
-    return Detection(ExpertId.FAR, BoundingBox(u, v, w, h), conf)
+    return Detection(BoundingBox(u, v, w, h), conf)
 
 
 def near(u, v, w=24.0, h=24.0, conf=0.9) -> Detection:
-    return Detection(ExpertId.NEAR, BoundingBox(u, v, w, h), conf)
-
-
-ABSENT_FAR = Detection(ExpertId.FAR)
-ABSENT_NEAR = Detection(ExpertId.NEAR)
+    return Detection(BoundingBox(u, v, w, h), conf)
 
 
 class TestL1Distance:
@@ -43,13 +39,13 @@ class TestSelection:
 
     def test_single_present_selected_regardless_of_distance(self):
         state = GateState()
-        out = select_expert(far(10.0, 10.0), ABSENT_NEAR, state, CAM)
+        out = select_expert(far(10.0, 10.0), ABSENT, state, CAM)
         assert out.selected_expert is ExpertId.FAR
         assert not out.tracking_lost
 
     def test_tie_keeps_last_selected(self):
         state = GateState()
-        select_expert(far(250.0, 224.0), ABSENT_NEAR, state, CAM)  # FAR selected
+        select_expert(far(250.0, 224.0), ABSENT, state, CAM)  # FAR selected
         out = select_expert(far(254.0, 224.0), near(194.0, 224.0), state, CAM)  # both D=30
         assert out.selected_expert is ExpertId.FAR
 
@@ -79,14 +75,14 @@ class TestSmoothing:
         state = GateState()
         out = None
         for u in (220.0, 222.0, 224.0, 226.0, 228.0):
-            out = select_expert(far(u, 224.0), ABSENT_NEAR, state, CAM)
+            out = select_expert(far(u, 224.0), ABSENT, state, CAM)
         assert out.smoothed_box.u == pytest.approx(224.0)
         assert out.smoothed_box.v == 224.0
 
     def test_warmup_averages_available_entries(self):
         state = GateState()
-        select_expert(far(220.0, 224.0), ABSENT_NEAR, state, CAM)
-        out = select_expert(far(230.0, 224.0), ABSENT_NEAR, state, CAM)
+        select_expert(far(220.0, 224.0), ABSENT, state, CAM)
+        out = select_expert(far(230.0, 224.0), ABSENT, state, CAM)
         assert out.smoothed_box.u == pytest.approx(225.0)
 
     def test_exact_windowed_mean_oracle(self):
@@ -116,7 +112,7 @@ class TestSmoothing:
         smoothed_u = []
         for i in range(10_004):
             u = 224.0 + sigma * rng.standard_normal()
-            out = select_expert(far(u, 224.0), ABSENT_NEAR, state, CAM)
+            out = select_expert(far(u, 224.0), ABSENT, state, CAM)
             if i >= 4:  # full window only
                 smoothed_u.append(out.smoothed_box.u)
         empirical = float(np.std(smoothed_u))
@@ -124,47 +120,47 @@ class TestSmoothing:
 
     def test_window_blends_across_expert_switch(self):
         state = GateState()
-        select_expert(far(200.0, 224.0), ABSENT_NEAR, state, CAM)
-        out = select_expert(ABSENT_FAR, near(240.0, 224.0), state, CAM)
+        select_expert(far(200.0, 224.0), ABSENT, state, CAM)
+        out = select_expert(ABSENT, near(240.0, 224.0), state, CAM)
         assert out.smoothed_box.u == pytest.approx(220.0)
 
 
 class TestCoasting:
     def test_coast_reuses_previous_smoothed_box(self):
         state = GateState(coast_limit=3)
-        ref = select_expert(far(230.0, 224.0), ABSENT_NEAR, state, CAM)
-        out = select_expert(ABSENT_FAR, ABSENT_NEAR, state, CAM)
+        ref = select_expert(far(230.0, 224.0), ABSENT, state, CAM)
+        out = select_expert(ABSENT, ABSENT, state, CAM)
         assert out.selected_expert is None
         assert not out.tracking_lost
         assert out.smoothed_box == ref.smoothed_box
 
     def test_loss_after_coast_limit_exceeded(self):
         state = GateState(coast_limit=3)
-        select_expert(far(230.0, 224.0), ABSENT_NEAR, state, CAM)
-        outs = [select_expert(ABSENT_FAR, ABSENT_NEAR, state, CAM) for _ in range(4)]
+        select_expert(far(230.0, 224.0), ABSENT, state, CAM)
+        outs = [select_expert(ABSENT, ABSENT, state, CAM) for _ in range(4)]
         assert [o.tracking_lost for o in outs] == [False, False, False, True]
         assert outs[-1].smoothed_box is None
 
     def test_loss_from_empty_window(self):
         state = GateState(coast_limit=10)
-        outs = [select_expert(ABSENT_FAR, ABSENT_NEAR, state, CAM) for _ in range(11)]
+        outs = [select_expert(ABSENT, ABSENT, state, CAM) for _ in range(11)]
         assert all(o.smoothed_box is None for o in outs)
         assert outs[-1].tracking_lost and not outs[-2].tracking_lost
 
     def test_detection_resets_coast(self):
         state = GateState(coast_limit=2)
-        select_expert(far(230.0, 224.0), ABSENT_NEAR, state, CAM)
-        select_expert(ABSENT_FAR, ABSENT_NEAR, state, CAM)
-        select_expert(ABSENT_FAR, ABSENT_NEAR, state, CAM)
-        out = select_expert(far(231.0, 224.0), ABSENT_NEAR, state, CAM)
+        select_expert(far(230.0, 224.0), ABSENT, state, CAM)
+        select_expert(ABSENT, ABSENT, state, CAM)
+        select_expert(ABSENT, ABSENT, state, CAM)
+        out = select_expert(far(231.0, 224.0), ABSENT, state, CAM)
         assert out.selected_expert is ExpertId.FAR
         assert state.coast_counter == 0
 
 
 class TestTotality:
     def test_every_presence_combination_returns_output(self):
-        for df in (far(250.0, 230.0), ABSENT_FAR):
-            for dn in (near(220.0, 210.0), ABSENT_NEAR):
+        for df in (far(250.0, 230.0), ABSENT):
+            for dn in (near(220.0, 210.0), ABSENT):
                 state = GateState()
                 out = select_expert(df, dn, state, CAM)
                 assert isinstance(out, GateOutput)
@@ -181,8 +177,8 @@ class TestTotality:
             if rng.uniform() < 0.8:
                 df = far(rng.uniform(0, 448), rng.uniform(0, 448))
             else:
-                df = ABSENT_FAR
-            out = select_expert(df, ABSENT_NEAR, state, CAM)
+                df = ABSENT
+            out = select_expert(df, ABSENT, state, CAM)
             if df.box is not None:
                 assert out.selected_expert is ExpertId.FAR
                 window.append(df.box)
@@ -200,7 +196,7 @@ class TestGateState:
     def test_window_never_exceeds_capacity(self):
         state = GateState(window_size=3)
         for u in range(10):
-            select_expert(far(200.0 + u, 224.0), ABSENT_NEAR, state, CAM)
+            select_expert(far(200.0 + u, 224.0), ABSENT, state, CAM)
             assert len(state.window) <= 3
 
 
@@ -214,13 +210,13 @@ maybe_boxes = st.one_of(st.none(), boxes)
 frames = st.lists(st.tuples(maybe_boxes, maybe_boxes), max_size=40)
 
 
-def detection(expert: ExpertId, box: BoundingBox | None) -> Detection:
-    return Detection(expert) if box is None else Detection(expert, box, 0.5)
+def detection(box: BoundingBox | None) -> Detection:
+    return ABSENT if box is None else Detection(box, 0.5)
 
 
 def play(state: GateState, history) -> list[GateOutput]:
     return [
-        select_expert(detection(ExpertId.FAR, bf), detection(ExpertId.NEAR, bn), state, CAM)
+        select_expert(detection(bf), detection(bn), state, CAM)
         for bf, bn in history
     ]
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from padland import harness
 from padland.dynamics import DynamicsParams
 from padland.config import CampaignSpec
-from padland.experts import ABSENT, ExpertId, ExpertProfile, default_far_profile
+from padland.experts import ABSENT, ExpertProfile, default_far_profile, default_near_profile
 from padland.gating import GateState
 from padland.geometry import CameraModel, HelipadSpec, VehicleState, apparent_width
 from padland.harness import (
@@ -44,8 +44,8 @@ from padland.servo import ControllerGains, area_ref_for_altitude
 COL = {name: i for i, name in enumerate(RECORD_COLUMNS)}
 
 IDEAL = Scenario(
-    far_profile=ExpertProfile.ideal(ExpertId.FAR),
-    near_profile=ExpertProfile.ideal(ExpertId.NEAR),
+    far_profile=ExpertProfile.ideal(),
+    near_profile=ExpertProfile.ideal(),
 )
 
 
@@ -197,7 +197,6 @@ class TestRunTrial:
         # 60 m, so near_only loses tracking mid-block, after a full block
         pad, cam = HelipadSpec(), CameraModel()
         blind_below_60m = ExpertProfile(
-            expert_id=ExpertId.NEAR,
             s_center=apparent_width(VehicleState(pad.x, pad.y, 60.0), pad, cam),
             s_slope=-1e-9,
         )
@@ -288,9 +287,7 @@ class TestRunTrial:
 class TestPerceive:
     def test_no_box_gives_no_errors_and_the_hold_command(self):
         gate = GateState()
-        sb, code, lost, err, cmd = perceive(
-            ABSENT[ExpertId.FAR], ABSENT[ExpertId.NEAR], gate, CameraModel(), ControllerGains()
-        )
+        sb, code, lost, err, cmd = perceive(ABSENT, ABSENT, gate, CameraModel(), ControllerGains())
         assert (sb, code, lost, err, tuple(cmd)) == (None, 0.0, False, None, (0.0, 0.0, 0.0))
         assert gate.coast_counter == 1
 
@@ -327,6 +324,21 @@ class TestReplayLog:
         if run.result.termination_reason is TerminationReason.TRACKING_LOST:
             lost[-1] = 1.0
         assert col["tracking_lost"].tobytes() == lost.tobytes()
+
+    def test_an_expert_is_the_slot_it_fills(self):
+        # each profile in the other's slot: the far slot's selections are
+        # FAR, in the trial, its usage and the replay of its own log
+        scenario = Scenario(far_profile=default_near_profile(), near_profile=default_far_profile())
+        rng_far, rng_near = np.random.default_rng(1), np.random.default_rng(2)
+        start = VehicleState(-85.0, 80.0, 90.0)
+        run = run_trial(start, Mode.DUAL, scenario, TrialConfig(), rng_far, rng_near)
+        replay = replay_log(run.frames[:, :LOG_STRIDE], scenario)
+        for name in ("selected", "u_hat", "v_hat"):
+            replayed = replay[:, REPLAY_COLUMNS.index(name)]
+            assert replayed.tobytes() == run.frames[:, COL[name]].tobytes(), name
+        far_frames = int(np.count_nonzero(run.frames[:, COL["selected"]] == 1.0))
+        assert far_frames > 0
+        assert run.result.expert_usage["FAR"] == far_frames
 
     @pytest.mark.parametrize(
         "bad, named",

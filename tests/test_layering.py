@@ -130,3 +130,23 @@ def test_config_builds_parameter_objects_only_through_section():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers
     }
     assert keys == {"'helipad.center'", "'gains.z_ref'", "f'{base}.distractor_offset_m'"}
+
+
+def test_no_module_names_an_expert_id():
+    # an expert is the slot it fills (far_profile, det_far, FAR's log fields
+    # first): no profile or detection carries its name a second time
+    def names(module: str) -> set[str]:
+        found = set()
+        for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+            if isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.Name):  # a class field's annotated name too
+                found.add(node.id)
+            elif isinstance(node, (ast.arg, ast.keyword)):
+                found.add(node.arg)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)  # getattr(x, "expert_id"), doc["expert_id"]
+        return found
+
+    assert "Detection" in names("experts")  # the reader finds names at all
+    assert [m for m in MODULES if "expert_id" in names(m)] == []

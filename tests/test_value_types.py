@@ -32,8 +32,8 @@ VALUES = [
     ErrorSignals(-6.0, 0.0, 480.0, 72_000.0),
     VelocityCommand(0.12, 0.0, -1.5),
     GateOutput(BOX, ExpertId.NEAR, False),
-    Detection(ExpertId.FAR, BOX, 0.75),
-    Detection(ExpertId.NEAR),
+    Detection(BOX, 0.75),
+    Detection(),
 ]
 IDS = [type(v).__name__ for v in VALUES]
 
@@ -58,7 +58,7 @@ def test_fields_order_and_defaults():
     assert ErrorSignals._fields == ("e_x", "e_y", "area", "e_z")
     assert VelocityCommand._fields == ("v_x", "v_y", "v_z")
     assert GateOutput._fields == ("smoothed_box", "selected_expert", "tracking_lost")
-    assert Detection._fields == ("expert_id", "box", "confidence")
+    assert Detection._fields == ("box", "confidence")
     assert Detection._field_defaults == {"box": None, "confidence": 0.0}
 
 
@@ -72,12 +72,12 @@ def test_tuple_semantics_callers_see():
 
 
 def test_detection_tuple_semantics():
-    found = Detection(ExpertId.FAR, BOX, 0.75)
-    assert found == (ExpertId.FAR, BOX, 0.75)
-    assert Detection(ExpertId.NEAR) == (ExpertId.NEAR, None, 0.0)
-    assert Detection(expert_id=ExpertId.NEAR, box=BOX) == (ExpertId.NEAR, BOX, 0.0)
-    assert found.present and not Detection(ExpertId.FAR).present
-    assert found._replace(confidence=1.0) == (ExpertId.FAR, BOX, 1.0)
+    found = Detection(BOX, 0.75)
+    assert found == (BOX, 0.75)
+    assert Detection() == (None, 0.0)
+    assert Detection(box=BOX) == (BOX, 0.0)
+    assert found.present and not Detection().present
+    assert found._replace(confidence=1.0) == (BOX, 1.0)
     assert type(found._replace(confidence=1.0)) is Detection
     assert not hasattr(found, "__dict__")
 
@@ -85,20 +85,20 @@ def test_detection_tuple_semantics():
 @pytest.mark.parametrize("confidence", [1.5, -0.25, math.nan, math.inf])
 def test_detection_confidence_must_lie_in_unit_interval(confidence):
     with pytest.raises(ValueError, match="outside"):
-        Detection(ExpertId.FAR, BOX, confidence)
+        Detection(BOX, confidence)
     # the copies NamedTuple makes go through the same constructor
     with pytest.raises(ValueError, match="outside"):
-        Detection(ExpertId.FAR, BOX, 0.5)._replace(confidence=confidence)
+        Detection(BOX, 0.5)._replace(confidence=confidence)
     with pytest.raises(ValueError, match="outside"):
-        Detection._make((ExpertId.FAR, BOX, confidence))
+        Detection._make((BOX, confidence))
 
 
 @pytest.mark.parametrize("confidence", [0.5, 1.0, math.nan])
 def test_absent_detection_must_carry_zero_confidence(confidence):
     with pytest.raises(ValueError, match="absent"):
-        Detection(ExpertId.NEAR, None, confidence)
+        Detection(None, confidence)
     with pytest.raises(ValueError, match="absent"):
-        Detection(ExpertId.NEAR, BOX, 0.5)._replace(box=None)
+        Detection(BOX, 0.5)._replace(box=None)
 
 
 def test_per_frame_functions_return_their_types():
@@ -109,8 +109,8 @@ def test_per_frame_functions_return_their_types():
     truth = project_helipad(state, HelipadSpec(), cam)
     clipped = clamp_box(BoundingBox(440.0, 224.0, 30.0, 20.0), cam)
     gate = GateState()
-    out = select_expert(Detection(ExpertId.FAR, truth, 0.9), Detection(ExpertId.NEAR), gate, cam)
-    coast = select_expert(Detection(ExpertId.FAR), Detection(ExpertId.NEAR), gate, cam)
+    out = select_expert(Detection(truth, 0.9), Detection(), gate, cam)
+    coast = select_expert(Detection(), Detection(), gate, cam)
     err = compute_errors(out.smoothed_box, cam, gains)
     cmd = compute_command(err, gains)
     after = step(state, cmd, DynamicsParams())
