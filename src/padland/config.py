@@ -9,13 +9,14 @@ number or a list of them, as ``TrialResult`` decides it, by
 ``harness._is_finite`` and ``_is_integer``. Every error is prefixed
 with the dotted key (for example ``gains.k_xy``) so a bad config is
 diagnosable from the message alone. A key the default document lacks
-is an error too, so a typo is never silently ignored. Three keys are
-not fields: ``helipad.center`` holds the pad's ``x`` and ``y``, the
-expert distractor offset is configured in world meters (stored in
-pad-side units) and the descent target as the altitude ``gains.z_ref``
-(stored as the box area seen from it); a converted value that overflows
-is reported under the config's key. ``read_text`` reads every input
-file, config, detection log and summary alike.
+is an error too, so a typo is never silently ignored, and so is a key
+repeated in one object, whose earlier values JSON would drop. Three
+keys are not fields: ``helipad.center`` holds the pad's ``x`` and
+``y``, the expert distractor offset is configured in world meters
+(stored in pad-side units) and the descent target as the altitude
+``gains.z_ref`` (stored as the box area seen from it); a converted
+value that overflows is reported under the config's key. ``read_text``
+reads every input file, config, detection log and summary alike.
 """
 
 from __future__ import annotations
@@ -229,12 +230,37 @@ def read_text(path: str | Path, what: str, error: type[ValueError] = ConfigError
         raise error(f"{p}: not a text file ({exc})") from None
 
 
+class _Repeated(dict):
+    """What a JSON object that repeats a key, itself or in an object it
+    holds, parses to: empty, so that no reader accepts it, with `key` the
+    dotted path of that key from this object."""
+
+    def __init__(self, key: str):
+        self.key = key
+
+
+def _object(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads's object_pairs_hook: the object's pairs as a dict, or a
+    _Repeated in place of dropping a repeated key's earlier values. Objects
+    are built innermost first, so each one extends a nested repeat's path."""
+    doc = {}
+    for key, value in pairs:
+        if isinstance(value, _Repeated):
+            return _Repeated(f"{key}.{value.key}")
+        if key in doc:
+            return _Repeated(key)
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str | Path) -> dict:
     text = read_text(path, "config file")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    if isinstance(doc, _Repeated):
+        raise ConfigError(f"repeated key: {doc.key}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     return doc

@@ -23,8 +23,10 @@ import numpy as np
 from .geometry import BoundingBox, CameraModel, HelipadSpec, clamp_box
 
 
-# detect builds its noisy box with tuple.__new__, skipping the generated
-# __new__: that checks only arity, and the call passes a literal 4-tuple
+# detect builds its noisy box and its Detection with tuple.__new__,
+# skipping the classes' __new__: the generated one of BoundingBox checks
+# only arity, and each call passes a literal tuple; Detection's check
+# holds by construction: a present detection has 0 <= u_present < p_det <= 1
 
 
 class ExpertId(Enum):
@@ -137,15 +139,24 @@ def default_near_profile() -> ExpertProfile:
     )
 
 
+_SATURATED = 37.0  # exp(-37) < 2**-53: the logistic rounds to 1.0 from here
+
+
 def detection_probability(profile: ExpertProfile, s: float) -> float:
     """Per-frame detection probability at apparent width s.
 
-    The exponential is numpy's, as a float: np.exp gives a scalar the same
-    double as an array on one machine, but numpy's AVX-512 and baseline exp
-    loops differ on 4.6 % of inputs, so the golden digest (and a vectorised
-    engine's bit-exactness) holds only on CPUs that take the same path.
+    At x = (s - s_center) / s_slope >= _SATURATED it is exactly 1.0, with
+    no exponential: exp(-x) < 2**-53 there, so 1 + exp(-x) rounds to 1.0
+    with any exp accurate to a few ulps, and these bits are the same on
+    every CPU. Elsewhere the exponential is numpy's, as a float: np.exp
+    gives a scalar the same double as an array on one machine, but numpy's
+    AVX-512 and baseline exp loops differ on 4.6 % of inputs, so the golden
+    digest (and a vectorised engine's bit-exactness) holds only on CPUs
+    that take the same path (ROADMAP item 1).
     """
     x = (s - profile.s_center) / profile.s_slope
+    if x >= _SATURATED:
+        return 1.0
     # numerically stable sigmoid
     if x >= 0:
         return 1.0 / (1.0 + float(np.exp(-x)))
@@ -209,5 +220,5 @@ def detect(
     box = clamp_box(box, cam)
     if box is None:
         return ABSENT
-    return Detection(box, p_det)
+    return tuple.__new__(Detection, (box, p_det))
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import concurrent.futures
 import math
 import os
+import struct
 import sys
 import weakref
 from dataclasses import dataclass, field
@@ -195,11 +196,10 @@ RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS if c not in 
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTED = RECORD_COLUMNS.index("selected")
-_BLANKS = (float("nan"),) * 6  # u_hat, v_hat, e_x, e_y, A, e_z without a smoothed box
-_ABSENT_CELLS = (0.0,) * LOG_FIELDS  # an absent detection's log fields
+_BLANK = float("nan")  # a cell without a smoothed box
 REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
 REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(","))
-_REPLAY_BLANKS = (float("nan"),) * 8  # u_hat to e_z without a smoothed box
+_REPLAY_BLANKS = (_BLANK,) * 8  # u_hat to e_z without a smoothed box
 _HOLD = VelocityCommand(0.0, 0.0, 0.0)
 RECORD_BLOCK = 64  # frames a loop keeps as Python floats before converting them
 
@@ -249,6 +249,13 @@ def perceive(
         return sb, code, lost, None, _HOLD
     err = compute_errors(sb, cam, gains)
     return sb, code, lost, err, compute_command(err, gains)
+
+
+def _rows(cells: list[float], width: int) -> np.ndarray:
+    """cells, whole rows of width numbers in order, as a read-only (rows,
+    width) float64 array: one struct.pack, which converts a block of Python
+    floats in less than half np.array's time."""
+    return np.frombuffer(struct.pack(f"{len(cells)}d", *cells)).reshape(-1, width)
 
 
 def run_trial(
@@ -302,29 +309,30 @@ def run_trial(
                 det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else ABSENT
                 det_near = detect(near_profile, truth, s, noise_near, cam) if run_near else ABSENT
 
-            # the frame's record, piece by piece in RECORD_COLUMNS order: each
+            # the frame's record as one flat tuple in RECORD_COLUMNS order: each
             # expert's log fields (zeros when absent), then the trajectory's own
-            box = det_far.box
-            if box is None:
-                record(_ABSENT_CELLS)
+            if det_far.box is None:
+                u_f = v_f = w_f = h_f = c_f = p_f = 0.0
             else:
-                record(box)
-                record((det_far.confidence, 1.0))
-            box = det_near.box
-            if box is None:
-                record(_ABSENT_CELLS)
+                (u_f, v_f, w_f, h_f), c_f = det_far
+                p_f = 1.0
+            if det_near.box is None:
+                u_n = v_n = w_n = h_n = c_n = p_n = 0.0
             else:
-                record(box)
-                record((det_near.confidence, 1.0))
-
+                (u_n, v_n, w_n, h_n), c_n = det_near
+                p_n = 1.0
             sb, code, lost, err, cmd = perceive(det_far, det_near, gate, cam, gains)
-            record((k, k * dt, state.x, state.y, state.z, code))
             if err is None:
-                record(_BLANKS)
+                u_hat = v_hat = e_x = e_y = area = e_z = _BLANK
             else:
-                record((sb.u, sb.v))  # u_hat, v_hat, then e_x, e_y, A, e_z
-                record(err)
-            record(cmd)
+                u_hat, v_hat, _, _ = sb
+                e_x, e_y, area, e_z = err
+            vx, vy, vz = cmd
+            record((
+                u_f, v_f, w_f, h_f, c_f, p_f, u_n, v_n, w_n, h_n, c_n, p_n,
+                k, k * dt, state.x, state.y, state.z, code,
+                u_hat, v_hat, e_x, e_y, area, e_z, vx, vy, vz,
+            ))
 
             if lost:
                 # blind descent from here: score the frozen lateral position
@@ -335,7 +343,7 @@ def run_trial(
             if state.z <= commit_altitude:
                 reason = TerminationReason.LANDED
                 break
-        blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(RECORD_COLUMNS)))
+        blocks.append(_rows(cells, len(RECORD_COLUMNS)))
         cells.clear()
         if reason is not TerminationReason.TIMEOUT:
             break
@@ -407,7 +415,7 @@ def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
             sb, code, lost, err, _ = perceive(*replay_detect(log, frame), gate, cam, gains)
             record((frame, code, lost))
             record(_REPLAY_BLANKS if err is None else sb + err)  # u_hat to h_hat, e_x to e_z
-        blocks.append(np.array(cells, dtype=np.float64).reshape(-1, len(REPLAY_COLUMNS)))
+        blocks.append(_rows(cells, len(REPLAY_COLUMNS)))
         cells.clear()
     return np.concatenate(blocks)
 

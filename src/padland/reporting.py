@@ -51,6 +51,7 @@ from .stats import ModeComparison, PairedComparison, compare_modes, format_compa
 _INT_COLUMNS = frozenset(("step", "frame", "far_present", "near_present", "tracking_lost"))
 _BLANKABLE_COLUMNS = frozenset(("u_hat", "v_hat", "w_hat", "h_hat", "e_x", "e_y", "A", "e_z"))
 WRITE_BLOCK = 256  # rows formatted and written at a time
+_WIDTH_OF = {"h_far": "w_far", "h_near": "w_near", "h_hat": "w_hat"}  # a height's width column
 
 
 def _format_column(name: str, values: list[float]) -> list[str]:
@@ -65,8 +66,21 @@ def _format_column(name: str, values: list[float]) -> list[str]:
 
 def _format_columns(array: np.ndarray, names: tuple[str, ...]) -> dict[str, list[str]]:
     """The first len(names) columns of a (rows, columns) array, each
-    formatted by its name, one column at a time."""
-    return {name: _format_column(name, array[:, i].tolist()) for i, name in enumerate(names)}
+    formatted by its name, one column at a time. A box's height cell that
+    holds the same nonzero double as its width cell reuses the width's
+    string: a box is square unless clamp_box clipped it, so this saves a
+    repr on most heights (-0.0 equals 0.0 but prints differently)."""
+    columns = {}
+    for i, name in enumerate(names):
+        column = array[:, i]
+        width = _WIDTH_OF.get(name)
+        if width in columns:
+            same = (column == array[:, names.index(width)]) & (column != 0.0)
+            own = iter(_format_column(name, column[~same].tolist()))
+            columns[name] = [w if s else next(own) for s, w in zip(same.tolist(), columns[width])]
+        else:
+            columns[name] = _format_column(name, column.tolist())
+    return columns
 
 
 def _table(names: tuple[str, ...]):

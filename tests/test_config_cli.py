@@ -99,6 +99,26 @@ class TestConfig:
             with pytest.raises(ConfigError, match="JSON"):
                 load_config(path)
 
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"n_trials": 10', '"n_trials": 10, "n_trials": 3', "trials.n_trials"),
+            ('"s_slope": 2.0', '"s_slope": 2.0, "s_slope": 2.0', "experts.far.s_slope"),
+            ('"camera": {', '"camera": {}, "camera": {', "camera"),
+        ],
+        ids=["trials.n_trials", "experts.far.s_slope-same-value", "camera-section"],
+    )
+    def test_repeated_key_named(self, tmp_path, capsys, old, new, key):
+        # json.loads alone keeps the last value of a repeated key
+        text = (ROOT / "configs" / "default.json").read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ConfigError, match=rf"^repeated key: {key}$"):
+            load_config(path)
+        assert main(["validate-config", "--config", str(path)]) == 2
+        assert f"repeated key: {key}" in capsys.readouterr().err
+
 
 class TestCliRun:
     def run_cli(self, *args) -> int:

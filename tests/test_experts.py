@@ -1,4 +1,5 @@
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from padland.experts import (
     detection_probability,
     noise_rows,
 )
-from padland.geometry import BoundingBox, CameraModel, VehicleState
+from padland.geometry import BoundingBox, CameraModel, VehicleState, clamp_box
 from padland.harness import LOG_STRIDE, replay_detect
 from padland.reporting import (
     LOG_HEADER,
@@ -94,6 +95,20 @@ class TestDetectionProbability:
             scalar = [float(np.exp(x)) for x in xs]
             batched = np.exp(np.array(xs))
         assert np.array(scalar).tobytes() == batched.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(37.0, 1e300), st.floats(30.0, 37.0, exclude_max=True))
+    def test_saturated_branch_is_exactly_one_and_the_formula_holds_below(self, high, low):
+        # from x = 37 no exp is taken: 1 + exp(-x) rounds to 1.0 there anyway
+        def formula(x: float) -> float:  # the stable sigmoid, without the shortcut
+            if x >= 0:
+                return 1.0 / (1.0 + float(np.exp(-x)))
+            e = float(np.exp(x))
+            return e / (1.0 + e)
+
+        unit = ExpertProfile(s_center=0.0, s_slope=1.0)  # x is s, exactly
+        assert detection_probability(unit, high) == formula(high) == 1.0
+        assert detection_probability(unit, low).hex() == formula(low).hex()
 
     def test_extreme_arguments_do_not_overflow(self):
         p = detection_probability(quiet_profile(), 1e-6)
@@ -237,6 +252,38 @@ class TestDetect:
                     assert row == want[k]
                 # and the stream advanced by whole chunks, one row per frame
                 assert rng.bit_generator.state == fresh.bit_generator.state
+
+
+finite = partial(st.floats, allow_nan=False, allow_infinity=False)
+profiles = st.builds(
+    ExpertProfile,
+    s_center=finite(-100.0, 500.0),
+    s_slope=finite(0.05, 20.0) | finite(-20.0, -0.05),
+    sigma_center_base=finite(0.0, 10.0),
+    sigma_center_scale=finite(0.0, 1.0),
+    sigma_size_frac=finite(0.0, 0.5),
+    distractor_prob=finite(0.0, 1.0),
+    distractor_offset_pads=st.tuples(finite(-5.0, 5.0), finite(-5.0, 5.0)),
+)
+# a ground-truth box as project_helipad returns it: a square clipped to the image
+true_boxes = st.builds(
+    lambda u, v, side: clamp_box(BoundingBox(u, v, side, side), CAM),
+    finite(-50.0, 500.0), finite(-50.0, 500.0), finite(0.1, 600.0),
+).filter(lambda box: box is not None)
+noise_draws = st.tuples(  # a noise_rows row
+    finite(0.0, 1.0, exclude_max=True), finite(0.0, 1.0, exclude_max=True),
+    finite(-6.0, 6.0), finite(-6.0, 6.0), finite(-6.0, 6.0),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(profiles, true_boxes, finite(0.01, 1000.0), noise_draws)
+def test_every_detect_output_passes_the_detection_check(profile, true_box, s, row):
+    # detect skips Detection's constructor; what it builds must pass it anyway
+    d = detect(profile, true_box, s, list(row), CAM)
+    assert type(d) is Detection
+    assert d.box is None or type(d.box) is BoundingBox
+    assert Detection(*d) == d
 
 
 class TestNoiseRows:

@@ -104,8 +104,9 @@ def test_rebuilt_results_equal_originals(written_campaign):
 
 # The writers format and write WRITE_BLOCK rows at a time. These arrays end
 # on each side of a block boundary, and their rows cycle through present
-# and absent detections of each expert, all three `selected` codes and
-# rows with and without a smoothed box (NaN blanks).
+# and absent detections of each expert, square and non-square boxes, all
+# three `selected` codes and rows with and without a smoothed box (NaN
+# blanks).
 BOUNDARY_ROWS = (1, WRITE_BLOCK - 1, WRITE_BLOCK, WRITE_BLOCK + 1, 2 * WRITE_BLOCK + 1)
 _BLANK_NAMES = {"u_hat", "v_hat", "w_hat", "h_hat", "e_x", "e_y", "A", "e_z"}
 
@@ -116,9 +117,12 @@ def _synthetic_rows(n: int, names: tuple[str, ...]) -> np.ndarray:
     k = np.arange(n)
     cols = {name: rng.uniform(-500.0, 500.0, n) for name in dict.fromkeys(RECORD_COLUMNS + names)}
     cols.update(step=k, frame=k, selected=k % 3, tracking_lost=k % 7 == 6)
+    square = k % 4 != 3  # as clamp_box leaves every box it does not clip
+    if "h_hat" in names:
+        cols["h_hat"] = np.where(square, cols["w_hat"], cols["h_hat"])
     for expert, present in (("far", k % 3 != 1), ("near", k % 4 != 2)):
         cols[f"w_{expert}"] = rng.uniform(1.0, 60.0, n)
-        cols[f"h_{expert}"] = rng.uniform(1.0, 60.0, n)
+        cols[f"h_{expert}"] = np.where(square, cols[f"w_{expert}"], rng.uniform(1.0, 60.0, n))
         cols[f"confidence_{expert}"] = rng.random(n)
         cols[f"{expert}_present"] = present
         for f in ("u", "v", "w", "h", "confidence"):
@@ -171,3 +175,28 @@ def test_block_writers_match_a_row_by_row_formatter(tmp_path, n):
     write_replay_csv(replay, tmp_path / "replay.csv")
     expected = _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, REPLAY_COLUMNS)
     assert (tmp_path / "replay.csv").read_text() == expected
+
+
+def test_a_height_reuses_its_width_string_only_for_the_same_nonzero_double(tmp_path):
+    # row 0 is square, row 1 clipped to a non-square box, and rows 2 and 3
+    # have widths and heights that compare equal but print differently
+    widths, heights = [24.5, 30.0, 0.0, -0.0], [24.5, 12.25, -0.0, 0.0]
+    frames = _synthetic_rows(4, RECORD_COLUMNS)
+    frames[:, RECORD_COLUMNS.index("far_present")] = 1.0
+    frames[:, RECORD_COLUMNS.index("w_far")] = widths
+    frames[:, RECORD_COLUMNS.index("h_far")] = heights
+    write_detection_log(frames, tmp_path / "log.csv")
+    log = (tmp_path / "log.csv").read_text()
+    assert log == _oracle_log(frames)
+    far = [line.split(",")[4:6] for line in log.splitlines() if ",FAR," in line]
+    assert far == [["24.5", "24.5"], ["30.0", "12.25"], ["0.0", "-0.0"], ["-0.0", "0.0"]]
+
+    replay = _synthetic_rows(4, REPLAY_COLUMNS)
+    replay[:, REPLAY_COLUMNS.index("w_hat")] = widths
+    replay[:, REPLAY_COLUMNS.index("h_hat")] = heights
+    write_replay_csv(replay, tmp_path / "replay.csv")
+    text = (tmp_path / "replay.csv").read_text()
+    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, REPLAY_COLUMNS)
+    i = REPLAY_COLUMNS.index("w_hat")
+    cells = [line.split(",")[i : i + 2] for line in text.splitlines()[1:]]
+    assert cells == [["24.5", "24.5"], ["30.0", "12.25"], ["0.0", "-0.0"], ["-0.0", "0.0"]]
