@@ -231,22 +231,34 @@ def read_text(path: str | Path, what: str, error: type[ValueError] = ConfigError
 
 
 class _Repeated(dict):
-    """What a JSON object that repeats a key, itself or in an object it
-    holds, parses to: empty, so that no reader accepts it, with `key` the
-    dotted path of that key from this object."""
+    """What a JSON object that repeats a key, itself or in a value it holds,
+    parses to: empty, so that no reader accepts it, with `key` the path of
+    that key from this object (`trials[0].steps` through a list)."""
 
     def __init__(self, key: str):
         self.key = key
 
 
+def _repeat(value) -> str | None:
+    """The path from value, a parsed JSON value, to the repeated key it
+    holds (`.key` or `[i]...`), or None if it holds none."""
+    if isinstance(value, _Repeated):
+        return f".{value.key}"
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            if at := _repeat(item):
+                return f"[{i}]{at}"
+    return None
+
+
 def _object(pairs: list[tuple[str, object]]) -> dict:
     """json.loads's object_pairs_hook: the object's pairs as a dict, or a
     _Repeated in place of dropping a repeated key's earlier values. Objects
-    are built innermost first, so each one extends a nested repeat's path."""
+    are built innermost first, so each extends a nested repeat's path."""
     doc = {}
     for key, value in pairs:
-        if isinstance(value, _Repeated):
-            return _Repeated(f"{key}.{value.key}")
+        if at := _repeat(value):
+            return _Repeated(key + at)
         if key in doc:
             return _Repeated(key)
         doc[key] = value

@@ -201,18 +201,20 @@ REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,
 REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(","))
 _REPLAY_BLANKS = (_BLANK,) * 8  # u_hat to e_z without a smoothed box
 _HOLD = VelocityCommand(0.0, 0.0, 0.0)
-RECORD_BLOCK = 64  # frames a loop keeps as Python floats before converting them
+# one frame's row as packed float64s: each loop appends one per frame to a bytearray
+_RECORD_ROW = struct.Struct(f"{len(RECORD_COLUMNS)}d")
+_REPLAY_ROW = struct.Struct(f"{len(REPLAY_COLUMNS)}d")
 
 
 @dataclass(eq=False)
 class TrialRun:
     """A finished trial plus its per-frame records.
 
-    `frames` is a (steps, len(RECORD_COLUMNS)) float64 array, one row per
-    frame in RECORD_COLUMNS order: the first LOG_STRIDE columns are the
-    detection log, blank cells (no smoothed box) are NaN and `selected`
-    holds a code into SELECTION_LABELS. Runs compare by identity; compare
-    records with `.tobytes()`, since NaN blanks never compare equal.
+    `frames` is a (steps, len(RECORD_COLUMNS)) float64 view of one bytearray,
+    packed one row per frame in RECORD_COLUMNS order: the first LOG_STRIDE
+    columns are the detection log, blank cells (no smoothed box) are NaN and
+    `selected` holds a code into SELECTION_LABELS. Runs compare by identity;
+    compare records with `.tobytes()`, since NaN blanks never compare equal.
     """
 
     result: TrialResult
@@ -251,13 +253,6 @@ def perceive(
     return sb, code, lost, err, compute_command(err, gains)
 
 
-def _rows(cells: list[float], width: int) -> np.ndarray:
-    """cells, whole rows of width numbers in order, as a read-only (rows,
-    width) float64 array: one struct.pack, which converts a block of Python
-    floats in less than half np.array's time."""
-    return np.frombuffer(struct.pack(f"{len(cells)}d", *cells)).reshape(-1, width)
-
-
 def run_trial(
     initial: VehicleState,
     mode: Mode,
@@ -271,7 +266,8 @@ def run_trial(
 
     rng_far and rng_near are the experts' seed streams: frame k hands
     detect row k of noise_rows(rng) for each expert the mode runs, and an
-    expert the mode does not run draws nothing.
+    expert the mode does not run draws nothing. Each frame's row is packed
+    onto the returned frames' bytearray as soon as it is made.
     """
     check_campaign(scenario, config, (mode,))
     cam = scenario.camera
@@ -285,9 +281,8 @@ def run_trial(
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
 
     state = initial
-    cells: list[float] = []  # one block of frames' values, in RECORD_COLUMNS order
-    record = cells.extend
-    blocks = []
+    rows = bytearray()  # one packed row per frame, in RECORD_COLUMNS order
+    pack = _RECORD_ROW.pack
 
     reason = TerminationReason.TIMEOUT
 
@@ -296,59 +291,52 @@ def run_trial(
     far_rows = noise_rows(rng_far) if run_far else repeat(None)
     near_rows = noise_rows(rng_near) if run_near else repeat(None)
 
-    n = config.max_steps
-    for start in range(0, n, RECORD_BLOCK):
-        # the block's frame numbers come first, so zip draws no noise row past them
-        frames = range(start, min(start + RECORD_BLOCK, n))
-        for k, noise_far, noise_near in zip(frames, far_rows, near_rows):
-            truth = project_helipad(state, pad, cam)
-            if truth is None:
-                det_far = det_near = ABSENT
-            else:
-                s = apparent_width(state, pad, cam)
-                det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else ABSENT
-                det_near = detect(near_profile, truth, s, noise_near, cam) if run_near else ABSENT
+    # the frame numbers come first, so zip draws no noise row past the last frame
+    for k, noise_far, noise_near in zip(range(config.max_steps), far_rows, near_rows):
+        truth = project_helipad(state, pad, cam)
+        if truth is None:
+            det_far = det_near = ABSENT
+        else:
+            s = apparent_width(state, pad, cam)
+            det_far = detect(far_profile, truth, s, noise_far, cam) if run_far else ABSENT
+            det_near = detect(near_profile, truth, s, noise_near, cam) if run_near else ABSENT
 
-            # the frame's record as one flat tuple in RECORD_COLUMNS order: each
-            # expert's log fields (zeros when absent), then the trajectory's own
-            if det_far.box is None:
-                u_f = v_f = w_f = h_f = c_f = p_f = 0.0
-            else:
-                (u_f, v_f, w_f, h_f), c_f = det_far
-                p_f = 1.0
-            if det_near.box is None:
-                u_n = v_n = w_n = h_n = c_n = p_n = 0.0
-            else:
-                (u_n, v_n, w_n, h_n), c_n = det_near
-                p_n = 1.0
-            sb, code, lost, err, cmd = perceive(det_far, det_near, gate, cam, gains)
-            if err is None:
-                u_hat = v_hat = e_x = e_y = area = e_z = _BLANK
-            else:
-                u_hat, v_hat, _, _ = sb
-                e_x, e_y, area, e_z = err
-            vx, vy, vz = cmd
-            record((
-                u_f, v_f, w_f, h_f, c_f, p_f, u_n, v_n, w_n, h_n, c_n, p_n,
-                k, k * dt, state.x, state.y, state.z, code,
-                u_hat, v_hat, e_x, e_y, area, e_z, vx, vy, vz,
-            ))
+        # the frame's row in RECORD_COLUMNS order: each expert's log fields
+        # (zeros when absent), then the trajectory's own
+        if det_far.box is None:
+            u_f = v_f = w_f = h_f = c_f = p_f = 0.0
+        else:
+            (u_f, v_f, w_f, h_f), c_f = det_far
+            p_f = 1.0
+        if det_near.box is None:
+            u_n = v_n = w_n = h_n = c_n = p_n = 0.0
+        else:
+            (u_n, v_n, w_n, h_n), c_n = det_near
+            p_n = 1.0
+        sb, code, lost, err, cmd = perceive(det_far, det_near, gate, cam, gains)
+        if err is None:
+            u_hat = v_hat = e_x = e_y = area = e_z = _BLANK
+        else:
+            u_hat, v_hat, _, _ = sb
+            e_x, e_y, area, e_z = err
+        vx, vy, vz = cmd
+        rows += pack(
+            u_f, v_f, w_f, h_f, c_f, p_f, u_n, v_n, w_n, h_n, c_n, p_n,
+            k, k * dt, state.x, state.y, state.z, code,
+            u_hat, v_hat, e_x, e_y, area, e_z, vx, vy, vz,
+        )
 
-            if lost:
-                # blind descent from here: score the frozen lateral position
-                reason = TerminationReason.TRACKING_LOST
-                break
-
-            state = step(state, cmd, dynamics)
-            if state.z <= commit_altitude:
-                reason = TerminationReason.LANDED
-                break
-        blocks.append(_rows(cells, len(RECORD_COLUMNS)))
-        cells.clear()
-        if reason is not TerminationReason.TIMEOUT:
+        if lost:
+            # blind descent from here: score the frozen lateral position
+            reason = TerminationReason.TRACKING_LOST
             break
 
-    records = np.concatenate(blocks)
+        state = step(state, cmd, dynamics)
+        if state.z <= commit_altitude:
+            reason = TerminationReason.LANDED
+            break
+
+    records = np.frombuffer(rows).reshape(-1, len(RECORD_COLUMNS))
     selections = records[:, _SELECTED]
     result = TrialResult(
         trial_id=trial_id,
@@ -407,17 +395,12 @@ def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
             f"the {cam.image_width} x {cam.image_height} camera image"
         )
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
-    cells: list[float] = []  # one block of frames' values, in REPLAY_COLUMNS order
-    record = cells.extend
-    blocks = [np.empty((0, len(REPLAY_COLUMNS)))]  # a log of no frames replays to none
-    for start in range(0, len(log), RECORD_BLOCK):
-        for frame in range(start, min(start + RECORD_BLOCK, len(log))):
-            sb, code, lost, err, _ = perceive(*replay_detect(log, frame), gate, cam, gains)
-            record((frame, code, lost))
-            record(_REPLAY_BLANKS if err is None else sb + err)  # u_hat to h_hat, e_x to e_z
-        blocks.append(_rows(cells, len(REPLAY_COLUMNS)))
-        cells.clear()
-    return np.concatenate(blocks)
+    rows = bytearray()  # one packed row per frame, in REPLAY_COLUMNS order
+    for frame in range(len(log)):
+        sb, code, lost, err, _ = perceive(*replay_detect(log, frame), gate, cam, gains)
+        cells = _REPLAY_BLANKS if err is None else sb + err  # u_hat to h_hat, e_x to e_z
+        rows += _REPLAY_ROW.pack(frame, code, lost, *cells)
+    return np.frombuffer(rows).reshape(-1, len(REPLAY_COLUMNS))
 
 
 @dataclass

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, read_text
+from .config import ConfigError, _object, _Repeated, read_text
 from .experts import ExpertId
 from .harness import (
     LOG_FIELDS,
@@ -351,13 +351,17 @@ def rebuild_results(summary: dict) -> dict[Mode, list[TrialResult]]:
 
 def read_comparison(path: str | Path) -> ModeComparison:
     """Compare the modes of a summary.json read back; raises ConfigError
-    naming the file if it is missing, a directory, not text, not JSON or
-    not a padland summary."""
+    naming the file if it is missing, a directory, not text, not JSON,
+    repeats a key (naming its path, as load_config does) or is not a
+    padland summary."""
     path = Path(path)
     text = read_text(path, "summary file")
     try:
-        return compare_modes(rebuild_results(json.loads(text)))
+        summary = json.loads(text, object_pairs_hook=_object)
+        if not isinstance(summary, _Repeated):
+            return compare_modes(rebuild_results(summary))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError, AttributeError) as exc:  # not JSON, or not a summary's shape
         raise ConfigError(f"{path}: not a padland summary ({type(exc).__name__}: {exc})") from None
+    raise ConfigError(f"{path}: repeated key: {summary.key}")

@@ -579,6 +579,24 @@ class TestCliReport:
         err = capsys.readouterr().err
         assert str(path) in err and named in err
 
+    def test_repeated_key_named(self, tmp_path, config_path, capsys):
+        # json.loads alone keeps the last value, and the report would print
+        # a dual mean 50 m off with exit 0
+        out = tmp_path / "run"
+        main(["run", "--config", str(config_path), "--out", str(out), "--trials", "2"])
+        text = (out / "summary.json").read_text()
+        error = json.loads(text)["modes"]["dual"]["trials"][0]["touchdown_error"]
+        old = f'"touchdown_error": {error!r}'
+        assert text.index(old) == text.index('"touchdown_error"')  # the first trial's
+        path = tmp_path / "repeated.json"
+        path.write_text(text.replace(old, old + ', "touchdown_error": 50.0', 1))
+        capsys.readouterr()
+        assert main(["report", "--summary", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}: repeated key: modes.dual.trials[0].touchdown_error" in captured.err
+        assert "Traceback" not in captured.err
+
     @pytest.mark.parametrize(
         "key, bad",
         [

@@ -176,16 +176,15 @@ class TestRunTrial:
         assert run.result.steps == 20
 
     def test_records_across_block_boundaries(self):
-        # run_trial and replay_log convert their rows RECORD_BLOCK frames at
-        # a time: a timeout trial of n steps is the first n rows of a longer
-        # one, and replaying the first n frames of a log gives n replay rows
-        block = harness.RECORD_BLOCK
+        # a timeout trial of n steps is the first n rows of a longer one,
+        # and replaying the first n frames of a log gives n replay rows,
+        # at n on both sides of multiples of 64 frames
         hover = Scenario(gains=ControllerGains(align_threshold=1e-9))  # never descends
         start = VehicleState(-86.0, 75.0, 70.0)
-        longer = run_trial(start, Mode.DUAL, hover, TrialConfig(max_steps=3 * block), *rngs(5))
+        longer = run_trial(start, Mode.DUAL, hover, TrialConfig(max_steps=192), *rngs(5))
         assert longer.result.termination_reason is TerminationReason.TIMEOUT
         replayed = replay_log(longer.frames[:, :LOG_STRIDE], hover)
-        for n in (1, block - 1, block, block + 1, 2 * block + 1):
+        for n in (1, 63, 64, 65, 129):
             run = run_trial(start, Mode.DUAL, hover, TrialConfig(max_steps=n), *rngs(5))
             assert run.result.steps == n
             assert run.frames.tobytes() == longer.frames[:n].tobytes()
@@ -194,7 +193,8 @@ class TestRunTrial:
 
     def test_records_of_a_trial_that_stops_mid_block(self):
         # the NEAR expert goes blind once the pad looks larger than from
-        # 60 m, so near_only loses tracking mid-block, after a full block
+        # 60 m, so near_only loses tracking after more than 64 frames, at a
+        # frame count that is not a multiple of 64
         pad, cam = HelipadSpec(), CameraModel()
         blind_below_60m = ExpertProfile(
             s_center=apparent_width(VehicleState(pad.x, pad.y, 60.0), pad, cam),
@@ -205,7 +205,7 @@ class TestRunTrial:
         run = run_trial(start, Mode.NEAR_ONLY, scenario, TrialConfig(), *rngs(1))
         assert run.result.termination_reason is TerminationReason.TRACKING_LOST
         steps = run.result.steps
-        assert steps > harness.RECORD_BLOCK and steps % harness.RECORD_BLOCK
+        assert steps > 64 and steps % 64
         # the frame that lost tracking is the last one recorded
         replay = replay_log(run.frames[:, :LOG_STRIDE], scenario)
         lost = replay[:, REPLAY_COLUMNS.index("tracking_lost")].tolist()

@@ -53,8 +53,8 @@ def test_cli_imports_only_the_layers_it_dispatches_to():
     assert found.get("servo", set()) <= {"compute_errors"}
 
 
-def test_experts_defines_no_log_layout():
-    tree = ast.parse((SRC / "experts.py").read_text())
+def top_level_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and variables a module's source defines at top level."""
     defined = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -62,6 +62,11 @@ def test_experts_defines_no_log_layout():
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    return defined
+
+
+def test_experts_defines_no_log_layout():
+    defined = top_level_names(ast.parse((SRC / "experts.py").read_text()))
     assert not {name for name in defined if name.startswith("LOG_")}
     assert not defined & {"_detection", "replay_detect"}
 
@@ -150,3 +155,16 @@ def test_no_module_names_an_expert_id():
 
     assert "Detection" in names("experts")  # the reader finds names at all
     assert [m for m in MODULES if "expert_id" in names(m)] == []
+
+
+def test_trial_and_replay_pack_each_frame_in_one_loop():
+    # run_trial and replay_log pack each frame's row onto one bytearray as
+    # they go: no block size, no block packer, and no loop around the frame loop
+    tree = ast.parse((SRC / "harness.py").read_text())
+    defined = top_level_names(tree)
+    assert "run_trial" in defined and "replay_log" in defined  # the reader finds names at all
+    assert not defined & {"RECORD_BLOCK", "_rows"}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("run_trial", "replay_log"):
+        loops = [n for n in ast.walk(functions[name]) if isinstance(n, (ast.For, ast.While))]
+        assert len(loops) == 1, name  # a comprehension's `for` is not a statement

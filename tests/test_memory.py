@@ -1,7 +1,8 @@
-"""Per-trial transient memory: run_trial, replay_log, write_trial_csvs
-and read_detection_log hold one block of frames as Python objects at a
-time, whatever the trial's length. Peaks are measured with tracemalloc,
-which also traces numpy's arrays."""
+"""Per-trial transient memory, whatever the trial's length: run_trial and
+replay_log pack each frame's row onto one bytearray as it is made, so they
+hold little beyond their output, and write_trial_csvs and
+read_detection_log hold one block of frames as Python objects at a time.
+Peaks are measured with tracemalloc, which also traces numpy's arrays."""
 
 import tracemalloc
 
@@ -63,10 +64,11 @@ def long_trial(paths):
 
 
 def test_run_trial_holds_about_its_array(long_trial):
-    # the array, plus its blocks while they are joined, plus one block of
-    # Python floats (a list of every frame's floats took over 4.5 times it)
+    # the array's bytearray, with its spare capacity (a list of every frame's
+    # floats took over 4.5 times the array, and blocks of them joined at the
+    # end over 2.1 times)
     run, peak = long_trial
-    assert peak < 3 * run.frames.nbytes
+    assert peak < 1.5 * run.frames.nbytes
 
 
 def test_write_trial_csvs_holds_one_block_of_strings(long_trial, paths):
@@ -96,9 +98,10 @@ def test_read_detection_log_holds_one_block_of_fields(long_log):
 
 
 def test_replay_log_holds_about_its_output(long_log):
-    # the output, plus its blocks while they are joined, plus one block of
-    # Python floats (a recorder that never converted mid-loop took 4.6 times it)
+    # the output's bytearray, with its spare capacity (a recorder that never
+    # converted mid-loop took 4.6 times the output, and blocks of Python
+    # floats joined at the end over 2 times)
     log = read_detection_log(long_log)
     replay, peak = traced_peak(replay_log, log, HOVER)
     assert len(replay) == STEPS
-    assert peak < 3 * replay.nbytes
+    assert peak < 1.5 * replay.nbytes
