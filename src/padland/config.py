@@ -3,11 +3,12 @@
 The defaults are the dataclass defaults, each range rule lives in the
 dataclass that owns the field, and the rules that span objects, modes
 included, live in ``harness.check_campaign``, which ``CampaignSpec``
-applies. A section's keys are its dataclass's field names, and each key
-is read by its field's annotation (``_section``): an integer, a finite
-number or a list of them, as ``TrialResult`` decides it, by
-``harness._is_finite`` and ``_is_integer``. Every error is prefixed
-with the dotted key (for example ``gains.k_xy``) so a bad config is
+applies. A section's keys are its dataclass's field names, and ``_read``
+reads each key by its field's annotation: it converts the JSON spelling
+(a list to a tuple, an int to a float, a float with no fraction to an
+int) and checks the value by ``geometry.check_value``, the rule each
+parameter object applies to its own fields. Every error is prefixed with
+the dotted key (for example ``gains.k_xy``) so a bad config is
 diagnosable from the message alone. A key the default document lacks
 is an error too, so a typo is never silently ignored, and so is a key
 repeated in one object, whose earlier values JSON would drop. Three
@@ -22,16 +23,14 @@ reads every input file, config, detection log and summary alike.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
-from functools import cache, partial
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args
 
 from .dynamics import DynamicsParams
 from .experts import ExpertProfile
-from .geometry import CameraModel, HelipadSpec
-from .harness import Mode, Scenario, TrialConfig, _is_finite, _is_integer, check_campaign
+from .geometry import CameraModel, HelipadSpec, _hints, _is_finite, check_value
+from .harness import Mode, Scenario, TrialConfig, check_campaign
 from .servo import ControllerGains, altitude_for_area_ref, area_ref_for_altitude
 
 
@@ -97,25 +96,23 @@ def _get(doc: dict, path: str, expected=None):
     return node
 
 
-_INT_LIMIT = 2**63  # integer keys must lie strictly inside +/- this
+def _from_json(hint, value):
+    """value, parsed from JSON, as the annotation hint takes it: a list as a
+    tuple (of hint's first argument), an int as a float, a whole float as an int."""
+    if isinstance(value, list):
+        item = (get_args(hint) or (None,))[0]
+        return tuple(_from_json(item, v) for v in value)
+    if hint is float and type(value) is int and _is_finite(value):
+        return float(value)
+    if hint is int and type(value) is float and value.is_integer():
+        return int(value)
+    return value
 
 
-def _number(doc: dict, path: str) -> float:
-    value = _get(doc, path)
-    if not _is_finite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _integer(doc: dict, path: str) -> int:
-    """A whole number; a float is accepted only when it has no fraction."""
-    value = _get(doc, path)
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if not _is_integer(value):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if not -_INT_LIMIT < value < _INT_LIMIT:
-        raise ConfigError(f"{path}: integer out of range (magnitude must be below 2**63)")
+def _read(doc: dict, path: str, hint):
+    """The key at path, by its annotation hint (_from_json, check_value)."""
+    value = _from_json(hint, _get(doc, path))
+    _checked("", check_value, path, hint, value)
     return value
 
 
@@ -128,15 +125,6 @@ def _member(enum, path: str, value):
         ) from None
 
 
-def _floats(doc: dict, path: str, size: int | None = None) -> tuple[float, ...]:
-    """A list of finite numbers, of exactly size of them if size is given."""
-    value = _get(doc, path, list)
-    if size not in (None, len(value)) or not all(map(_is_finite, value)):
-        shape = "a list" if size is None else "a pair"
-        raise ConfigError(f"{path}: expected {shape} of finite numbers")
-    return tuple(map(float, value))
-
-
 def _checked(section: str, make, *args, **kwargs):
     """make(*args, **kwargs), re-raising a range rule's ValueError (whose
     message starts with the field name, or with the dotted key when section
@@ -147,32 +135,20 @@ def _checked(section: str, make, *args, **kwargs):
         raise ConfigError(f"{section}.{exc}" if section else str(exc)) from None
 
 
-_hints = cache(get_type_hints)  # each parameter class's annotations, evaluated once
-_READERS = {  # a key's reader, by its field's annotation
-    int: _integer,
-    float: _number,
-    tuple[float, float]: partial(_floats, size=2),
-    tuple[float, ...]: _floats,
-}
-
-
 def _section(doc: dict, section: str, cls, **given):
     """cls(**given, other fields read from `section.<name>` by their
-    annotation's reader) through _checked; no reader is a TypeError."""
+    annotation) through _checked; an annotation with no rule is a TypeError."""
     hints = _hints(cls)
     names = [f.name for f in fields(cls) if f.name not in given]
-    for name in names:
-        if hints[name] not in _READERS:
-            raise TypeError(f"{cls.__name__}.{name}: config has no reader for {hints[name]}")
-    read = {name: _READERS[hints[name]](doc, f"{section}.{name}") for name in names}
+    read = {name: _read(doc, f"{section}.{name}", hints[name]) for name in names}
     return _checked(section, cls, **given, **read)
 
 
 def _profile(doc: dict, key: str, pad_side: float) -> ExpertProfile:
     base = f"experts.{key}"
-    offset_m = _floats(doc, f"{base}.distractor_offset_m", 2)
+    offset_m = _read(doc, f"{base}.distractor_offset_m", tuple[float, float])
     pads = (offset_m[0] / pad_side, offset_m[1] / pad_side)
-    if not all(map(math.isfinite, pads)):
+    if not all(map(_is_finite, pads)):
         raise ConfigError(
             f"{base}.distractor_offset_m: each offset / helipad.side_length must be finite "
             f"(got {list(offset_m)}, side_length {pad_side})"
@@ -194,9 +170,9 @@ def build_campaign(doc: dict) -> CampaignSpec:
     """Validate a config document and construct the runnable objects."""
     _reject_unknown(doc, default_config())
     camera = _section(doc, "camera", CameraModel)
-    pad_x, pad_y = _floats(doc, "helipad.center", 2)
+    pad_x, pad_y = _read(doc, "helipad.center", tuple[float, float])
     pad = _section(doc, "helipad", HelipadSpec, x=pad_x, y=pad_y)
-    z_ref = _number(doc, "gains.z_ref")
+    z_ref = _read(doc, "gains.z_ref", float)
     area_ref = _checked("gains", area_ref_for_altitude, z_ref, camera.focal_length, pad.side_length)
     gains = _section(doc, "gains", ControllerGains, area_ref=area_ref)
     dynamics = _section(doc, "dynamics", DynamicsParams)

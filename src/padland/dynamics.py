@@ -7,11 +7,10 @@ floored at the ground.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from .geometry import VehicleState
+from .geometry import VehicleState, check_fields
 from .servo import VelocityCommand
 
 
@@ -25,10 +24,11 @@ class DynamicsParams:
     tau: float = 0.4  # velocity-tracking time constant; 0 = instantaneous
 
     def __post_init__(self):
-        if not 0 < self.dt < math.inf:
-            raise ValueError(f"dt: must be positive and finite (got {self.dt})")
-        if not 0 <= self.tau < math.inf:
-            raise ValueError(f"tau: must be finite and >= 0 (got {self.tau})")
+        check_fields(self)
+        if self.dt <= 0:
+            raise ValueError(f"dt: must be positive (got {self.dt})")
+        if self.tau < 0:
+            raise ValueError(f"tau: must be >= 0 (got {self.tau})")
 
     @cached_property
     def alpha(self) -> float:

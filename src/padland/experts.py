@@ -12,7 +12,6 @@ det_far, FAR's log fields first): no profile or detection names it.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BoundingBox, CameraModel, HelipadSpec, clamp_box
+from .geometry import BoundingBox, CameraModel, HelipadSpec, check_fields, clamp_box
 
 
 # detect builds its noisy box and its Detection with tuple.__new__,
@@ -93,18 +92,14 @@ class ExpertProfile:
     distractor_offset_pads: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if not math.isfinite(self.s_center):
-            raise ValueError(f"s_center: must be finite (got {self.s_center})")
-        if not (self.s_slope != 0 and math.isfinite(self.s_slope)):
-            raise ValueError(f"s_slope: must be nonzero and finite (got {self.s_slope})")
+        check_fields(self)
+        if self.s_slope == 0:
+            raise ValueError(f"s_slope: must be nonzero (got {self.s_slope})")
         for name in ("sigma_center_base", "sigma_center_scale", "sigma_size_frac"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name}: must be finite and >= 0 (got {getattr(self, name)})")
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name}: must be >= 0 (got {getattr(self, name)})")
         if not 0.0 <= self.distractor_prob <= 1.0:
             raise ValueError(f"distractor_prob: must be in [0, 1] (got {self.distractor_prob})")
-        offset = self.distractor_offset_pads
-        if not all(map(math.isfinite, offset)):
-            raise ValueError(f"distractor_offset_pads: must be finite (got {offset})")
 
     @classmethod
     def ideal(cls) -> "ExpertProfile":

@@ -10,23 +10,16 @@ declaring tracking lost.
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass, field
-from numbers import Integral
 from typing import NamedTuple
 
 from .experts import Detection, ExpertId
-from .geometry import BoundingBox, CameraModel
+from .geometry import BoundingBox, CameraModel, check_fields
 
 
 # per-frame results are built with tuple.__new__, skipping the generated
 # __new__: it checks only arity, and each call site passes a literal tuple
-
-
-# every integer field's rule, here so that the gate, below harness, applies it too
-def _is_integer(x) -> bool:
-    return isinstance(x, Integral) and type(x) is not bool
 
 
 # globals: reading an Enum member off its class takes a slow __getattr__ path
@@ -54,13 +47,9 @@ class GateState:
     coast_counter: int = field(default=0, init=False)
 
     def __post_init__(self):
-        for name in ("window_size", "coast_limit"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name}: must be an integer (got {getattr(self, name)!r})")
+        check_fields(self)  # so window_size < 2**63, the longest deque on a 64-bit build
         if self.window_size < 1:
             raise ValueError(f"window_size: must be >= 1 (got {self.window_size})")
-        if self.window_size > sys.maxsize:  # the most a deque's maxlen holds
-            raise ValueError(f"window_size: must be <= {sys.maxsize} (got {self.window_size})")
         if self.coast_limit < 0:
             raise ValueError(f"coast_limit: must be >= 0 (got {self.coast_limit})")
         self.window = deque(maxlen=self.window_size)

@@ -9,13 +9,64 @@ v > c_y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
+from numbers import Integral, Real
+from typing import NamedTuple, get_type_hints
 
 
 # per-frame results are built with tuple.__new__, skipping the generated
 # __new__: it checks only arity, and each call site passes a literal tuple
+
+
+def _is_finite(x) -> bool:
+    try:
+        return isinstance(x, Real) and type(x) is not bool and math.isfinite(x)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
+def _is_integer(x) -> bool:  # of magnitude below 2**63, so an int64 holds it
+    return isinstance(x, Integral) and type(x) is not bool and -(2**63) < x < 2**63
+
+
+def _finite_tuple(size: int | None):
+    return lambda x: isinstance(x, tuple) and size in (None, len(x)) and all(map(_is_finite, x))
+
+
+# the one rule per field annotation, the test a value passes and what the
+# message calls it: each parameter and result class checks its fields by it
+# first (check_fields), and the config each key it reads (check_value)
+_RULES = {
+    float: (_is_finite, "a finite number"),
+    int: (_is_integer, "an integer of magnitude below 2**63"),
+    tuple[float, float]: (_finite_tuple(2), "a tuple of 2 finite numbers"),
+    tuple[float, float, float]: (_finite_tuple(3), "a tuple of 3 finite numbers"),
+    tuple[float, ...]: (_finite_tuple(None), "a tuple of finite numbers"),
+    dict[str, int]: (
+        lambda x: isinstance(x, dict) and all(type(k) is str and _is_integer(x[k]) for k in x),
+        "a dict from str to integers",
+    ),
+}
+_hints = cache(get_type_hints)  # each class's annotations, evaluated once
+
+
+def check_value(name: str, hint, value) -> None:
+    """Raise ValueError("<name>: must be ... (got ...)") unless value passes the
+    annotation hint's _RULES entry or, for a class (bool too), is an instance
+    of it; any other annotation is a TypeError."""
+    if not (hint in _RULES or isinstance(hint, type)):
+        raise TypeError(f"{name}: no rule for the annotation {hint}")
+    test, what = _RULES.get(hint) or (lambda x: isinstance(x, hint), f"a {hint.__name__}")
+    if not test(value):
+        raise ValueError(f"{name}: must be {what} (got {value!r})")
+
+
+def check_fields(obj) -> None:
+    """check_value of each init field of the dataclass obj, by its annotation."""
+    hints = _hints(type(obj))
+    for name in (f.name for f in fields(obj) if f.init):
+        check_value(name, hints[name], getattr(obj, name))
 
 
 @dataclass(frozen=True)
@@ -27,9 +78,10 @@ class CameraModel:
     focal_length: float = 224.0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("image_width", "image_height", "focal_length"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name}: must be positive and finite (got {getattr(self, name)})")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive (got {getattr(self, name)})")
 
     # cached: the per-frame loop reads the principal point several times
     # per frame, and the frozen fields never change
@@ -51,11 +103,9 @@ class HelipadSpec:
     side_length: float = 12.0
 
     def __post_init__(self):
-        for name in ("x", "y"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name}: must be finite (got {getattr(self, name)})")
-        if not 0 < self.side_length < math.inf:
-            raise ValueError(f"side_length: must be positive and finite (got {self.side_length})")
+        check_fields(self)
+        if self.side_length <= 0:
+            raise ValueError(f"side_length: must be positive (got {self.side_length})")
 
 
 class BoundingBox(NamedTuple):

@@ -11,7 +11,6 @@ per-expert seed streams so the modes see common random numbers.
 from __future__ import annotations
 
 import concurrent.futures
-import math
 import os
 import struct
 import sys
@@ -19,7 +18,6 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
-from numbers import Real
 
 import numpy as np
 
@@ -34,13 +32,15 @@ from .experts import (
     detect,
     noise_rows,
 )
-from .gating import _FAR, GateState, _is_integer, select_expert
+from .gating import _FAR, GateState, select_expert
 from .geometry import (
     BoundingBox,
     CameraModel,
     HelipadSpec,
     VehicleState,
     apparent_width,
+    check_fields,
+    check_value,
     inside_image,
     project_helipad,
 )
@@ -84,16 +84,14 @@ class TrialConfig:
     commit_altitude: float = 8.0  # below this the vehicle commits blind
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("x_range", "y_range"):
             lo, hi = getattr(self, name)
-            if not (_is_finite(lo) and _is_finite(hi) and lo <= hi):
-                raise ValueError(f"{name}: must be finite with low <= high (got {lo}, {hi})")
+            if lo > hi:
+                raise ValueError(f"{name}: must have low <= high (got {lo}, {hi})")
         altitudes = self.altitude_set
-        if not (altitudes and all(map(_is_finite, altitudes)) and min(altitudes) > 0):
-            raise ValueError(f"altitude_set: must be nonempty, finite and > 0 (got {altitudes})")
-        for name in ("seed", "n_trials", "max_steps"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name}: must be an integer (got {getattr(self, name)!r})")
+        if not (altitudes and min(altitudes) > 0):
+            raise ValueError(f"altitude_set: must be nonempty and > 0 (got {altitudes})")
         if self.seed < 0:
             raise ValueError(f"seed: must be >= 0 (got {self.seed})")
         if not 1 <= self.n_trials <= MAX_TRIALS:
@@ -121,6 +119,7 @@ class Scenario:
     coast_limit: int = GateState.coast_limit
 
     def __post_init__(self):
+        check_fields(self)
         # the gate owns these range rules; building one applies them here,
         # so a bad scenario fails when it is made, not inside a worker
         GateState(window_size=self.window_size, coast_limit=self.coast_limit)
@@ -139,42 +138,29 @@ class TrialResult:
 
     def __post_init__(self):
         # read back from JSON, any field may hold a bool, a string or null
-        if not (_is_integer(self.trial_id) and self.trial_id >= 0):
-            raise ValueError(f"trial_id: must be an integer >= 0 (got {self.trial_id!r})")
-        for name, size in (("initial_position", 3), ("touchdown_xy", 2)):
-            point = getattr(self, name)
-            shaped = isinstance(point, tuple) and len(point) == size
-            if not (shaped and all(map(_is_finite, point))):
-                raise ValueError(f"{name}: must be {size} finite numbers (got {point!r})")
-        error = self.touchdown_error
-        if not (_is_finite(error) and error >= 0):
-            raise ValueError(f"touchdown_error: must be a finite number >= 0 (got {error!r})")
+        check_fields(self)
+        if self.trial_id < 0:
+            raise ValueError(f"trial_id: must be >= 0 (got {self.trial_id})")
+        if self.touchdown_error < 0:
+            raise ValueError(f"touchdown_error: must be >= 0 (got {self.touchdown_error})")
         if self.success is not (self.termination_reason is TerminationReason.LANDED):
             raise ValueError(
                 f"success: must be true exactly when termination_reason is landed "
                 f"(got {self.success}, {self.termination_reason.value})"
             )
-        if not (_is_integer(self.steps) and self.steps >= 1):
-            raise ValueError(f"steps: must be an integer >= 1 (got {self.steps!r})")
+        if self.steps < 1:
+            raise ValueError(f"steps: must be >= 1 (got {self.steps})")
         usage = self.expert_usage
         if set(usage) != set(filter(None, SELECTION_LABELS)):
             raise ValueError(
                 f"expert_usage: keys must be {', '.join(filter(None, SELECTION_LABELS))} "
                 f"(got {', '.join(map(repr, usage))})"
             )
-        counts = usage.values()
-        if not all(_is_integer(c) and c >= 0 for c in counts) or sum(counts) > self.steps:
+        if min(usage.values()) < 0 or sum(usage.values()) > self.steps:
             raise ValueError(
-                f"expert_usage: counts must be integers >= 0 that sum to at most steps "
+                f"expert_usage: counts must be >= 0 and sum to at most steps "
                 f"(got {usage}, steps {self.steps})"
             )
-
-
-def _is_finite(x) -> bool:
-    try:
-        return isinstance(x, Real) and type(x) is not bool and math.isfinite(x)
-    except OverflowError:  # an integer too large for a float
-        return False
 
 
 TRAJECTORY_HEADER = (
@@ -367,6 +353,7 @@ def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detecti
     """Return the recorded (FAR, NEAR) detections for one frame, verbatim,
     from a (frames, LOG_STRIDE) array as reporting.read_detection_log
     returns it."""
+    check_value("frame_index", int, frame_index)
     if not 0 <= frame_index < len(log):
         raise IndexError(
             f"frame_index {frame_index} out of range (log has {len(log)} frames)"
@@ -530,6 +517,7 @@ def run_campaign(
     The pool stays with the returned campaign (CampaignResult.map) until
     it is dropped.
     """
+    check_value("n_workers", int, n_workers)
     if n_workers < 1:
         raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
     if modes is None:

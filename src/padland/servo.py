@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import BoundingBox, CameraModel, HelipadSpec
+from .geometry import BoundingBox, CameraModel, HelipadSpec, _is_finite, check_fields
 
 
 # per-frame results are built with tuple.__new__, skipping the generated
@@ -32,7 +32,7 @@ def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) ->
     if z_ref <= 0:
         raise ValueError(f"z_ref: must be strictly positive (got {z_ref})")
     side = focal_length * pad_side / z_ref
-    if not 0 < side * side < math.inf:
+    if not (_is_finite(side * side) and side * side > 0):
         raise ValueError(
             f"z_ref: the area (camera.focal_length * helipad.side_length / z_ref)^2 "
             f"is not positive and finite (z_ref {z_ref}, side_length {pad_side})"
@@ -55,9 +55,10 @@ class ControllerGains:
     area_ref: float = area_ref_for_altitude(6.0, CameraModel.focal_length, HelipadSpec.side_length)
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("k_xy", "k_z", "v_lat_max", "align_threshold", "area_ref"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name}: must be positive and finite (got {getattr(self, name)})")
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name}: must be positive (got {getattr(self, name)})")
 
 
 class VelocityCommand(NamedTuple):

@@ -20,6 +20,41 @@ INSIDE = "210.0,230.5,24.0,24.0,0.81,1"  # a present detection inside the defaul
 OUTSIDE = "447,224,4,4,0.5,1"  # one pixel past its right edge
 
 
+# values no key of the default document takes, each in place of a number,
+# a list or a list entry
+WRONG_TYPES = {
+    "True": True,
+    "str": "1",
+    "None": None,
+    "nan": math.nan,
+    "inf": math.inf,
+    "-inf": -math.inf,
+    "10**400": 10**400,
+}
+PAIRS = {
+    "helipad.center",
+    "experts.far.distractor_offset_m",
+    "experts.near.distractor_offset_m",
+    "trials.x_range",
+    "trials.y_range",
+}
+
+
+def _leaves(node, path=()):
+    """(path, value) of each leaf of a config document: each key that holds
+    no object, and each entry of a list (an index in the path)."""
+    for part, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if not isinstance(value, dict):
+            yield (*path, part), value
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*path, part))
+
+
+LEAVES = [
+    pytest.param(path, value, id=".".join(map(str, path))) for path, value in _leaves(default_config())
+]
+
+
 @pytest.fixture
 def config_path(tmp_path) -> Path:
     path = tmp_path / "config.json"
@@ -80,12 +115,12 @@ class TestConfig:
         @dataclass(frozen=True)
         class Flags:
             rate: float = 1.0
-            enabled: bool = True
+            enabled: list[int] = None
 
-        doc = {"flags": {"rate": 2.0, "enabled": True}}
-        with pytest.raises(TypeError, match="Flags.enabled"):
+        doc = {"flags": {"rate": 2.0, "enabled": [1]}}
+        with pytest.raises(TypeError, match=r"^flags\.enabled: .*list\[int\]"):
             config._section(doc, "flags", Flags)
-        assert config._section(doc, "flags", Flags, enabled=False) == Flags(2.0, False)
+        assert config._section(doc, "flags", Flags, enabled=[0]) == Flags(2.0, [0])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -118,6 +153,22 @@ class TestConfig:
             load_config(path)
         assert main(["validate-config", "--config", str(path)]) == 2
         assert f"repeated key: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, default", LEAVES)
+    def test_every_leaf_rejects_a_value_of_the_wrong_type_by_key(self, path, default):
+        key = ".".join(p for p in path if isinstance(p, str))  # an entry is named by its list
+        values = {**WRONG_TYPES, "list": [default]}
+        if key in PAIRS and isinstance(default, list):
+            values = {**WRONG_TYPES, "short": default[:-1], "long": default + default[-1:]}
+        for label, value in values.items():
+            doc = default_config()
+            node = doc
+            for part in path[:-1]:
+                node = node[part]
+            node[path[-1]] = value
+            with pytest.raises(ConfigError) as caught:
+                build_campaign(doc)
+            assert str(caught.value).startswith(f"{key}: "), (label, str(caught.value))
 
 
 class TestCliRun:

@@ -33,6 +33,7 @@ from padland.harness import (
     TrialConfig,
     TrialResult,
     perceive,
+    replay_detect,
     replay_log,
     run_campaign,
     run_trial,
@@ -325,6 +326,14 @@ class TestReplayLog:
             lost[-1] = 1.0
         assert col["tracking_lost"].tobytes() == lost.tobytes()
 
+    @pytest.mark.parametrize("frame", [True, 1.0, 0.5, "0", None])
+    def test_replay_detect_rejects_a_frame_index_that_is_not_an_integer(self, frame):
+        # True used to index numpy's rows as a mask, and fail with an IndexError
+        log = np.zeros((3, LOG_STRIDE))
+        with pytest.raises(ValueError, match="^frame_index: must be an integer"):
+            replay_detect(log, frame)
+        assert replay_detect(log, 1) == (ABSENT, ABSENT)
+
     def test_an_expert_is_the_slot_it_fills(self):
         # each profile in the other's slot: the far slot's selections are
         # FAR, in the trial, its usage and the replay of its own log
@@ -427,6 +436,15 @@ class TestCampaign:
     def test_workers_below_one_rejected(self):
         with pytest.raises(ValueError, match="n_workers"):
             run_campaign(Scenario(), TrialConfig(n_trials=1), n_workers=0)
+
+    @pytest.mark.parametrize("workers", [1.5, 2.5, True, "2", None])
+    def test_workers_that_are_not_an_integer_rejected(self, recording_pool, monkeypatch, workers):
+        # 1.5 used to fail inside ProcessPoolExecutor with a TypeError, 2.5 to
+        # start a pool of max_workers=1.5, and True to run serially
+        usable_cpus(monkeypatch, 8)
+        with pytest.raises(ValueError, match="^n_workers: must be an integer"):
+            run_campaign(Scenario(), TrialConfig(n_trials=1, max_steps=20), n_workers=workers)
+        assert recording_pool == []
 
     def test_pool_has_at_most_one_worker_per_task(self, recording_pool, monkeypatch):
         usable_cpus(monkeypatch, 8)

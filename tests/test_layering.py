@@ -87,16 +87,60 @@ def test_only_reporting_and_cli_write_files(module):
     assert not calls(module) & FILE_WRITERS
 
 
+# the classes whose fields geometry.check_fields checks, by module
+CHECKED_CLASSES = {
+    "geometry": {"CameraModel", "HelipadSpec"},
+    "servo": {"ControllerGains"},
+    "dynamics": {"DynamicsParams"},
+    "experts": {"ExpertProfile"},
+    "gating": {"GateState"},
+    "harness": {"Scenario", "TrialConfig", "TrialResult"},
+}
+TYPE_RULES = {"_is_finite", "_is_integer", "check_value", "check_fields"}
+
+
+def math_names(tree: ast.AST) -> set[str]:
+    """The names tree reads from math (`math.x`, or `from math import x`)."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "math":
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found.update(alias.name for alias in node.names)
+    return found
+
+
 def test_one_owner_for_the_number_rules_and_the_campaign_check():
-    # config decides what is a finite number through harness._is_finite, and
-    # harness.check_campaign is the one check of a campaign's modes
-    called = calls("config")
-    assert "_is_finite" in called  # the reader finds calls at all
-    assert "isfinite" not in called
+    # geometry owns the one rule per field annotation: the nine parameter
+    # and result classes check their fields' types through check_fields
+    # first, and keep only their range and relational rules; no other
+    # module tests finiteness itself. harness.check_campaign is the one
+    # check of a campaign's modes.
+    checked = set()
     for module in MODULES:
         tree = ast.parse((SRC / f"{module}.py").read_text())
         defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         assert "check_modes" not in defined, module
+        if module == "geometry":
+            assert TYPE_RULES <= defined
+        else:
+            assert not defined & TYPE_RULES, module
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in CHECKED_CLASSES.get(module, ()):
+                (post,) = [n for n in cls.body if getattr(n, "name", None) == "__post_init__"]
+                assert ast.unparse(post.body[0]) == "check_fields(self)", cls.name
+                calls_in_post = [n for n in ast.walk(post) if isinstance(n, ast.Call)]
+                called = {getattr(n.func, "id", None) for n in calls_in_post}
+                assert not called & {"_is_finite", "_is_integer", "isinstance"}, cls.name
+                assert not math_names(post), cls.name
+                checked.add(cls.name)
+        if module == "reporting":  # the detection-log reader's cells are not fields
+            tree.body = [n for n in tree.body if getattr(n, "name", None) != "_parse_record"]
+        if module != "geometry":
+            assert not math_names(tree) & {"isfinite", "inf"}, module
+    assert checked == set().union(*CHECKED_CLASSES.values())
+    # the reader finds math names at all
+    assert "isfinite" in math_names(ast.parse((SRC / "reporting.py").read_text()))
 
 
 PARAMETER_CLASSES = {
@@ -127,14 +171,21 @@ def test_config_builds_parameter_objects_only_through_section():
             elif func != "field":  # CampaignSpec's default_factory
                 assert not ({func} | passed) & PARAMETER_CLASSES, func
     assert built == PARAMETER_CLASSES
-    # the only keys read by hand are the three that are not fields
-    readers = {"_integer", "_number", "_floats"}
+    # one reader, _read: _section's key, and by hand only the three keys
+    # that are not fields
+    assert not defined & {"_integer", "_number", "_floats"}
+    assert "_READERS" not in top_level_names(tree)
     keys = {
         ast.unparse(node.args[1])
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_read"
     }
-    assert keys == {"'helipad.center'", "'gains.z_ref'", "f'{base}.distractor_offset_m'"}
+    assert keys == {
+        "f'{section}.{name}'",
+        "'helipad.center'",
+        "'gains.z_ref'",
+        "f'{base}.distractor_offset_m'",
+    }
 
 
 def test_no_module_names_an_expert_id():
