@@ -1,23 +1,23 @@
 """Campaign configuration: one JSON document covering every tunable.
 
-The defaults are the dataclass defaults, each range rule lives in the
-dataclass that owns the field, and the rules that span objects, modes
-included, live in ``harness.check_campaign``, which ``CampaignSpec``
-applies. A section's keys are its dataclass's field names, and ``_read``
-reads each key by its field's annotation: it converts the JSON spelling
-(a list to a tuple, an int to a float, a float with no fraction to an
-int) and checks the value by ``geometry.check_value``, the rule each
-parameter object applies to its own fields. Every error is prefixed with
-the dotted key (for example ``gains.k_xy``) so a bad config is
-diagnosable from the message alone. A key the default document lacks
-is an error too, so a typo is never silently ignored, and so is a key
-repeated in one object, whose earlier values JSON would drop. Three
-keys are not fields: ``helipad.center`` holds the pad's ``x`` and
-``y``, the expert distractor offset is configured in world meters
-(stored in pad-side units) and the descent target as the altitude
-``gains.z_ref`` (stored as the box area seen from it); a converted
-value that overflows is reported under the config's key. ``read_text``
-reads every input file, config, detection log and summary alike.
+The defaults are the dataclass defaults. A section's keys are its
+dataclass's field names, and ``_read`` reads each key by its field's
+annotation, type and range: it converts the JSON spelling (a list to a
+tuple, an int to a float, a float with no fraction to an int) and checks
+the value by ``geometry.check_value``, as each parameter object checks
+its own fields. The rules between one object's fields are its
+``__post_init__``'s, and those that span objects, modes included,
+``harness.check_campaign``'s, which ``CampaignSpec`` applies. Every
+error is prefixed with the dotted key (for example ``gains.k_xy``) so a
+bad config is diagnosable from the message alone. A key the default
+document lacks is an error too, so a typo is never silently ignored, and
+so is a key repeated in one object, whose earlier values JSON would
+drop. Three keys are not fields: ``helipad.center`` holds the pad's
+``x`` and ``y``, the expert distractor offset is configured in world
+meters (stored in pad-side units) and the descent target as the altitude
+``gains.z_ref`` (stored as the box area seen from it); a converted value
+that overflows is reported under the config's key. ``read_text`` reads
+every input file, config, detection log and summary alike.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import get_args
+from typing import Annotated, get_args, get_origin
 
 from .dynamics import DynamicsParams
 from .experts import ExpertProfile
@@ -99,6 +99,8 @@ def _get(doc: dict, path: str, expected=None):
 def _from_json(hint, value):
     """value, parsed from JSON, as the annotation hint takes it: a list as a
     tuple (of hint's first argument), an int as a float, a whole float as an int."""
+    if get_origin(hint) is Annotated:
+        hint = get_args(hint)[0]
     if isinstance(value, list):
         item = (get_args(hint) or (None,))[0]
         return tuple(_from_json(item, v) for v in value)
@@ -247,6 +249,8 @@ def load_config(path: str | Path) -> dict:
         doc = json.loads(text, object_pairs_hook=_object)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ConfigError(f"config file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
     if isinstance(doc, _Repeated):
         raise ConfigError(f"repeated key: {doc.key}")
     if not isinstance(doc, dict):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .geometry import VehicleState, check_fields
+from .geometry import NonNegative, Positive, VehicleState, check_fields
 from .servo import VelocityCommand
 
 
@@ -20,15 +20,11 @@ from .servo import VelocityCommand
 
 @dataclass(frozen=True)
 class DynamicsParams:
-    dt: float = 0.05  # seconds per simulation step
-    tau: float = 0.4  # velocity-tracking time constant; 0 = instantaneous
+    dt: Positive = 0.05  # seconds per simulation step
+    tau: NonNegative = 0.4  # velocity-tracking time constant; 0 = instantaneous
 
     def __post_init__(self):
         check_fields(self)
-        if self.dt <= 0:
-            raise ValueError(f"dt: must be positive (got {self.dt})")
-        if self.tau < 0:
-            raise ValueError(f"tau: must be >= 0 (got {self.tau})")
 
     @cached_property
     def alpha(self) -> float:

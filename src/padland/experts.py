@@ -19,7 +19,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import BoundingBox, CameraModel, HelipadSpec, check_fields, clamp_box
+from .geometry import (
+    BoundingBox,
+    CameraModel,
+    HelipadSpec,
+    NonNegative,
+    check_fields,
+    clamp_box,
+    ranged,
+)
 
 
 # detect builds its noisy box and its Detection with tuple.__new__,
@@ -68,6 +76,9 @@ class Detection(_DetectionFields):
 # it instead of building one per frame
 ABSENT = Detection()
 
+_Slope = ranged(float, lambda x: x != 0, "nonzero")
+_Probability = ranged(float, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
+
 
 @dataclass(frozen=True)
 class ExpertProfile:
@@ -84,22 +95,15 @@ class ExpertProfile:
     """
 
     s_center: float
-    s_slope: float
-    sigma_center_base: float = 0.0
-    sigma_center_scale: float = 0.0
-    sigma_size_frac: float = 0.0
-    distractor_prob: float = 0.0
+    s_slope: _Slope
+    sigma_center_base: NonNegative = 0.0
+    sigma_center_scale: NonNegative = 0.0
+    sigma_size_frac: NonNegative = 0.0
+    distractor_prob: _Probability = 0.0
     distractor_offset_pads: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         check_fields(self)
-        if self.s_slope == 0:
-            raise ValueError(f"s_slope: must be nonzero (got {self.s_slope})")
-        for name in ("sigma_center_base", "sigma_center_scale", "sigma_size_frac"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name}: must be >= 0 (got {getattr(self, name)})")
-        if not 0.0 <= self.distractor_prob <= 1.0:
-            raise ValueError(f"distractor_prob: must be in [0, 1] (got {self.distractor_prob})")
 
     @classmethod
     def ideal(cls) -> "ExpertProfile":

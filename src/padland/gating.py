@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .experts import Detection, ExpertId
-from .geometry import BoundingBox, CameraModel, check_fields
+from .geometry import BoundingBox, CameraModel, Count, PositiveCount, check_fields
 
 
 # per-frame results are built with tuple.__new__, skipping the generated
@@ -40,18 +40,14 @@ class GateState:
     counts consecutive frames with no detection from either expert.
     """
 
-    window_size: int = 5
-    coast_limit: int = 10
+    window_size: PositiveCount = 5  # below 2**63 too, the longest deque on a 64-bit build
+    coast_limit: Count = 10
     window: deque = field(init=False)
     last_selected: ExpertId | None = field(default=None, init=False)
     coast_counter: int = field(default=0, init=False)
 
     def __post_init__(self):
-        check_fields(self)  # so window_size < 2**63, the longest deque on a 64-bit build
-        if self.window_size < 1:
-            raise ValueError(f"window_size: must be >= 1 (got {self.window_size})")
-        if self.coast_limit < 0:
-            raise ValueError(f"coast_limit: must be >= 0 (got {self.coast_limit})")
+        check_fields(self)
         self.window = deque(maxlen=self.window_size)
 
 

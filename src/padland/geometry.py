@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from numbers import Integral, Real
-from typing import NamedTuple, get_type_hints
+from typing import Annotated, NamedTuple, get_origin, get_type_hints
 
 
 # per-frame results are built with tuple.__new__, skipping the generated
@@ -36,7 +36,7 @@ def _finite_tuple(size: int | None):
 
 # the one rule per field annotation, the test a value passes and what the
 # message calls it: each parameter and result class checks its fields by it
-# first (check_fields), and the config each key it reads (check_value)
+# (check_fields), and the config each key it reads (check_value)
 _RULES = {
     float: (_is_finite, "a finite number"),
     int: (_is_integer, "an integer of magnitude below 2**63"),
@@ -48,22 +48,47 @@ _RULES = {
         "a dict from str to integers",
     ),
 }
-_hints = cache(get_type_hints)  # each class's annotations, evaluated once
+
+
+def ranged(hint, test, what: str):
+    """hint, whose values must also pass test, or check_value says "must be <what>".
+    Give it a module-level name: a lambda inline in an annotation sees no module name."""
+    return Annotated[hint, (test, what)]
+
+
+Positive = ranged(float, lambda x: x > 0, "positive")
+NonNegative = ranged(float, lambda x: x >= 0, ">= 0")
+Count = ranged(int, lambda x: x >= 0, ">= 0")
+PositiveCount = ranged(int, lambda x: x >= 1, ">= 1")
+_hints = cache(partial(get_type_hints, include_extras=True))  # each class's, evaluated once
+
+
+def _shown(value) -> str:
+    try:
+        return repr(value)
+    except ValueError:  # an int, or a value holding one, too long to convert to decimal
+        if isinstance(value, int):
+            return f"an int of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to show"
 
 
 def check_value(name: str, hint, value) -> None:
     """Raise ValueError("<name>: must be ... (got ...)") unless value passes the
-    annotation hint's _RULES entry or, for a class (bool too), is an instance
-    of it; any other annotation is a TypeError."""
+    annotation hint's _RULES entry or, for a class (bool too), is an instance of
+    it, then each test of a ranged hint; any other annotation is a TypeError."""
+    ranges = ()
+    if get_origin(hint) is Annotated:
+        hint, ranges = hint.__origin__, hint.__metadata__
     if not (hint in _RULES or isinstance(hint, type)):
         raise TypeError(f"{name}: no rule for the annotation {hint}")
-    test, what = _RULES.get(hint) or (lambda x: isinstance(x, hint), f"a {hint.__name__}")
-    if not test(value):
-        raise ValueError(f"{name}: must be {what} (got {value!r})")
+    rule = _RULES.get(hint) or (lambda x: isinstance(x, hint), f"a {hint.__name__}")
+    for test, what in (rule, *ranges):
+        if not test(value):
+            raise ValueError(f"{name}: must be {what} (got {_shown(value)})")
 
 
 def check_fields(obj) -> None:
-    """check_value of each init field of the dataclass obj, by its annotation."""
+    """check_value of each init field of the dataclass obj, in order, by its annotation."""
     hints = _hints(type(obj))
     for name in (f.name for f in fields(obj) if f.init):
         check_value(name, hints[name], getattr(obj, name))
@@ -73,15 +98,12 @@ def check_fields(obj) -> None:
 class CameraModel:
     """Downward-facing pinhole camera. Principal point is the frame center."""
 
-    image_width: float = 448.0
-    image_height: float = 448.0
-    focal_length: float = 224.0
+    image_width: Positive = 448.0
+    image_height: Positive = 448.0
+    focal_length: Positive = 224.0
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("image_width", "image_height", "focal_length"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive (got {getattr(self, name)})")
 
     # cached: the per-frame loop reads the principal point several times
     # per frame, and the frozen fields never change
@@ -100,12 +122,10 @@ class HelipadSpec:
 
     x: float = -80.0
     y: float = 75.0
-    side_length: float = 12.0
+    side_length: Positive = 12.0
 
     def __post_init__(self):
         check_fields(self)
-        if self.side_length <= 0:
-            raise ValueError(f"side_length: must be positive (got {self.side_length})")
 
 
 class BoundingBox(NamedTuple):

@@ -36,13 +36,18 @@ from .gating import _FAR, GateState, select_expert
 from .geometry import (
     BoundingBox,
     CameraModel,
+    Count,
     HelipadSpec,
+    NonNegative,
+    Positive,
+    PositiveCount,
     VehicleState,
     apparent_width,
     check_fields,
     check_value,
     inside_image,
     project_helipad,
+    ranged,
 )
 from .servo import (
     ControllerGains,
@@ -72,33 +77,25 @@ class TerminationReason(Enum):
 MAX_TRIALS = 10_000
 MAX_STEPS = 100_000
 
+_Interval = ranged(tuple[float, float], lambda r: r[0] <= r[1], "a pair with low <= high")
+_Altitudes = ranged(tuple[float, ...], lambda a: len(a) > 0 and min(a) > 0, "nonempty and > 0")
+_TrialCount = ranged(int, lambda n: 1 <= n <= MAX_TRIALS, f"between 1 and {MAX_TRIALS}")
+_StepCount = ranged(int, lambda n: 1 <= n <= MAX_STEPS, f"between 1 and {MAX_STEPS}")
+
 
 @dataclass(frozen=True)
 class TrialConfig:
-    x_range: tuple[float, float] = (-95.0, -65.0)
-    y_range: tuple[float, float] = (60.0, 90.0)
-    altitude_set: tuple[float, ...] = (70.0, 80.0, 90.0, 110.0)
-    seed: int = 42
-    n_trials: int = 10
-    max_steps: int = 6000
-    commit_altitude: float = 8.0  # below this the vehicle commits blind
+    x_range: _Interval = (-95.0, -65.0)
+    y_range: _Interval = (60.0, 90.0)
+    altitude_set: _Altitudes = (70.0, 80.0, 90.0, 110.0)
+    seed: Count = 42
+    n_trials: _TrialCount = 10
+    max_steps: _StepCount = 6000
+    commit_altitude: Positive = 8.0  # below this the vehicle commits blind
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("x_range", "y_range"):
-            lo, hi = getattr(self, name)
-            if lo > hi:
-                raise ValueError(f"{name}: must have low <= high (got {lo}, {hi})")
-        altitudes = self.altitude_set
-        if not (altitudes and min(altitudes) > 0):
-            raise ValueError(f"altitude_set: must be nonempty and > 0 (got {altitudes})")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0 (got {self.seed})")
-        if not 1 <= self.n_trials <= MAX_TRIALS:
-            raise ValueError(f"n_trials: must be between 1 and {MAX_TRIALS} (got {self.n_trials})")
-        if not 1 <= self.max_steps <= MAX_STEPS:
-            raise ValueError(f"max_steps: must be between 1 and {MAX_STEPS} (got {self.max_steps})")
-        if not 0 < self.commit_altitude < min(self.altitude_set):
+        if not self.commit_altitude < min(self.altitude_set):
             raise ValueError(
                 f"commit_altitude: must be positive and below the lowest altitude_set entry "
                 f"(got {self.commit_altitude}, lowest {min(self.altitude_set)})"
@@ -115,41 +112,32 @@ class Scenario:
     near_profile: ExpertProfile = field(default_factory=default_near_profile)
     gains: ControllerGains = field(default_factory=ControllerGains)
     dynamics: DynamicsParams = field(default_factory=DynamicsParams)
-    window_size: int = GateState.window_size
-    coast_limit: int = GateState.coast_limit
+    window_size: PositiveCount = GateState.window_size
+    coast_limit: Count = GateState.coast_limit
 
     def __post_init__(self):
         check_fields(self)
-        # the gate owns these range rules; building one applies them here,
-        # so a bad scenario fails when it is made, not inside a worker
-        GateState(window_size=self.window_size, coast_limit=self.coast_limit)
 
 
 @dataclass(frozen=True)
 class TrialResult:
-    trial_id: int
+    trial_id: Count
     initial_position: tuple[float, float, float]
     touchdown_xy: tuple[float, float]
-    touchdown_error: float
+    touchdown_error: NonNegative
     success: bool
     termination_reason: TerminationReason
-    steps: int
+    steps: PositiveCount
     expert_usage: dict[str, int]
 
     def __post_init__(self):
         # read back from JSON, any field may hold a bool, a string or null
         check_fields(self)
-        if self.trial_id < 0:
-            raise ValueError(f"trial_id: must be >= 0 (got {self.trial_id})")
-        if self.touchdown_error < 0:
-            raise ValueError(f"touchdown_error: must be >= 0 (got {self.touchdown_error})")
         if self.success is not (self.termination_reason is TerminationReason.LANDED):
             raise ValueError(
                 f"success: must be true exactly when termination_reason is landed "
                 f"(got {self.success}, {self.termination_reason.value})"
             )
-        if self.steps < 1:
-            raise ValueError(f"steps: must be >= 1 (got {self.steps})")
         usage = self.expert_usage
         if set(usage) != set(filter(None, SELECTION_LABELS)):
             raise ValueError(
@@ -383,8 +371,9 @@ def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
         )
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
     rows = bytearray()  # one packed row per frame, in REPLAY_COLUMNS order
-    for frame in range(len(log)):
-        sb, code, lost, err, _ = perceive(*replay_detect(log, frame), gate, cam, gains)
+    for frame, row in enumerate(map(np.ndarray.tolist, log[:, :LOG_STRIDE])):
+        far, near = _detection(row[:LOG_FIELDS]), _detection(row[LOG_FIELDS:])
+        sb, code, lost, err, _ = perceive(far, near, gate, cam, gains)
         cells = _REPLAY_BLANKS if err is None else sb + err  # u_hat to h_hat, e_x to e_z
         rows += _REPLAY_ROW.pack(frame, code, lost, *cells)
     return np.frombuffer(rows).reshape(-1, len(REPLAY_COLUMNS))
@@ -517,9 +506,7 @@ def run_campaign(
     The pool stays with the returned campaign (CampaignResult.map) until
     it is dropped.
     """
-    check_value("n_workers", int, n_workers)
-    if n_workers < 1:
-        raise ValueError(f"n_workers: must be >= 1 (got {n_workers})")
+    check_value("n_workers", PositiveCount, n_workers)
     if modes is None:
         modes = tuple(Mode)
     check_campaign(scenario, config, modes)

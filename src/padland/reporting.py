@@ -351,9 +351,9 @@ def rebuild_results(summary: dict) -> dict[Mode, list[TrialResult]]:
 
 def read_comparison(path: str | Path) -> ModeComparison:
     """Compare the modes of a summary.json read back; raises ConfigError
-    naming the file if it is missing, a directory, not text, not JSON,
-    repeats a key (naming its path, as load_config does) or is not a
-    padland summary."""
+    naming the file if it is missing, a directory, not text, not JSON (or
+    nested too deeply to parse), repeats a key (naming its path, as
+    load_config does) or is not a padland summary."""
     path = Path(path)
     text = read_text(path, "summary file")
     try:
@@ -362,6 +362,6 @@ def read_comparison(path: str | Path) -> ModeComparison:
             return compare_modes(rebuild_results(summary))
     except KeyError as exc:
         raise ConfigError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError) as exc:  # not JSON, or not a summary's shape
+    except (TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise ConfigError(f"{path}: not a padland summary ({type(exc).__name__}: {exc})") from None
     raise ConfigError(f"{path}: repeated key: {summary.key}")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import BoundingBox, CameraModel, HelipadSpec, _is_finite, check_fields
+from .geometry import BoundingBox, CameraModel, HelipadSpec, Positive, _is_finite, check_fields
 
 
 # per-frame results are built with tuple.__new__, skipping the generated
@@ -47,18 +47,17 @@ def altitude_for_area_ref(area_ref: float, focal_length: float, pad_side: float)
 
 @dataclass(frozen=True)
 class ControllerGains:
-    k_xy: float = 0.02  # (m/s) per pixel of lateral error
-    k_z: float = 1.5  # m/s, maximum descent rate
-    v_lat_max: float = 2.0  # m/s lateral clamp
-    align_threshold: float = 30.0  # pixels; descend only when aligned
+    k_xy: Positive = 0.02  # (m/s) per pixel of lateral error
+    k_z: Positive = 1.5  # m/s, maximum descent rate
+    v_lat_max: Positive = 2.0  # m/s lateral clamp
+    align_threshold: Positive = 30.0  # pixels; descend only when aligned
     # pixels^2; the box area seen from z_ref = 6 m with the default camera and pad
-    area_ref: float = area_ref_for_altitude(6.0, CameraModel.focal_length, HelipadSpec.side_length)
+    area_ref: Positive = area_ref_for_altitude(
+        6.0, CameraModel.focal_length, HelipadSpec.side_length
+    )
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("k_xy", "k_z", "v_lat_max", "align_threshold", "area_ref"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name}: must be positive (got {getattr(self, name)})")
 
 
 class VelocityCommand(NamedTuple):

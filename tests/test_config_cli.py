@@ -711,6 +711,26 @@ def test_unreadable_input_file_named(tmp_path, config_path, capsys, flag, kind):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["validate-config", "run", "replay", "report"])
+def test_deeply_nested_input_file_named(tmp_path, capsys, command):
+    # json.loads raises RecursionError on nesting past the recursion limit
+    path = tmp_path / "nested.json"
+    depth = 200_000
+    path.write_text('{"a": ' + "[" * depth + "]" * depth + "}")
+    out, log = str(tmp_path / "o"), str(tmp_path / "log.csv")
+    argv = {
+        "validate-config": ["validate-config", "--config", str(path)],
+        "run": ["run", "--config", str(path), "--out", out],
+        "replay": ["replay", "--log", log, "--config", str(path), "--out", out],
+        "report": ["report", "--summary", str(path)],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 class TestCliInitConfig:
     def test_written_default_validates(self, tmp_path):
         path = tmp_path / "generated.json"

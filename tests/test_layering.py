@@ -219,3 +219,51 @@ def test_trial_and_replay_pack_each_frame_in_one_loop():
     for name in ("run_trial", "replay_log"):
         loops = [n for n in ast.walk(functions[name]) if isinstance(n, (ast.For, ast.While))]
         assert len(loops) == 1, name  # a comprehension's `for` is not a statement
+
+
+def compares_a_field_with_a_number(node: ast.AST) -> bool:
+    """Whether node compares `self.<field>` or `getattr(self, ...)` with a
+    number literal (a negated one too) on either side of one operator."""
+
+    def is_field(n):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "getattr":
+            n = n.args[0]
+        elif isinstance(n, ast.Attribute):
+            n = n.value
+        else:
+            return False
+        return getattr(n, "id", None) == "self"
+
+    def is_number(n):
+        if isinstance(n, ast.UnaryOp):
+            n = n.operand
+        return isinstance(n, ast.Constant) and type(n.value) in (int, float)
+
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(
+        is_field(a) and is_number(b) or is_number(a) and is_field(b)
+        for a, b in zip(operands, operands[1:])
+    )
+
+
+def test_a_rule_on_one_field_is_its_annotation():
+    # each one-field range rule is a ranged annotation (geometry.ranged), so
+    # __post_init__ keeps only rules between fields and compares no field
+    # with a number; Scenario's gate fields carry the gate's annotations
+    assert compares_a_field_with_a_number(ast.parse("0 < self.x < min(y)").body[0].value)
+    assert compares_a_field_with_a_number(ast.parse("getattr(self, n) <= -1").body[0].value)
+    assert not compares_a_field_with_a_number(ast.parse("self.x < min(self.y)").body[0].value)
+    posts = {}
+    for module, classes in CHECKED_CLASSES.items():
+        for cls in ast.parse((SRC / f"{module}.py").read_text()).body:
+            if isinstance(cls, ast.ClassDef) and cls.name in classes:
+                (post,) = [n for n in cls.body if getattr(n, "name", None) == "__post_init__"]
+                posts[cls.name] = post
+    assert set(posts) == set().union(*CHECKED_CLASSES.values())
+    for name, post in posts.items():
+        assert not any(map(compares_a_field_with_a_number, ast.walk(post))), name
+    scenario = posts["Scenario"]
+    assert [ast.unparse(n) for n in scenario.body] == ["check_fields(self)"]
+    assert "GateState" not in {getattr(n, "id", None) for n in ast.walk(scenario)}
