@@ -248,11 +248,11 @@ def load_config(path: str | Path) -> dict:
     try:
         doc = json.loads(text, object_pairs_hook=_object)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
-        raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        raise ConfigError(f"{path}: config file is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{path}: JSON nested too deeply to parse") from None
     if isinstance(doc, _Repeated):
-        raise ConfigError(f"repeated key: {doc.key}")
+        raise ConfigError(f"{path}: repeated key: {doc.key}")
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"{path}: config root must be a JSON object")
     return doc

@@ -81,6 +81,11 @@ _Interval = ranged(tuple[float, float], lambda r: r[0] <= r[1], "a pair with low
 _Altitudes = ranged(tuple[float, ...], lambda a: len(a) > 0 and min(a) > 0, "nonempty and > 0")
 _TrialCount = ranged(int, lambda n: 1 <= n <= MAX_TRIALS, f"between 1 and {MAX_TRIALS}")
 _StepCount = ranged(int, lambda n: 1 <= n <= MAX_STEPS, f"between 1 and {MAX_STEPS}")
+_Usage = ranged(
+    dict[str, int],
+    lambda u: set(u) == {e.value for e in ExpertId} and min(u.values()) >= 0,
+    "keyed by FAR and NEAR, with counts >= 0",
+)
 
 
 @dataclass(frozen=True)
@@ -128,7 +133,7 @@ class TrialResult:
     success: bool
     termination_reason: TerminationReason
     steps: PositiveCount
-    expert_usage: dict[str, int]
+    expert_usage: _Usage
 
     def __post_init__(self):
         # read back from JSON, any field may hold a bool, a string or null
@@ -138,16 +143,10 @@ class TrialResult:
                 f"success: must be true exactly when termination_reason is landed "
                 f"(got {self.success}, {self.termination_reason.value})"
             )
-        usage = self.expert_usage
-        if set(usage) != set(filter(None, SELECTION_LABELS)):
+        if sum(self.expert_usage.values()) > self.steps:
             raise ValueError(
-                f"expert_usage: keys must be {', '.join(filter(None, SELECTION_LABELS))} "
-                f"(got {', '.join(map(repr, usage))})"
-            )
-        if min(usage.values()) < 0 or sum(usage.values()) > self.steps:
-            raise ValueError(
-                f"expert_usage: counts must be >= 0 and sum to at most steps "
-                f"(got {usage}, steps {self.steps})"
+                f"expert_usage: counts must sum to at most steps "
+                f"(got {self.expert_usage}, steps {self.steps})"
             )
 
 

@@ -13,7 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .geometry import BoundingBox, CameraModel, HelipadSpec, Positive, _is_finite, check_fields
+from .geometry import (
+    BoundingBox,
+    CameraModel,
+    HelipadSpec,
+    Positive,
+    _is_finite,
+    check_fields,
+    check_value,
+)
 
 
 # per-frame results are built with tuple.__new__, skipping the generated
@@ -29,8 +37,7 @@ class ErrorSignals(NamedTuple):
 
 def area_ref_for_altitude(z_ref: float, focal_length: float, pad_side: float) -> float:
     """Reference area corresponding to hovering at z_ref over the pad."""
-    if z_ref <= 0:
-        raise ValueError(f"z_ref: must be strictly positive (got {z_ref})")
+    check_value("z_ref", Positive, z_ref)
     side = focal_length * pad_side / z_ref
     if not (_is_finite(side * side) and side * side > 0):
         raise ValueError(

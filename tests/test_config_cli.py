@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from dataclasses import dataclass
@@ -149,10 +150,10 @@ class TestConfig:
         assert text.count(old) == 1
         path = tmp_path / "repeated.json"
         path.write_text(text.replace(old, new))
-        with pytest.raises(ConfigError, match=rf"^repeated key: {key}$"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: repeated key: {key}$"):
             load_config(path)
         assert main(["validate-config", "--config", str(path)]) == 2
-        assert f"repeated key: {key}" in capsys.readouterr().err
+        assert f"{path}: repeated key: {key}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("path, default", LEAVES)
     def test_every_leaf_rejects_a_value_of_the_wrong_type_by_key(self, path, default):
@@ -727,6 +728,30 @@ def test_deeply_nested_input_file_named(tmp_path, capsys, command):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {path}: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"a": }', "config file is not valid JSON: "),
+        ("[1, 2]", "config root must be a JSON object"),
+        ('{"a": 1, "a": 2}', "repeated key: a"),
+    ],
+    ids=["not-json", "not-an-object", "repeated-key"],
+)
+@pytest.mark.parametrize("command", ["validate-config", "run"])
+def test_json_level_config_error_names_the_file(tmp_path, capsys, command, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    argv = {
+        "validate-config": ["validate-config", "--config", str(path)],
+        "run": ["run", "--config", str(path), "--out", str(tmp_path / "o")],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: {message}") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -75,6 +75,10 @@ RANGES = {
     harness._Altitudes: ([(), (0.0,), (70.0, -0.0)], [(5e-324,)]),
     harness._TrialCount: ([0, MAX_TRIALS + 1], [1, MAX_TRIALS]),
     harness._StepCount: ([0, MAX_STEPS + 1], [1, MAX_STEPS]),
+    harness._Usage: (
+        [{}, {"FAR": 1}, {"FAR": 1, "NEAR": 0, "BOGUS": 0}, {"FAR": -1, "NEAR": 3}],
+        [{"FAR": 0, "NEAR": 0}, {"NEAR": 2**63 - 1, "FAR": 0}],
+    ),
 }
 
 

@@ -1,8 +1,9 @@
 """Per-trial transient memory, whatever the trial's length: run_trial and
 replay_log pack each frame's row onto one bytearray as it is made, so they
-hold little beyond their output, and write_trial_csvs and
-read_detection_log hold one block of frames as Python objects at a time.
-Peaks are measured with tracemalloc, which also traces numpy's arrays."""
+hold little beyond their output, the CSV writers hold one block of rows
+spelled at a time, and read_detection_log one block of frames as Python
+objects. Peaks are measured with tracemalloc, which also traces numpy's
+arrays."""
 
 import tracemalloc
 
@@ -19,7 +20,12 @@ from padland.harness import (
     replay_log,
     run_trial,
 )
-from padland.reporting import read_detection_log, write_detection_log, write_trial_csvs
+from padland.reporting import (
+    read_detection_log,
+    write_detection_log,
+    write_replay_csv,
+    write_trial_csvs,
+)
 from padland.servo import ControllerGains
 
 # align_threshold 1e-9 never lets the descent start: the vehicle hovers
@@ -105,3 +111,12 @@ def test_replay_log_holds_about_its_output(long_log):
     replay, peak = traced_peak(replay_log, log, HOVER)
     assert len(replay) == STEPS
     assert peak < 1.5 * replay.nbytes
+
+
+def test_write_replay_csv_holds_one_block(long_log, tmp_path):
+    replay = replay_log(read_detection_log(long_log), HOVER)
+    path = tmp_path / "replay.csv"
+    write_replay_csv(replay[:300], path)  # lazy set-up outside the trace
+    _, peak = traced_peak(write_replay_csv, replay, path)
+    assert len(replay) == STEPS
+    assert peak < 2_000_000

@@ -138,7 +138,7 @@ def _cell(name: str, x: float) -> str:
         return str(int(x))
     if name == "selected":
         return ("", "FAR", "NEAR")[int(x)]
-    return "" if math.isnan(x) else repr(x)
+    return "" if name in _BLANK_NAMES and math.isnan(x) else repr(x)
 
 
 def _oracle_table(header: str, rows: np.ndarray, names, columns) -> str:
@@ -177,7 +177,7 @@ def test_block_writers_match_a_row_by_row_formatter(tmp_path, n):
     assert (tmp_path / "replay.csv").read_text() == expected
 
 
-def test_a_height_reuses_its_width_string_only_for_the_same_nonzero_double(tmp_path):
+def test_a_height_is_spelled_from_its_own_double(tmp_path):
     # row 0 is square, row 1 clipped to a non-square box, and rows 2 and 3
     # have widths and heights that compare equal but print differently
     widths, heights = [24.5, 30.0, 0.0, -0.0], [24.5, 12.25, -0.0, 0.0]
@@ -200,3 +200,40 @@ def test_a_height_reuses_its_width_string_only_for_the_same_nonzero_double(tmp_p
     i = REPLAY_COLUMNS.index("w_hat")
     cells = [line.split(",")[i : i + 2] for line in text.splitlines()[1:]]
     assert cells == [["24.5", "24.5"], ["30.0", "12.25"], ["0.0", "-0.0"], ["-0.0", "0.0"]]
+
+
+def test_odd_cells_of_every_kind_match_a_row_by_row_formatter(tmp_path):
+    # what the block formatter leaves to Python (scientific notation,
+    # subnormals, infinities, NaN outside the blankable columns, integers
+    # of 16 digits or more, labels from codes other than 0, 1 and 2) beside
+    # NaN blanks, negative zeros and negative integers, in one block of
+    # every column kind
+    replay = _synthetic_rows(6, REPLAY_COLUMNS)
+    replay[:, REPLAY_COLUMNS.index("frame")] = [3.0, 1e17, -2.0, 2.7, -0.5, 9999999999999999.0]
+    replay[:, REPLAY_COLUMNS.index("selected")] = [0.0, 1.0, 2.0, 1.5, -1.0, -0.0]
+    replay[:, REPLAY_COLUMNS.index("tracking_lost")] = [0.0, 1.0, 1e16, -1.0, 0.0, 1.0]
+    replay[:, REPLAY_COLUMNS.index("u_hat") :] = [
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, -1e-4],
+        [2.0**-1022, 1.5e300, 0.0001, 123.0, -0.0, math.nan, math.nan, 1e22],
+        [1.0, -2.5, 1e15, 9999999999999998.0, 0.1, 1 / 3, -1e-300, math.nan],
+        *[[math.nan] * 8] * 3,
+    ]
+    write_replay_csv(replay, tmp_path / "replay.csv")
+    text = (tmp_path / "replay.csv").read_text()
+    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, REPLAY_COLUMNS)
+    assert text.splitlines()[1:4] == [
+        "3,,0,,inf,-inf,-0.0,5e-324,1e+16,1e-05,-0.0001",
+        "100000000000000000,FAR,1,2.2250738585072014e-308,1.5e+300,0.0001,123.0,-0.0,,,1e+22",
+        "-2,NEAR,10000000000000000,1.0,-2.5,1000000000000000.0,9999999999999998.0,0.1,"
+        "0.3333333333333333,-1e-300,",
+    ]
+
+    frames = _synthetic_rows(6, RECORD_COLUMNS)
+    frames[:, RECORD_COLUMNS.index("far_present")] = 1.0
+    frames[:, RECORD_COLUMNS.index("u_far")] = [math.inf, -0.0, 1e-7, 5e-324, 1e16, -123.25]
+    frames[:, RECORD_COLUMNS.index("t")] = [math.nan, 1e300, -1e-300, 0.05, 0.0, -0.0]
+    frames[:, RECORD_COLUMNS.index("step")] = [0.0, -3.0, 1e20, 5.9, 12.0, 7.0]
+    write_trial_csvs(frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
+    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS, TRAJECTORY_COLUMNS)
+    assert (tmp_path / "trajectory.csv").read_text() == trajectory
+    assert (tmp_path / "log.csv").read_text() == _oracle_log(frames)
