@@ -15,10 +15,9 @@ writes in scientific notation is left to repr, and each file's text for
 the block is one gather of the cells' bytes and the constants between
 them. So a trial of any length holds one block of text at a time, and
 the writers add no byte that depends on the CPU numpy runs on. A
-detection log in the writer's own layout is read back WRITE_BLOCK frames
-at a time, each block checked and converted column by column into one
-preallocated array; any other log is read, or rejected, one line at a
-time.
+detection log is read back, its records in any order, WRITE_BLOCK frames
+at a time, column by column, into one preallocated array; only a log that
+breaks a rule is walked line by line, to name its error.
 """
 
 from __future__ import annotations
@@ -28,9 +27,10 @@ import math
 from contextlib import ExitStack
 from dataclasses import asdict, fields
 from functools import cache
-from itertools import repeat
+from itertools import islice, product, repeat
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NoReturn
 
 import numpy as np
 
@@ -352,6 +352,15 @@ def _table(names: tuple[str, ...], columns: tuple[str, ...]):
 # puts frame k's FAR record, then its NEAR record, for k = 0, 1, ...
 
 LOG_HEADER = "frame,expert,u,v,w,h,confidence,present"
+_EXPERTS = {expert.value: e for e, expert in enumerate(ExpertId)}  # its index, by its spelling
+
+
+class _Flags(dict):
+    """A present flag by its spelling: "0" and "1" looked up (int() is slower)."""
+    __missing__ = staticmethod(int)
+
+
+_FLAGS = _Flags({"0": 0, "1": 1})
 
 
 def _log(names: tuple[str, ...]):
@@ -416,97 +425,87 @@ def write_detection_log(frames: np.ndarray, path: str | Path) -> None:
 
 
 def read_detection_log(path: str | Path) -> np.ndarray:
-    """Parse a detection log file into a (frames, LOG_STRIDE) float64 array;
-    raises DetectionLogError naming the file if it is missing, a directory
-    or not text, else the first offending line. Records may come in any
-    order and blank lines are skipped; every frame from 0 to the last needs
-    one record of each expert."""
+    """Parse a detection log file into a (frames, LOG_STRIDE) float64 array:
+    records in any order, blank lines skipped, one of each expert for every
+    frame from 0 to the last. Raises DetectionLogError naming the file."""
     lines = read_text(path, "detection log", DetectionLogError).splitlines()
-    if not lines or lines[0].strip() != LOG_HEADER:
-        raise DetectionLogError("line 1: missing or malformed header")
-    log = _read_writer_layout(lines[1:])
-    return _read_records(lines[1:]) if log is None else log
+    try:
+        if not lines or lines[0].strip() != LOG_HEADER:
+            raise DetectionLogError("line 1: missing or malformed header")
+        log = _read_columns(list(filter(str.strip, islice(lines, 1, None))))
+        return _refuse(lines[1:]) if log is None else log
+    except DetectionLogError as exc:
+        raise DetectionLogError(f"{path}: {exc}") from None
 
 
-def _read_writer_layout(records: list[str]) -> np.ndarray | None:
-    """The log of records in exactly write_detection_log's layout, every
-    rule met, checked and converted WRITE_BLOCK frames at a time, column by
-    column; None for any other records."""
-    n, odd = divmod(len(records), 2)
-    if odd:
-        return None
-    log = np.empty((n, LOG_STRIDE))
-    for start in range(0, n, WRITE_BLOCK):
-        block = records[2 * start : 2 * (start + WRITE_BLOCK)]
-        m = len(block) // 2
+def _read_columns(records: list[str]) -> np.ndarray | None:
+    """The log of records in any order, read WRITE_BLOCK frames at a time, column by column,
+    into rows by (frame, expert); None if a rule fails or a row is filled twice or never."""
+    n = len(records) // 2
+    log, keys = np.empty((n, LOG_STRIDE)), np.empty(len(records), np.int64)
+    cells = log.reshape(2 * n, LOG_FIELDS)  # record (frame, expert)'s row is 2 * frame + expert
+    for start in range(0, len(records), 2 * WRITE_BLOCK):
+        block = records[start : start + 2 * WRITE_BLOCK]
         if set(map(str.count, block, repeat(","))) != {7}:
             return None
         fields = ",".join(block).split(",")
-        if not (
-            fields[0::16] == fields[8::16] == list(map(str, range(start, start + m)))
-            and fields[1::16].count("FAR") == fields[9::16].count("NEAR") == m
-            and set(fields[7::8]) <= {"0", "1"}
-        ):
+        try:  # an int past int64 raises OverflowError
+            frame = np.fromiter(map(int, fields[0::8]), int)
+            expert = np.fromiter(map(_EXPERTS.__getitem__, map(str.strip, fields[1::8])), int)
+            text = fields[2::8] + fields[3::8] + fields[4::8] + fields[5::8] + fields[6::8]
+            values = np.fromiter(map(float, text), float).reshape(5, -1)
+            flag = np.fromiter(map(_FLAGS.__getitem__, fields[7::8]), int)
+        except (ValueError, KeyError, OverflowError):
             return None
-        try:
-            cells = np.array([list(map(float, fields[k::8])) for k in range(2, 8)])
-        except ValueError:
-            return None
-        _, _, w, h, conf, flag = cells
-        present = flag == 1.0
+        present = flag == 1
+        _, _, w, h, conf = values
         out_of_range = (w <= 0) | (h <= 0) | (conf < 0) | (conf > 1)
-        if not np.isfinite(cells).all() or (present & out_of_range).any():
+        bad = (frame < 0) | (frame >= n) | (flag != 0) & ~present | present & out_of_range
+        if bad.any() or not np.isfinite(values).all():
             return None
-        log[start : start + m] = np.where(present, cells, 0.0).T.reshape(m, LOG_STRIDE)
-    return log
+        keys[start : start + len(block)] = key = frame * 2 + expert
+        cells[key] = np.where(present, [*values, present], 0.0).T  # not * flag: -5.0 * 0 is -0.0
+    return log if np.array_equal(np.sort(keys), np.arange(len(records))) else None
 
 
-def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId, tuple[float, ...]]:
-    """One record's frame, expert and LOG_FIELDS cells (zeros when absent);
-    raises DetectionLogError naming the line and the first rule it breaks."""
+def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId]:
+    """One record's frame and expert; raises DetectionLogError at its first broken rule."""
     parts = line.split(",")
     if len(parts) != 8:
         raise DetectionLogError(f"line {lineno}: expected 8 fields, got {len(parts)}")
     try:
-        frame = int(parts[0])
-        expert = ExpertId(parts[1].strip())
-        u, v, w, h, conf = map(float, parts[2:7])
-        present = int(parts[7])
+        frame, expert = int(parts[0]), ExpertId(parts[1].strip())
+        u, v, w, h, conf, present = *map(float, parts[2:7]), int(parts[7])
     except ValueError as exc:
         raise DetectionLogError(f"line {lineno}: {exc}") from None
     if not all(map(math.isfinite, (u, v, w, h, conf))):
         raise DetectionLogError(f"line {lineno}: u, v, w, h and confidence must be finite")
     if present not in (0, 1):
         raise DetectionLogError(f"line {lineno}: present flag must be 0 or 1")
-    if present == 0:
-        return frame, expert, (0.0,) * LOG_FIELDS
-    if w <= 0 or h <= 0:
+    if present and (w <= 0 or h <= 0):
         raise DetectionLogError(f"line {lineno}: present detection with non-positive size")
-    if not 0.0 <= conf <= 1.0:
+    if present and not 0.0 <= conf <= 1.0:
         raise DetectionLogError(f"line {lineno}: confidence {conf} outside [0, 1]")
-    return frame, expert, (u, v, w, h, conf, 1.0)
+    return frame, expert
 
 
-def _read_records(records: list[str]) -> np.ndarray:
-    """The log of records read one line at a time, in any order; raises
-    DetectionLogError at the first line, or frame, that breaks a rule."""
-    cells: dict[tuple[int, ExpertId], tuple[float, ...]] = {}
+def _refuse(records: list[str]) -> NoReturn:
+    """Raise the error of a log _read_columns refused, from its lines after the header: the
+    first line that breaks a rule or repeats a record, else the first frame lacking one."""
+    seen = set()
     for lineno, line in enumerate(records, start=2):
         if line.strip():
-            frame, expert, values = _parse_record(line, lineno)
-            if (frame, expert) in cells:
+            frame, expert = key = _parse_record(line, lineno)
+            if key in seen:
                 raise DetectionLogError(
                     f"line {lineno}: duplicate {expert.value} record for frame {frame}"
                 )
-            cells[frame, expert] = values
-    frames = {frame for frame, _ in cells}
-    keys = [(frame, expert) for frame in range(len(frames)) for expert in ExpertId]
-    for frame, expert in keys:
-        if frame not in frames:
-            raise DetectionLogError(f"frame {frame} missing (frames must be contiguous from 0)")
-        if (frame, expert) not in cells:
-            raise DetectionLogError(f"frame {frame}: no {expert.value} record")
-    return np.array([cells[key] for key in keys], dtype=np.float64).reshape(-1, LOG_STRIDE)
+            seen.add(key)
+    frames = {frame for frame, _ in seen}
+    frame, expert = next(key for key in product(range(len(frames)), ExpertId) if key not in seen)
+    if frame not in frames:
+        raise DetectionLogError(f"frame {frame} missing (frames must be contiguous from 0)")
+    raise DetectionLogError(f"frame {frame}: no {expert.value} record")
 
 
 def write_trial_csvs(frames: np.ndarray, trajectory_path: str | Path, log_path: str | Path) -> None:

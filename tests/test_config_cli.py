@@ -458,6 +458,27 @@ class TestCliReplay:
         assert "line 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "records, error",
+        [
+            (None, "line 1: missing or malformed header"),
+            (["0,FAR,x,0,0"], "line 2: expected 8 fields, got 5"),
+            (["0,FAR,0,0,0,0,0,0"] * 2, "line 3: duplicate FAR record for frame 0"),
+            (["0,FAR,0,0,0,0,0,0"], "frame 0: no NEAR record"),
+        ],
+        ids=["header", "line", "duplicate", "frame"],
+    )
+    def test_log_error_names_the_file(self, tmp_path, config_path, capsys, records, error):
+        # as a bad --config or --summary is named: the file, then where in it
+        log = tmp_path / "bad.csv"
+        header = "frame,expert,u,v,w,h,confidence,present"
+        log.write_text("\n".join(["0,FAR,0,0,0,0,0,0"] if records is None else [header, *records]))
+        out = tmp_path / "o"
+        code = main(["replay", "--log", str(log), "--config", str(config_path), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {log}: {error}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "content",
         [
             random.Random(0).randbytes(300),

@@ -1,4 +1,5 @@
 import math
+import random
 from functools import partial
 from pathlib import Path
 
@@ -486,10 +487,11 @@ def oracle_read_detection_log(path) -> np.ndarray:
 
 
 # field values a corrupted record may carry: malformed, non-finite, out of
-# range, or accepted by int()/float() in an unusual spelling
+# range, past int64, or accepted by int()/float() in an unusual spelling
 ODD_FIELDS = [
     "", " ", "abc", "nan", "-inf", "inf", "1e400", "0", "1", "2", "-1", "+1", " 1 ", "1.0",
     "1_0", "0x10", "-0.0", "1e-320", "0.5", "1.5", "FAR", "NEAR", " NEAR ", "far", "١",
+    str(10**20), str(2**63),
 ]
 # well-formed values out of a field's range, by field index: w, h, confidence, present
 OUT_OF_RANGE = {
@@ -564,7 +566,11 @@ def read_outcome(reader, path):
     try:
         log = reader(path)
     except DetectionLogError as exc:
-        return "error", str(exc)
+        message = str(exc)
+        if reader is read_detection_log:  # it names the file first; the oracle does not
+            assert message.startswith(f"{path}: ")
+            message = message.removeprefix(f"{path}: ")
+        return "error", message
     return "log", log.shape, log.dtype, log.tobytes()
 
 
@@ -590,21 +596,32 @@ def test_oracle_agrees_on_a_campaign_log(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "lineno, index, spelling, outcome",
-    [(4, 0, "+1", "log"), (5, 1, " NEAR ", "log"), (2, 7, "1.0", "error")],
-    ids=["frame", "expert", "present-flag"],
+    "edits, outcome",
+    [
+        ([(4, 0, "+1")], "log"),
+        ([(5, 1, " NEAR ")], "log"),
+        ([(2, 7, "1.0")], "error"),
+        ([(4, 0, str(10**20))], "error"),
+        ([(5, 0, str(2**63))], "error"),
+        ([(4, 0, str(10**20)), (5, 0, str(10**20)), (5, 1, "FAR")], "error"),
+    ],
+    ids=[
+        "frame", "expert", "present-flag", "frame-past-int64", "frame-2**63",
+        "duplicate-past-int64",
+    ],
 )
-def test_non_canonical_spelling_reads_as_the_oracle_does(
-    tmp_path, lineno, index, spelling, outcome
-):
-    # the writer's layout but for one field's spelling: the fast path must
-    # hand it to the line reader, which accepts or rejects it as the oracle does
+def test_non_canonical_spelling_reads_as_the_oracle_does(tmp_path, edits, outcome):
+    # the writer's layout but for the spelling of a field or a few (line,
+    # field index, spelling): the column reader must accept it, or reject it
+    # with the error the oracle gives, where a frame past int64 is a number
+    # like any other
     path = tmp_path / "log.csv"
     write_detection_log(TestDetectionLog().make_log(), path)
     lines = path.read_text().splitlines()
-    fields = lines[lineno - 1].split(",")
-    fields[index] = spelling
-    lines[lineno - 1] = ",".join(fields)
+    for lineno, index, spelling in edits:
+        fields = lines[lineno - 1].split(",")
+        fields[index] = spelling
+        lines[lineno - 1] = ",".join(fields)
     path.write_text("\n".join(lines) + "\n")
     got = read_outcome(read_detection_log, path)
     assert got == read_outcome(oracle_read_detection_log, path)
@@ -671,14 +688,23 @@ def test_reader_matches_oracle_past_the_first_block(
     assert read_outcome(read_detection_log, path) == read_outcome(oracle_read_detection_log, path)
 
 
-def test_writer_layout_needs_no_line_reader(tmp_path, monkeypatch):
-    # padland's own logs are read column by column; a fast path that stopped
-    # matching the writer's layout would send every log to the line reader.
-    # This one spans several read blocks, so each block's checks are met.
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+def test_any_order_needs_no_line_reader(tmp_path, monkeypatch, seed):
+    # every valid log is read column by column, and only a refused one goes
+    # to the line reader for its error: the writer's own log (seed None),
+    # spanning several read blocks, and the same records shuffled with blank
+    # lines among them read to the same bytes
     run = campaign_trial()
     assert len(run.frames) > 2 * reporting.WRITE_BLOCK
     path = tmp_path / "log.csv"
     write_detection_log(run.frames, path)
+    if seed is not None:
+        rng = random.Random(seed)
+        header, *records = path.read_text().splitlines()
+        rng.shuffle(records)
+        for blank in ["", "  ", "\t", ""]:
+            records.insert(rng.randrange(len(records)), blank)
+        path.write_text("\n".join([header, *records]) + "\n")
 
     def refuse(line, lineno):
         raise AssertionError(f"line {lineno} went to the line reader")

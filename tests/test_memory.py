@@ -1,10 +1,11 @@
 """Per-trial transient memory, whatever the trial's length: run_trial and
 replay_log pack each frame's row onto one bytearray as it is made, so they
 hold little beyond their output, the CSV writers hold one block of rows
-spelled at a time, and read_detection_log one block of frames as Python
-objects. Peaks are measured with tracemalloc, which also traces numpy's
-arrays."""
+spelled at a time, and read_detection_log, whatever the order of a
+log's records, one block of frames as Python objects. Peaks are measured
+with tracemalloc, which also traces numpy's arrays."""
 
+import random
 import tracemalloc
 
 import numpy as np
@@ -95,10 +96,24 @@ def long_log(long_trial, tmp_path_factory):
     return path
 
 
-def test_read_detection_log_holds_one_block_of_fields(long_log):
+@pytest.fixture(scope="module")
+def shuffled_log(long_log):
+    """long_log's records shuffled, with blank lines among them."""
+    header, *records = long_log.read_text().splitlines()
+    random.Random(0).shuffle(records)
+    records[::50] = [f"{record}\n" for record in records[::50]]
+    path = long_log.with_name("shuffled.csv")
+    path.write_text("\n".join([header, *records, "  "]) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("order", ["writer", "shuffled"])
+def test_read_detection_log_holds_one_block_of_fields(request, order):
     # the log's text and lines, plus one block of fields; splitting every
-    # field of the log at once held over 19 times the array
-    log, peak = traced_peak(read_detection_log, long_log)
+    # field of the log at once held over 19 times the array, and a shuffled
+    # log read one line at a time into a dict of tuples 14.5 times
+    path = request.getfixturevalue({"writer": "long_log", "shuffled": "shuffled_log"}[order])
+    log, peak = traced_peak(read_detection_log, path)
     assert log.shape == (STEPS, LOG_STRIDE)
     assert peak < 8 * log.nbytes
 
