@@ -58,7 +58,11 @@ def cmd_replay(args) -> int:
     log = read_detection_log(args.log)
     out_path = Path(args.out) / "replay.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before the replay
-    write_replay_csv(replay_log(log, scenario), out_path)
+    try:
+        replayed = replay_log(log, scenario)
+    except DetectionLogError as exc:  # name the log, as read_detection_log's errors do
+        raise DetectionLogError(f"{args.log}: {exc}") from None
+    write_replay_csv(replayed, out_path)
     print(f"replayed {len(log)} frames -> {out_path}")
     return 0
 

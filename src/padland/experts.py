@@ -12,6 +12,7 @@ det_far, FAR's log fields first): no profile or detection names it.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -140,26 +141,84 @@ def default_near_profile() -> ExpertProfile:
 
 _SATURATED = 37.0  # exp(-37) < 2**-53: the logistic rounds to 1.0 from here
 
+# Tang's table-driven exp (P. T. P. Tang, ACM TOMS 15(2), 1989) from + - *,
+# round, &, >> and ldexp only: IEEE 754 rounds each of those exactly and
+# neither CPython nor numpy fuses them, so it gives the same bits on every
+# CPU, where a library exp does not. 2**(j/32) for j = 0..31 is the nearest
+# double and the nearest double to the rest, which together carry ~106 bits.
+_EXP2_J32 = tuple(
+    tuple(map(float.fromhex, row.split()))
+    for row in """
+    0x1.0000000000000p+0 0x0.0p+0
+    0x1.059b0d3158574p+0 0x1.d73e2a475b465p-55
+    0x1.0b5586cf9890fp+0 0x1.8a62e4adc610bp-54
+    0x1.11301d0125b51p+0 -0x1.6c51039449b3ap-54
+    0x1.172b83c7d517bp+0 -0x1.19041b9d78a76p-55
+    0x1.1d4873168b9aap+0 0x1.e016e00a2643cp-54
+    0x1.2387a6e756238p+0 0x1.9b07eb6c70573p-54
+    0x1.29e9df51fdee1p+0 0x1.612e8afad1255p-55
+    0x1.306fe0a31b715p+0 0x1.6f46ad23182e4p-55
+    0x1.371a7373aa9cbp+0 -0x1.63aeabf42eae2p-54
+    0x1.3dea64c123422p+0 0x1.ada0911f09ebcp-55
+    0x1.44e086061892dp+0 0x1.89b7a04ef80d0p-59
+    0x1.4bfdad5362a27p+0 0x1.d4397afec42e2p-56
+    0x1.5342b569d4f82p+0 -0x1.07abe1db13cadp-55
+    0x1.5ab07dd485429p+0 0x1.6324c054647adp-54
+    0x1.6247eb03a5585p+0 -0x1.383c17e40b497p-54
+    0x1.6a09e667f3bcdp+0 -0x1.bdd3413b26456p-54
+    0x1.71f75e8ec5f74p+0 -0x1.16e4786887a99p-55
+    0x1.7a11473eb0187p+0 -0x1.41577ee04992fp-55
+    0x1.82589994cce13p+0 -0x1.d4c1dd41532d8p-54
+    0x1.8ace5422aa0dbp+0 0x1.6e9f156864b27p-54
+    0x1.93737b0cdc5e5p+0 -0x1.75fc781b57ebcp-57
+    0x1.9c49182a3f090p+0 0x1.c7c46b071f2bep-56
+    0x1.a5503b23e255dp+0 -0x1.d2f6edb8d41e1p-54
+    0x1.ae89f995ad3adp+0 0x1.7a1cd345dcc81p-54
+    0x1.b7f76f2fb5e47p+0 -0x1.5584f7e54ac3bp-56
+    0x1.c199bdd85529cp+0 0x1.11065895048ddp-55
+    0x1.cb720dcef9069p+0 0x1.503cbd1e949dbp-56
+    0x1.d5818dcfba487p+0 0x1.2ed02d75b3707p-55
+    0x1.dfc97337b9b5fp+0 -0x1.1a5cd4f184b5cp-54
+    0x1.ea4afa2a490dap+0 -0x1.e9c23179c2893p-54
+    0x1.f50765b6e4540p+0 0x1.9d3e12dd8a18bp-54
+    """.strip().splitlines()
+)
+_INV_L = float.fromhex("0x1.71547652b82fep+5")  # 32 / ln 2
+# ln(2) / 32 = _L1 + _L2: _L1 has 33 significant bits, so n * _L1 is exact
+# for |n| < 2**20, and |n| <= 34,440 for the x that _exp takes
+_L1 = float.fromhex("0x1.62e42fef00000p-6")
+_L2 = float.fromhex("0x1.473de6af278edp-39")
+_UNDERFLOW = -746.0  # exp(-746) < 2**-1075: e**x rounds to 0.0 from here down
+
+
+def _exp(x: float) -> float:
+    """e**x for x <= 0, within 1 ulp (subnormal results too): x = n ln2/32
+    + r with |r| at most about ln2/64, and e**x = 2**(n >> 5) * 2**((n & 31)/32) * e**r,
+    e**r - 1 from its degree-6 Taylor polynomial."""
+    if x < _UNDERFLOW:
+        return 0.0
+    n = round(x * _INV_L)
+    r = (x - n * _L1) - n * _L2  # x - n * _L1 is exact
+    p = r + r * r * (0.5 + r * (1 / 6 + r * (1 / 24 + r * (1 / 120 + r * (1 / 720)))))
+    hi, lo = _EXP2_J32[n & 31]
+    return math.ldexp(hi + (lo + hi * p), n >> 5)
+
 
 def detection_probability(profile: ExpertProfile, s: float) -> float:
     """Per-frame detection probability at apparent width s.
 
     At x = (s - s_center) / s_slope >= _SATURATED it is exactly 1.0, with
-    no exponential: exp(-x) < 2**-53 there, so 1 + exp(-x) rounds to 1.0
-    with any exp accurate to a few ulps, and these bits are the same on
-    every CPU. Elsewhere the exponential is numpy's, as a float: np.exp
-    gives a scalar the same double as an array on one machine, but numpy's
-    AVX-512 and baseline exp loops differ on 4.6 % of inputs, so the golden
-    digest (and a vectorised engine's bit-exactness) holds only on CPUs
-    that take the same path (ROADMAP item 1).
+    no exponential: exp(-x) < 2**-53 there, so 1 + exp(-x) rounds to 1.0.
+    Elsewhere the exponential is _exp, built from IEEE basic operations,
+    so the probability is the same double on every CPU.
     """
     x = (s - profile.s_center) / profile.s_slope
     if x >= _SATURATED:
         return 1.0
     # numerically stable sigmoid
     if x >= 0:
-        return 1.0 / (1.0 + float(np.exp(-x)))
-    e = float(np.exp(x))
+        return 1.0 / (1.0 + _exp(-x))
+    e = _exp(x)
     return e / (1.0 + e)
 
 
@@ -196,7 +255,7 @@ def detect(
     reads row k whether or not the pad is in view, so detect takes its
     variates by frame index and never from a shared Generator.
     """
-    if s <= 0:
+    if not s > 0:  # NaN too
         raise ValueError(f"apparent width must be positive (got {s})")
 
     u_present, u_distract, eps_u, eps_v, eps_size = noise

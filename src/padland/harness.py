@@ -51,7 +51,6 @@ from .geometry import (
 )
 from .servo import (
     ControllerGains,
-    ErrorSignals,
     VelocityCommand,
     altitude_for_area_ref,
     compute_command,
@@ -72,10 +71,12 @@ class TerminationReason(Enum):
 
 
 # a campaign holds every trial's frames until they are written: ~0.7 MB
-# per trial over three modes by default, and at most MAX_STEPS frames of
-# 216 B (21.6 MB) per trial and mode
+# per trial over three modes by default, at most MAX_STEPS frames of 216 B
+# (21.6 MB) per trial and mode, and at most MAX_FRAME_BYTES (64 GiB) over
+# n_trials trials of every mode
 MAX_TRIALS = 10_000
 MAX_STEPS = 100_000
+MAX_FRAME_BYTES = 2**36
 
 _Interval = ranged(tuple[float, float], lambda r: r[0] <= r[1], "a pair with low <= high")
 _Altitudes = ranged(tuple[float, ...], lambda a: len(a) > 0 and min(a) > 0, "nonempty and > 0")
@@ -104,6 +105,13 @@ class TrialConfig:
             raise ValueError(
                 f"commit_altitude: must be positive and below the lowest altitude_set entry "
                 f"(got {self.commit_altitude}, lowest {min(self.altitude_set)})"
+            )
+        frame_bytes = self.n_trials * len(Mode) * self.max_steps * _RECORD_ROW.size
+        if frame_bytes > MAX_FRAME_BYTES:
+            raise ValueError(
+                f"max_steps: n_trials * {len(Mode)} modes * max_steps frames of "
+                f"{_RECORD_ROW.size} B must be at most {MAX_FRAME_BYTES} B "
+                f"(got {self.n_trials} * {len(Mode)} * {self.max_steps} frames, {frame_bytes} B)"
             )
 
 
@@ -169,10 +177,9 @@ RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS if c not in 
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTED = RECORD_COLUMNS.index("selected")
-_BLANK = float("nan")  # a cell without a smoothed box
 REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
 REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(","))
-_REPLAY_BLANKS = (_BLANK,) * 8  # u_hat to e_z without a smoothed box
+_BLANKS = (float("nan"),) * 8  # perceive's cells without a smoothed box
 _HOLD = VelocityCommand(0.0, 0.0, 0.0)
 # one frame's row as packed float64s: each loop appends one per frame to a bytearray
 _RECORD_ROW = struct.Struct(f"{len(RECORD_COLUMNS)}d")
@@ -214,16 +221,18 @@ def perceive(
     gate: GateState,
     cam: CameraModel,
     gains: ControllerGains,
-) -> tuple[BoundingBox | None, float, bool, ErrorSignals | None, VelocityCommand]:
-    """Gate, smooth and servo one frame, mutating gate: the smoothed box,
-    its `selected` code into SELECTION_LABELS, tracking lost, the servo
-    errors and the command; None errors and the hold command without a box."""
+) -> tuple[float, bool, tuple[float, ...], VelocityCommand]:
+    """Gate, smooth and servo one frame, mutating gate: the `selected` code
+    into SELECTION_LABELS, tracking lost, the frame's eight cells and the
+    command. The cells are the smoothed box's u, v, w, h, then the servo
+    errors e_x, e_y, A, e_z, as replay records them; without a smoothed
+    box they are all NaN (blank) and the command holds."""
     sb, selected, lost = select_expert(det_far, det_near, gate, cam)
     code = 0.0 if selected is None else 1.0 if selected is _FAR else 2.0
     if sb is None:
-        return sb, code, lost, None, _HOLD
+        return code, lost, _BLANKS, _HOLD
     err = compute_errors(sb, cam, gains)
-    return sb, code, lost, err, compute_command(err, gains)
+    return code, lost, sb + err, compute_command(err, gains)
 
 
 def run_trial(
@@ -286,12 +295,8 @@ def run_trial(
         else:
             (u_n, v_n, w_n, h_n), c_n = det_near
             p_n = 1.0
-        sb, code, lost, err, cmd = perceive(det_far, det_near, gate, cam, gains)
-        if err is None:
-            u_hat = v_hat = e_x = e_y = area = e_z = _BLANK
-        else:
-            u_hat, v_hat, _, _ = sb
-            e_x, e_y, area, e_z = err
+        code, lost, cells, cmd = perceive(det_far, det_near, gate, cam, gains)
+        u_hat, v_hat, _, _, e_x, e_y, area, e_z = cells
         vx, vy, vz = cmd
         rows += pack(
             u_f, v_f, w_f, h_f, c_f, p_f, u_n, v_n, w_n, h_n, c_n, p_n,
@@ -372,8 +377,7 @@ def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
     rows = bytearray()  # one packed row per frame, in REPLAY_COLUMNS order
     for frame, row in enumerate(map(np.ndarray.tolist, log[:, :LOG_STRIDE])):
         far, near = _detection(row[:LOG_FIELDS]), _detection(row[LOG_FIELDS:])
-        sb, code, lost, err, _ = perceive(far, near, gate, cam, gains)
-        cells = _REPLAY_BLANKS if err is None else sb + err  # u_hat to h_hat, e_x to e_z
+        code, lost, cells, _ = perceive(far, near, gate, cam, gains)
         rows += _REPLAY_ROW.pack(frame, code, lost, *cells)
     return np.frombuffer(rows).reshape(-1, len(REPLAY_COLUMNS))
 

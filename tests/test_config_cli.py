@@ -375,6 +375,23 @@ class TestCliValidate:
         assert code == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_steps", [6_000, 100_000])
+    def test_worst_case_frame_memory_named(self, tmp_path, capsys, max_steps):
+        # 10,000 trials of three modes may hold 39 GB of frames at 6,000
+        # steps, within the bound, and 648 GB at 100,000, past it
+        doc = default_config()
+        doc["trials"].update(n_trials=10_000, max_steps=max_steps)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        code = main(["validate-config", "--config", str(path)])
+        err = capsys.readouterr().err
+        if max_steps == 6_000:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert err.startswith("error: trials.max_steps: ")
+            assert err.endswith(", 648000000000 B)\n")
+
     def test_distractor_offset_overflowing_pad_units_named(self, tmp_path, capsys):
         # 1e308 m over a 0.5 m pad side is inf pad sides; the config key is
         # distractor_offset_m, not the stored distractor_offset_pads
@@ -584,8 +601,8 @@ class TestCliReplay:
         code = main(["replay", "--log", str(log), "--config", str(config_path), "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {named} BoundingBox(u=447.0, v=224.0, w=4.0, h=4.0) does not lie inside "
-            "the 448.0 x 448.0 camera image\n"
+            f"error: {log}: {named} BoundingBox(u=447.0, v=224.0, w=4.0, h=4.0) "
+            "does not lie inside the 448.0 x 448.0 camera image\n"
         )
         assert not (out / "replay.csv").exists()
 

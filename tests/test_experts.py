@@ -1,15 +1,21 @@
 import math
 import random
+from decimal import Context, Decimal, localcontext
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padland import harness, reporting
 from padland.experts import (
+    _EXP2_J32,
+    _INV_L,
+    _L1,
+    _L2,
+    _exp,
     NOISE_CHUNK,
     Detection,
     ExpertId,
@@ -87,24 +93,13 @@ class TestDetectionProbability:
             ExpertProfile(s_center=8.0, s_slope=slope)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(), min_size=1, max_size=64))
-    def test_scalar_exp_matches_array_exp(self, xs):
-        # the premise of detection_probability's np.exp: a scalar call gives
-        # the same double as the same value at any place in an array, so a
-        # vectorised engine reproduces the per-frame probabilities
-        with np.errstate(over="ignore", invalid="ignore"):
-            scalar = [float(np.exp(x)) for x in xs]
-            batched = np.exp(np.array(xs))
-        assert np.array(scalar).tobytes() == batched.tobytes()
-
-    @settings(max_examples=300, deadline=None)
     @given(st.floats(37.0, 1e300), st.floats(30.0, 37.0, exclude_max=True))
     def test_saturated_branch_is_exactly_one_and_the_formula_holds_below(self, high, low):
         # from x = 37 no exp is taken: 1 + exp(-x) rounds to 1.0 there anyway
         def formula(x: float) -> float:  # the stable sigmoid, without the shortcut
             if x >= 0:
-                return 1.0 / (1.0 + float(np.exp(-x)))
-            e = float(np.exp(x))
+                return 1.0 / (1.0 + _exp(-x))
+            e = _exp(x)
             return e / (1.0 + e)
 
         unit = ExpertProfile(s_center=0.0, s_slope=1.0)  # x is s, exactly
@@ -121,6 +116,56 @@ class TestDetectionProbability:
 def rows(seed: int):
     """A fresh noise-row stream, as run_trial draws one per run expert."""
     return noise_rows(np.random.default_rng(seed))
+
+
+DIGITS_60 = Context(prec=60)
+
+
+def exact_exp(x: float) -> Decimal:
+    return Decimal(x).exp(DIGITS_60)
+
+
+def ulps_from(y: float, exact: Decimal) -> Decimal:
+    """|y - exact| in units of the last place of exact's binade (2**-1074
+    below the normal range)."""
+    nearest = float(exact)
+    below = Decimal(nearest) > exact  # nearest may be the next power of two up
+    ulp = math.ulp(math.nextafter(nearest, 0.0) if below else nearest)
+    return DIGITS_60.divide(abs(Decimal(y) - exact), Decimal(ulp))
+
+
+class TestExp:
+    def test_table_and_constants_recomputed_at_60_digits(self):
+        # each 2**(j/32) is the nearest double plus the nearest double to the rest
+        with localcontext(DIGITS_60):
+            ln2 = Decimal(2).ln()
+            assert len(_EXP2_J32) == 32
+            for j, (hi, lo) in enumerate(_EXP2_J32):
+                exact = Decimal(2) ** (Decimal(j) / 32)
+                assert (hi, lo) == (float(exact), float(exact - Decimal(hi))), j
+            assert _INV_L == float(32 / ln2)
+            assert _L2 == float(ln2 / 32 - Decimal(_L1))
+        # n * _L1 is exact for the n that _exp meets: 33 significant bits
+        assert (_L1 * 2**38).is_integer()
+        assert abs(round(-746.0 * _INV_L)) < 2**20
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.one_of(st.floats(-745.0, 0.0), st.floats(-745.0, -708.0)))
+    @example(0.0)
+    @example(-0.0)
+    @example(-5e-324)
+    @example(-745.0)
+    @example(-708.3964185322641)  # exp rounds to 2**-1022, the smallest normal
+    @example(-708.4741637249176)  # a subnormal result rounded twice, 0.75 ulp off
+    def test_within_one_ulp_of_the_exact_value(self, x):
+        assert ulps_from(_exp(x), exact_exp(x)) < 1
+
+    @pytest.mark.parametrize("x", [-745.1332191019412, -746.0, -1e6, -1e300, -math.inf])
+    def test_far_below_minus_745_gives_zero(self, x):
+        # exp(x) < 2**-1075 there: it rounds to 0.0, and so does e / (1 + e)
+        assert exact_exp(x) < Decimal(2) ** -1075
+        assert _exp(x) == 0.0
+        assert detection_probability(ExpertProfile(s_center=0.0, s_slope=1.0), x) == 0.0
 
 
 class TestDetect:
@@ -201,9 +246,10 @@ class TestDetect:
         assert not det.present
         assert det.confidence == 0.0
 
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ValueError):
-            detect(quiet_profile(), TRUE_BOX, 0.0, next(rows(0)), CAM)
+    @pytest.mark.parametrize("s", [0.0, -1.0, math.nan])
+    def test_rejects_nonpositive_width(self, s):
+        with pytest.raises(ValueError, match="apparent width must be positive"):
+            detect(quiet_profile(), TRUE_BOX, s, next(rows(0)), CAM)
 
     def test_fixed_draw_count_keeps_stream_aligned(self, monkeypatch):
         # run_trial hands frame k row k of each run expert's stream, on

@@ -17,9 +17,15 @@ from hypothesis import strategies as st
 from padland import harness
 from padland.dynamics import DynamicsParams
 from padland.config import CampaignSpec
-from padland.experts import ABSENT, ExpertProfile, default_far_profile, default_near_profile
+from padland.experts import (
+    ABSENT,
+    Detection,
+    ExpertProfile,
+    default_far_profile,
+    default_near_profile,
+)
 from padland.gating import GateState
-from padland.geometry import CameraModel, HelipadSpec, VehicleState, apparent_width
+from padland.geometry import BoundingBox, CameraModel, HelipadSpec, VehicleState, apparent_width
 from padland.harness import (
     LOG_FIELDS,
     LOG_STRIDE,
@@ -40,7 +46,12 @@ from padland.harness import (
     sample_initial,
 )
 from padland.reporting import write_campaign_outputs
-from padland.servo import ControllerGains, area_ref_for_altitude
+from padland.servo import (
+    ControllerGains,
+    area_ref_for_altitude,
+    compute_command,
+    compute_errors,
+)
 
 COL = {name: i for i, name in enumerate(RECORD_COLUMNS)}
 
@@ -288,9 +299,20 @@ class TestRunTrial:
 class TestPerceive:
     def test_no_box_gives_no_errors_and_the_hold_command(self):
         gate = GateState()
-        sb, code, lost, err, cmd = perceive(ABSENT, ABSENT, gate, CameraModel(), ControllerGains())
-        assert (sb, code, lost, err, tuple(cmd)) == (None, 0.0, False, None, (0.0, 0.0, 0.0))
+        code, lost, cells, cmd = perceive(ABSENT, ABSENT, gate, CameraModel(), ControllerGains())
+        assert (code, lost, tuple(cmd)) == (0.0, False, (0.0, 0.0, 0.0))
+        assert len(cells) == 8 and all(map(math.isnan, cells))
         assert gate.coast_counter == 1
+
+    def test_a_box_gives_its_cells_and_its_command(self):
+        # the cells are the smoothed box, then its servo errors, in REPLAY_COLUMNS order
+        cam, gains = CameraModel(), ControllerGains()
+        box = BoundingBox(210.0, 230.5, 24.0, 24.0)
+        code, lost, cells, cmd = perceive(Detection(box, 0.9), ABSENT, GateState(), cam, gains)
+        err = compute_errors(box, cam, gains)  # a window of one box is that box
+        assert (code, lost) == (1.0, False)
+        assert cells == (*box, *err) and len(cells) == len(REPLAY_COLUMNS) - 3
+        assert cmd == compute_command(err, gains)
 
 
 class TestReplayLog:
@@ -678,6 +700,17 @@ class TestConfigValidation:
         assert TrialConfig(max_steps=harness.MAX_STEPS).max_steps == harness.MAX_STEPS
         with pytest.raises(ValueError, match="max_steps: must be between 1 and 100000"):
             TrialConfig(max_steps=harness.MAX_STEPS + 1)
+
+    def test_worst_case_frame_memory_bounded(self):
+        # each bound alone passes, but not their product: MAX_TRIALS trials of
+        # every mode may hold MAX_FRAME_BYTES of 216 B frames, 10,604 steps each
+        n = harness.MAX_TRIALS
+        fits = harness.MAX_FRAME_BYTES // (n * len(Mode) * len(RECORD_COLUMNS) * 8)
+        assert fits == 10_604 and TrialConfig(n_trials=n, max_steps=fits).max_steps == fits
+        with pytest.raises(ValueError, match=r"^max_steps: .* \(got 10000 \* 3 \* 10605 frames, "):
+            TrialConfig(n_trials=n, max_steps=fits + 1)
+        with pytest.raises(ValueError, match=r"648000000000 B\)$"):
+            TrialConfig(n_trials=n, max_steps=harness.MAX_STEPS)
 
     def test_scenario_gate_invariants(self):
         with pytest.raises(ValueError):

@@ -221,6 +221,39 @@ def test_trial_and_replay_pack_each_frame_in_one_loop():
         assert len(loops) == 1, name  # a comprehension's `for` is not a statement
 
 
+def test_perceive_is_the_one_home_of_the_no_box_rule():
+    # perceive returns a frame's eight cells, one shared all-NaN tuple when
+    # there is no smoothed box, so neither loop works out for itself what
+    # such a frame records: _BLANKS is read only in perceive, and no loop
+    # tests a name it unpacks from perceive's result against None
+    tree = ast.parse((SRC / "harness.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    readers = {
+        name
+        for name, function in functions.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Name) and node.id == "_BLANKS"
+    }
+    assert readers == {"perceive"}
+    assert "_REPLAY_BLANKS" not in top_level_names(tree)
+    for name in ("run_trial", "replay_log"):
+        unpacked = {
+            target.id
+            for node in ast.walk(functions[name])
+            if isinstance(node, ast.Assign)
+            and getattr(getattr(node.value, "func", None), "id", None) == "perceive"
+            for target in ast.walk(node.targets[0])
+            if isinstance(target, ast.Name)
+        }
+        assert "cells" in unpacked, name  # the reader finds perceive's result at all
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                if any(isinstance(o, ast.Constant) and o.value is None for o in operands):
+                    named = {n.id for o in operands for n in ast.walk(o) if isinstance(n, ast.Name)}
+                    assert not named & unpacked, (name, ast.unparse(node))
+
+
 def compares_a_field_with_a_number(node: ast.AST) -> bool:
     """Whether node compares `self.<field>` or `getattr(self, ...)` with a
     number literal (a negated one too) on either side of one operator."""

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +41,46 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden_default.sha256")
 
 
-def test_default_campaign_outputs_match_golden_digests(tmp_path):
-    assert main(["run", "--config", str(ROOT / "configs" / "default.json"), "--out", str(tmp_path)]) == 0
-    expected = {}
-    for line in GOLDEN.read_text().splitlines():
-        digest, name = line.split("  ", 1)
-        expected[name] = digest
-    actual = {
-        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in tmp_path.rglob("*")
+def digests(out: Path) -> dict[str, str]:
+    """SHA-256 of every file under out, keyed by its path relative to out."""
+    return {
+        p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.rglob("*")
         if p.is_file()
     }
-    assert actual == expected
+
+
+def golden_digests() -> dict[str, str]:
+    lines = GOLDEN.read_text().splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def test_default_campaign_outputs_match_golden_digests(tmp_path):
+    config = ROOT / "configs" / "default.json"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert digests(tmp_path) == golden_digests()
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        # numpy's AVX-512 loops off: np.exp took its baseline loop here
+        {"NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4"},
+        # glibc's FMA and AVX2 variants of libm off
+        {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"},
+    ],
+    ids=["numpy-avx512-off", "glibc-fma-off"],
+)
+def test_golden_digests_hold_on_other_simd_paths(tmp_path, setting):
+    # each setting acts on the child process only; the outputs must not
+    # depend on which SIMD paths numpy and libm take on this CPU
+    env = {**os.environ, **setting, "PYTHONPATH": str(ROOT / "src")}
+    config = ROOT / "configs" / "default.json"
+    subprocess.run(
+        [sys.executable, "-m", "padland", "run", "--config", str(config), "--out", str(tmp_path)],
+        env=env, capture_output=True, check=True,
+    )
+    assert digests(tmp_path) == golden_digests()
 
 
 def test_writing_outputs_leaves_results_unchanged(tmp_path):
