@@ -190,11 +190,13 @@ _REPLAY_ROW = struct.Struct(f"{len(REPLAY_COLUMNS)}d")
 class TrialRun:
     """A finished trial plus its per-frame records.
 
-    `frames` is a (steps, len(RECORD_COLUMNS)) float64 view of one bytearray,
-    packed one row per frame in RECORD_COLUMNS order: the first LOG_STRIDE
-    columns are the detection log, blank cells (no smoothed box) are NaN and
-    `selected` holds a code into SELECTION_LABELS. Runs compare by identity;
-    compare records with `.tobytes()`, since NaN blanks never compare equal.
+    `frames` is a (steps, len(RECORD_COLUMNS)) float64 view of the bytearray
+    run_trial packs one row per frame, in RECORD_COLUMNS order (a run
+    computed in a pool worker arrives viewing the buffer it was unpickled
+    from instead): the first LOG_STRIDE columns are the detection log,
+    blank cells (no smoothed box) are NaN and `selected` holds a code into
+    SELECTION_LABELS. Runs compare by identity; compare records with
+    `.tobytes()`, since NaN blanks never compare equal.
     """
 
     result: TrialResult

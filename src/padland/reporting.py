@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from contextlib import ExitStack
 from dataclasses import asdict, fields
 from functools import cache
@@ -80,13 +81,6 @@ _ROW = 28
 _POW10 = 10 ** np.arange(1, 17, dtype=np.uint64)
 
 
-def _frozen(**arrays: np.ndarray) -> SimpleNamespace:
-    """arrays, read-only, as one namespace that a cache hands to every caller."""
-    for array in arrays.values():
-        array.flags.writeable = False
-    return SimpleNamespace(**arrays)
-
-
 @cache
 def _tables() -> SimpleNamespace:
     """Schubfach's constants (R. Giulietti, "The Schubfach way to render
@@ -95,7 +89,8 @@ def _tables() -> SimpleNamespace:
     significand bits are all zero and the gap below it is half the gap
     above; and by k + 324, the 617 multipliers g = floor(10**-k / 2**r) + 1
     of 126 bits, built as exact Python ints on first use, in 32-bit pieces.
-    Also each 4-digit group's text and trailing zero count."""
+    Also each 4-digit group's text and trailing zero count. Read-only, as
+    the cache hands them to every caller."""
     exponent = np.tile(np.arange(2048), 2)
     q = np.maximum(exponent, 1) - 1075
     irregular = (np.arange(4096) >= 2048) & (exponent > 1)
@@ -109,7 +104,7 @@ def _tables() -> SimpleNamespace:
     g0 = np.array([x & (1 << 63) - 1 for x in g], np.uint64)
     group = np.arange(10000, dtype=np.uint32)
     digits = (group // 1000, group // 100 % 10, group // 10 % 10, group % 10)
-    return _frozen(
+    t = SimpleNamespace(
         k=k.astype(np.int16),
         shift=(h + 2).astype(np.uint8),
         lower=((2 - irregular) << h).astype(np.uint8),
@@ -118,6 +113,9 @@ def _tables() -> SimpleNamespace:
         text=sum((48 + d) << 8 * i for i, d in enumerate(digits)).astype("<u4"),
         zeros=sum(group % 10**i == 0 for i in range(1, 5)).astype(np.int8),
     )
+    for array in vars(t).values():
+        array.flags.writeable = False
+    return t
 
 
 def _multiply_high(a_low, a_high, b_low, b_high):
@@ -185,22 +183,6 @@ def _spell(kind: int, x: float) -> str:
     return repr(x)
 
 
-@cache
-def _block_cells(kinds: tuple[int, ...]) -> SimpleNamespace:
-    """The cells of a WRITE_BLOCK-row block whose columns have these
-    kinds, in row order: which are floats and blankable floats, where the
-    integer and label cells are, and each cell's row in the buffer. A
-    block of fewer rows is a prefix of it."""
-    kind = np.tile(kinds, WRITE_BLOCK)
-    return _frozen(
-        real=kind <= _BLANK,
-        blank=kind == _BLANK,
-        whole=np.flatnonzero(kind == _INT),
-        label=np.flatnonzero(kind == _LABEL),
-        row=np.arange(0, kind.size * _ROW, _ROW, dtype=np.int32),
-    )
-
-
 def _digits(words: np.ndarray, f: np.ndarray, exact: np.ndarray) -> np.ndarray:
     """Write each f, zero padded to 17 digits, in columns 7 to 23 of its
     _ROW-byte row of words, "0" in the others, and return its trailing
@@ -233,11 +215,11 @@ class _Cells:
 
     def __init__(self, values: np.ndarray, kinds: tuple[int, ...]):
         n, m = values.shape
-        block = _block_cells(kinds)
+        kind = np.tile(np.array(kinds, np.int8), n)
         x = values.ravel()
         bits = x.view(np.int64)
         exponent = (bits >> 52) & 0x7FF
-        real = block.real[: x.size]
+        real = kind <= _BLANK
         zero = real & (bits << 1 == 0)
         normal = real & (exponent > 0) & (exponent < 0x7FF)
         del exponent
@@ -248,27 +230,27 @@ class _Cells:
         point = k + 15 + (f >= 10**16)  # the exponent of the first digit
         point *= ~zero
         dot = zero | normal & (point >= -4) & (point < 16)  # repr's positional notation
-        whole = block.whole[: len(block.whole) // WRITE_BLOCK * n]
+        whole = np.flatnonzero(kind == _INT)
         whole = whole[np.abs(x[whole]) < 1e16]
         f[whole] = np.abs(x[whole])  # truncated, as int() does
         point[whole] = np.searchsorted(_POW10, f[whole], "right")
         number, minus = dot.copy(), dot & (bits < 0)
         number[whole], minus[whole] = True, x[whole] <= -1
-        label = block.label[: len(block.label) // WRITE_BLOCK * n]
+        label = np.flatnonzero(kind == _LABEL)
         code = x[label]
         valid = (code == 0) | (code == 1) | (code == 2)
         label, code = label[valid], code[valid].astype(np.intp)
-        known = number | block.blank[: x.size] & np.isnan(x)
+        known = number | (kind == _BLANK) & np.isnan(x)
         known[label] = True
         other = np.flatnonzero(~known)
-        spelled = list(map(_spell, [kinds[i % m] for i in other.tolist()], x[other].tolist()))
+        spelled = list(map(_spell, kind[other].tolist(), x[other].tolist()))
 
         cells = x.size * _ROW
         extra = "".join(s + "," for s in spelled).encode()
         self.buf = np.empty(cells + len(_TEXT) + len(extra), np.uint8)
         self.buf[cells:] = np.frombuffer(_TEXT.encode() + extra, np.uint8)
         zeros = _digits(self.buf[:cells].view("<u4").reshape(x.size, _ROW // 4), f, normal)
-        row = block.row[: x.size]
+        row = np.arange(0, cells, _ROW, dtype=np.int32)
         a_src = row + 23 + k - np.maximum(point, 0) - minus
         a_len = (row + 24 + k - a_src) * number
         a_src[label] = cells + _LABEL_AT[code]
@@ -538,6 +520,9 @@ def _log_name(trial_id: int, mode: Mode) -> str:
     return f"trial_{trial_id:03d}_{mode.value}.csv"
 
 
+_TRIAL_FILE = re.compile(rf"trial_[0-9]+_({'|'.join(mode.value for mode in Mode)})\.csv")
+
+
 def trial_result_dict(result: TrialResult, mode: Mode) -> dict:
     """The fields of result as JSON values, plus the trial's trajectory path."""
     return {
@@ -577,7 +562,10 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
     """Write all campaign artifacts under out_dir; returns the summary dict.
 
     Layout: trajectories/trial_###_<mode>.csv, detections/trial_###_<mode>.csv,
-    summary.json, comparison.txt. Each trial's two CSVs are written by
+    summary.json, comparison.txt. A trial file of that layout already in
+    those two directories that this campaign does not write is removed
+    first, so they hold the trials summary.json names and no others; no
+    other file is touched. Each trial's two CSVs are written by
     write_trial_csvs through campaign.map, shared between the campaign's
     worker processes, if it has any, and this one. Every trial's write
     runs; the first error among them is raised before summary.json and
@@ -591,6 +579,10 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
 
     runs = [(run.frames, _log_name(run.result.trial_id, mode))
             for mode, mode_runs in campaign.runs.items() for run in mode_runs]
+    names = {name for _, name in runs}
+    for path in [*traj_dir.iterdir(), *det_dir.iterdir()]:
+        if _TRIAL_FILE.fullmatch(path.name) and path.name not in names and path.is_file():
+            path.unlink()
     campaign.map(
         write_trial_csvs,
         [frames for frames, _ in runs],

@@ -133,6 +133,23 @@ def test_rebuilt_results_equal_originals(written_campaign):
     assert rebuild_results(loaded) == {m: campaign.results(m) for m in campaign.runs}
 
 
+def test_a_second_campaign_leaves_only_its_own_trial_files(tmp_path):
+    # a first campaign of more trials and every mode, then a second of fewer
+    # trials and one mode, into the same directory: files that are not a
+    # trial file of some mode are kept
+    config = TrialConfig(seed=3, n_trials=3, max_steps=50)
+    write_campaign_outputs(run_campaign(Scenario(), config), tmp_path)
+    others = ["notes.txt", "trial_002_triple.csv", "trial_x_dual.csv", "trial_002_dual.csv.bak"]
+    for name in others:
+        (tmp_path / "detections" / name).write_text("kept\n")
+    config = TrialConfig(seed=5, n_trials=2, max_steps=50)
+    summary = write_campaign_outputs(run_campaign(Scenario(), config, [Mode.DUAL]), tmp_path)
+    named = {Path(trial["trajectory_log_path"]).name for trial in summary["modes"]["dual"]["trials"]}
+    assert named == {"trial_000_dual.csv", "trial_001_dual.csv"}
+    assert {p.name for p in (tmp_path / "trajectories").iterdir()} == named
+    assert {p.name for p in (tmp_path / "detections").iterdir()} == named | set(others)
+
+
 # The writers format and write WRITE_BLOCK rows at a time. These arrays end
 # on each side of a block boundary, and their rows cycle through present
 # and absent detections of each expert, square and non-square boxes, all
