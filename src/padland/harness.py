@@ -10,7 +10,6 @@ per-expert seed streams so the modes see common random numbers.
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
 import struct
 import sys
@@ -18,6 +17,7 @@ import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,6 +56,9 @@ from .servo import (
     compute_command,
     compute_errors,
 )
+
+if TYPE_CHECKING:  # loaded at run time only where a pool starts (run_campaign)
+    import concurrent.futures
 
 
 class Mode(Enum):
@@ -422,20 +425,34 @@ _SHARED_SWITCH_INTERVAL = 1e-4
 
 def _shared_map(pool: concurrent.futures.Executor | None, fn, *iterables) -> list:
     """fn over iterables on pool's workers and in this process at once;
-    without a pool, in this process alone.
+    without a pool, in order in this process alone.
 
-    Every call is submitted; then this process runs calls from the back,
-    each one it can still cancel from the pool. The pool hands calls to its
-    workers in submission order, so at the first call it has claimed, every
-    earlier one is claimed too. Every call runs; returns the results in
-    order and raises the first error in that order."""
+    With a pool, every call is submitted; then this process runs calls from
+    the back, each one it can still cancel from the pool. The pool hands
+    calls to its workers in submission order, so at the first call it has
+    claimed, every earlier one is claimed too. Every call runs; returns the
+    results in order and raises the first error in that order."""
     calls = list(zip(*iterables))
-    futures = [None if pool is None else pool.submit(fn, *args) for args in calls]
+    if pool is None:
+        results, error = [], None
+        for args in calls:
+            try:
+                results.append(fn(*args))
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
+        return results
+
+    import concurrent.futures
+
+    futures = [pool.submit(fn, *args) for args in calls]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(min(interval, _SHARED_SWITCH_INTERVAL))
     try:
         for i in reversed(range(len(calls))):
-            if futures[i] is not None and not futures[i].cancel():
+            if not futures[i].cancel():
                 break
             futures[i] = done = concurrent.futures.Future()
             try:
@@ -532,6 +549,8 @@ def run_campaign(
     n_workers = min(n_workers, len(tasks), cpus or 1)
     pool = None
     if n_workers > 1:
+        import concurrent.futures
+
         pool = concurrent.futures.ProcessPoolExecutor(max_workers=n_workers - 1)
     try:
         finished = _shared_map(pool, _trial_task, tasks)

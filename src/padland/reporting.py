@@ -15,9 +15,10 @@ writes in scientific notation is left to repr, and each file's text for
 the block is one gather of the cells' bytes and the constants between
 them. So a trial of any length holds one block of text at a time, and
 the writers add no byte that depends on the CPU numpy runs on. A
-detection log is read back, its records in any order, WRITE_BLOCK frames
-at a time, column by column, into one preallocated array; only a log that
-breaks a rule is walked line by line, to name its error.
+detection log is streamed back, its records in any order, WRITE_BLOCK
+frames at a time, column by column, into one array; only a log that
+breaks a rule is read again as one text and walked line by line, to name
+its error.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Iterator
 from contextlib import ExitStack
 from dataclasses import asdict, fields
 from functools import cache
-from itertools import islice, product, repeat
+from itertools import chain, islice, product, repeat
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NoReturn
@@ -409,25 +411,47 @@ def write_detection_log(frames: np.ndarray, path: str | Path) -> None:
 def read_detection_log(path: str | Path) -> np.ndarray:
     """Parse a detection log file into a (frames, LOG_STRIDE) float64 array:
     records in any order, blank lines skipped, one of each expert for every
-    frame from 0 to the last. Raises DetectionLogError naming the file."""
+    frame from 0 to the last. Raises DetectionLogError naming the file.
+
+    The file is streamed, its lines split exactly as str.splitlines splits
+    its whole text. A log that cannot be read so, for any reason, is read
+    a second time as one text, which raises its error in the order the
+    checks have always run: an unreadable or undecodable file, the header,
+    then its records."""
+    try:
+        with open(path) as f:
+            lines = _lines(f)
+            if next(lines, "").strip() == LOG_HEADER:
+                log = _read_columns(filter(str.strip, lines))
+                if log is not None:
+                    return log
+    except (OSError, UnicodeDecodeError):
+        pass
     lines = read_text(path, "detection log", DetectionLogError).splitlines()
     try:
         if not lines or lines[0].strip() != LOG_HEADER:
             raise DetectionLogError("line 1: missing or malformed header")
-        log = _read_columns(list(filter(str.strip, islice(lines, 1, None))))
+        log = _read_columns(filter(str.strip, lines[1:]))  # as streamed, unless the file changed
         return _refuse(lines[1:]) if log is None else log
     except DetectionLogError as exc:
         raise DetectionLogError(f"{path}: {exc}") from None
 
 
-def _read_columns(records: list[str]) -> np.ndarray | None:
+def _lines(f):
+    r"""The lines of f, a text file opened with universal newlines, without
+    their ends, split exactly as str.splitlines splits its whole text: f
+    yields lines ending at "\n" (its "\r\n" and "\r" read as "\n"), and
+    splitlines splits each at any other line boundary ("\v", "\f",
+    "\x1c" to "\x1e", "\x85", "\u2028", "\u2029")."""
+    return chain.from_iterable(map(str.splitlines, f))
+
+
+def _read_columns(records: Iterator[str]) -> np.ndarray | None:
     """The log of records in any order, read WRITE_BLOCK frames at a time, column by column,
-    into rows by (frame, expert); None if a rule fails or a row is filled twice or never."""
-    n = len(records) // 2
-    log, keys = np.empty((n, LOG_STRIDE)), np.empty(len(records), np.int64)
-    cells = log.reshape(2 * n, LOG_FIELDS)  # record (frame, expert)'s row is 2 * frame + expert
-    for start in range(0, len(records), 2 * WRITE_BLOCK):
-        block = records[start : start + 2 * WRITE_BLOCK]
+    into rows by (frame, expert); None if a rule fails or a row is filled twice or never.
+    Each block's rows are kept, with their keys, until the last block gives the count."""
+    blocks = []
+    while block := list(islice(records, 2 * WRITE_BLOCK)):
         if set(map(str.count, block, repeat(","))) != {7}:
             return None
         fields = ",".join(block).split(",")
@@ -442,12 +466,23 @@ def _read_columns(records: list[str]) -> np.ndarray | None:
         present = flag == 1
         _, _, w, h, conf = values
         out_of_range = (w <= 0) | (h <= 0) | (conf < 0) | (conf > 1)
-        bad = (frame < 0) | (frame >= n) | (flag != 0) & ~present | present & out_of_range
+        bad = (frame < 0) | (flag != 0) & ~present | present & out_of_range
         if bad.any() or not np.isfinite(values).all():
             return None
-        keys[start : start + len(block)] = key = frame * 2 + expert
-        cells[key] = np.where(present, [*values, present], 0.0).T  # not * flag: -5.0 * 0 is -0.0
-    return log if np.array_equal(np.sort(keys), np.arange(len(records))) else None
+        # record (frame, expert)'s row is 2 * frame + expert; past 2**62 that
+        # wraps negative, where no row is
+        rows = np.where(present, [*values, present], 0.0).T  # not * flag: -5.0 * 0 is -0.0
+        blocks.append((frame * 2 + expert, rows))
+    keys = np.concatenate([np.empty(0, np.int64), *(key for key, _ in blocks)])
+    n = len(keys) // 2
+    if not np.array_equal(np.sort(keys), np.arange(2 * n)):
+        return None
+    del keys
+    log = np.empty((n, LOG_STRIDE))
+    cells = log.reshape(2 * n, LOG_FIELDS)
+    for key, rows in blocks:
+        cells[key] = rows
+    return log
 
 
 def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId]:
@@ -562,10 +597,12 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
     """Write all campaign artifacts under out_dir; returns the summary dict.
 
     Layout: trajectories/trial_###_<mode>.csv, detections/trial_###_<mode>.csv,
-    summary.json, comparison.txt. A trial file of that layout already in
-    those two directories that this campaign does not write is removed
-    first, so they hold the trials summary.json names and no others; no
-    other file is touched. Each trial's two CSVs are written by
+    summary.json, comparison.txt. Before any trial is written, the files
+    summary.json and comparison.txt are removed, if they exist, and so is
+    every trial file of that layout in those two directories that this
+    campaign does not write: a failed write leaves no summary of another
+    campaign, and the directories hold the trials summary.json names and no
+    others. No other file is touched. Each trial's two CSVs are written by
     write_trial_csvs through campaign.map, shared between the campaign's
     worker processes, if it has any, and this one. Every trial's write
     runs; the first error among them is raised before summary.json and
@@ -580,8 +617,10 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
     runs = [(run.frames, _log_name(run.result.trial_id, mode))
             for mode, mode_runs in campaign.runs.items() for run in mode_runs]
     names = {name for _, name in runs}
-    for path in [*traj_dir.iterdir(), *det_dir.iterdir()]:
-        if _TRIAL_FILE.fullmatch(path.name) and path.name not in names and path.is_file():
+    stale = [p for p in [*traj_dir.iterdir(), *det_dir.iterdir()]
+             if _TRIAL_FILE.fullmatch(p.name) and p.name not in names]
+    for path in [out / "summary.json", out / "comparison.txt", *stale]:
+        if path.is_file():
             path.unlink()
     campaign.map(
         write_trial_csvs,

@@ -674,6 +674,53 @@ def test_non_canonical_spelling_reads_as_the_oracle_does(tmp_path, edits, outcom
     assert got[0] == outcome
 
 
+# every line boundary str.splitlines knows, and characters that are none
+LINE_ENDS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+LINE_TEXT = LINE_ENDS + ["a", ",", " ", "\t", "é"]
+
+
+def streamed_lines(path: Path) -> list[str]:
+    with open(path) as f:
+        return list(reporting._lines(f))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.sampled_from(LINE_TEXT), max_size=40))
+def test_streamed_lines_split_as_splitlines(tmp_path_factory, parts):
+    path = tmp_path_factory.getbasetemp() / "lines.txt"
+    path.write_bytes("".join(parts).encode())
+    assert streamed_lines(path) == path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_streamed_lines_split_as_splitlines_across_read_chunks(tmp_path, seed):
+    # long enough that a "\r\n" and other ends fall across the reader's chunks
+    rng = random.Random(seed)
+    path = tmp_path / "lines.txt"
+    path.write_bytes("".join(rng.choices(LINE_TEXT, k=rng.randrange(20_000, 40_000))).encode())
+    assert streamed_lines(path) == path.read_text().splitlines()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_any_line_boundary_reads_as_the_oracle_does(tmp_path, seed):
+    # a writer's log with each line ended by a random line boundary, then
+    # the same with a boundary inside one record
+    rng = random.Random(seed)
+    path = tmp_path / "log.csv"
+    write_detection_log(TestDetectionLog().make_log(), path)
+    lines = path.read_text().splitlines()
+    ended = [line + rng.choice(LINE_ENDS) for line in lines]
+    path.write_bytes("".join(ended).encode())
+    assert read_outcome(read_detection_log, path)[0] == "log"
+    assert read_outcome(read_detection_log, path) == read_outcome(oracle_read_detection_log, path)
+    at = rng.randrange(1, len(lines))
+    cut = rng.randrange(1, len(lines[at]))
+    ended[at] = lines[at][:cut] + rng.choice(LINE_ENDS) + ended[at][cut:]
+    path.write_bytes("".join(ended).encode())
+    assert read_outcome(read_detection_log, path)[0] == "error"
+    assert read_outcome(read_detection_log, path) == read_outcome(oracle_read_detection_log, path)
+
+
 # align_threshold 1e-9 never lets the descent start: the vehicle hovers, so
 # a trial runs its whole step budget, here parts of three read blocks
 HOVER = harness.Scenario(gains=ControllerGains(align_threshold=1e-9))

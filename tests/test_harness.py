@@ -6,8 +6,10 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
 import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -619,7 +621,7 @@ class TestSharedMap:
 
         with pytest.raises(ValueError, match="call 1"):
             harness._shared_map(None, check, range(8))
-        assert sorted(ran) == list(range(8))  # the calls after each error ran too
+        assert ran == list(range(8))  # in order, the calls after each error too
         assert harness._shared_map(None, pow, range(5), [2] * 5) == [0, 1, 4, 9, 16]
         assert sys.getswitchinterval() == switch_interval
 
@@ -646,6 +648,35 @@ class TestSharedMap:
             run_campaign(Scenario(), TrialConfig(n_trials=4, max_steps=20), n_workers=2)
         assert multiprocessing.active_children() == []
         assert sys.getswitchinterval() == switch_interval
+
+
+# A serial campaign, its outputs and a replay of one of its logs, in a fresh
+# interpreter that exits non-zero naming any pool module it loaded
+SERIAL_RUN = """
+import sys
+import padland, padland.cli
+from padland.harness import Scenario, TrialConfig, run_campaign
+from padland.reporting import write_campaign_outputs
+out, config = sys.argv[1:]
+write_campaign_outputs(run_campaign(Scenario(), TrialConfig(n_trials=2, max_steps=200)), out)
+log = f"{out}/detections/trial_000_dual.csv"
+assert padland.cli.main(["replay", "--log", log, "--config", config, "--out", out]) == 0
+loaded = sorted(m for m in sys.modules if m.partition(".")[0] in ("concurrent", "logging"))
+sys.exit(f"loaded {loaded}" if loaded else 0)
+"""
+
+
+def test_a_serial_run_loads_no_process_pool_machinery(tmp_path):
+    # only a campaign that starts a pool imports concurrent.futures, and
+    # with it logging
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", SERIAL_RUN, str(tmp_path), str(root / "configs" / "default.json")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "replay.csv").is_file()
 
 
 def _non_finite_fields():

@@ -2,8 +2,9 @@
 replay_log pack each frame's row onto one bytearray as it is made, so they
 hold little beyond their output, the CSV writers hold one block of rows
 spelled at a time, and read_detection_log, whatever the order of a
-log's records, one block of frames as Python objects. Peaks are measured
-with tracemalloc, which also traces numpy's arrays."""
+log's records, streams the file and holds one block of frames as Python
+objects. Peaks are measured with tracemalloc, which also traces numpy's
+arrays."""
 
 import random
 import tracemalloc
@@ -112,13 +113,15 @@ def shuffled_log(long_log):
 
 @pytest.mark.parametrize("order", ["writer", "shuffled"])
 def test_read_detection_log_holds_one_block_of_fields(request, order):
-    # the log's text and lines, plus one block of fields; splitting every
-    # field of the log at once held over 19 times the array, and a shuffled
-    # log read one line at a time into a dict of tuples 14.5 times
+    # the array, each block's rows and keys until the count is known, and
+    # one block of lines and fields; holding the log's whole text and every
+    # line held 5.8 times the array, splitting every field of the log at
+    # once over 19 times, and a shuffled log read one line at a time into
+    # a dict of tuples 14.5 times
     path = request.getfixturevalue({"writer": "long_log", "shuffled": "shuffled_log"}[order])
     log, peak = traced_peak(read_detection_log, path)
     assert log.shape == (STEPS, LOG_STRIDE)
-    assert peak < 8 * log.nbytes
+    assert peak < 3 * log.nbytes
 
 
 def test_replay_log_holds_about_its_output(long_log):

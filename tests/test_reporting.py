@@ -150,6 +150,20 @@ def test_a_second_campaign_leaves_only_its_own_trial_files(tmp_path):
     assert {p.name for p in (tmp_path / "detections").iterdir()} == named | set(others)
 
 
+def test_a_failed_write_leaves_no_summary_of_an_earlier_campaign(tmp_path):
+    # the earlier summary would name trial_002_dual.csv, which the second
+    # campaign removes, and give the wrong seed
+    config = TrialConfig(seed=42, n_trials=3, max_steps=50)
+    write_campaign_outputs(run_campaign(Scenario(), config, [Mode.DUAL]), tmp_path)
+    (tmp_path / "detections" / "trial_001_far_only.csv").mkdir()
+    campaign = run_campaign(Scenario(), TrialConfig(seed=5, n_trials=2, max_steps=50))
+    with pytest.raises(IsADirectoryError, match="trial_001_far_only.csv"):
+        write_campaign_outputs(campaign, tmp_path)
+    assert not (tmp_path / "summary.json").exists()
+    assert not (tmp_path / "comparison.txt").exists()
+    assert not (tmp_path / "trajectories" / "trial_002_dual.csv").exists()
+
+
 # The writers format and write WRITE_BLOCK rows at a time. These arrays end
 # on each side of a block boundary, and their rows cycle through present
 # and absent detections of each expert, square and non-square boxes, all
