@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
+import stat
 from collections.abc import Iterator
 from contextlib import ExitStack
 from dataclasses import asdict, fields
@@ -65,6 +67,16 @@ _KINDS = {
     "selected": _LABEL,
 }
 WRITE_BLOCK = 256  # rows formatted and written at a time
+# glibc's malloc (mallopt(3)) maps each allocation at or above its mmap
+# threshold (128 KiB at start) afresh and trims the heap's top once twice
+# that is free, so a block's arrays (about 1.1 MB traced at their peak)
+# went back to the kernel after every block and were faulted in again,
+# zero-filled, by the next. Freeing a mapped chunk raises both thresholds
+# to its size and twice that: one untouched array of this size, freed
+# before the first block, lets every block reuse the heap's pages. It must
+# exceed half a block's arrays, and stay under their traced peak so as not
+# to raise a write's: tracemalloc counts it, untouched as it is.
+_SCRATCH_BYTES = 1 << 20
 
 # A block's cells are spelled into one uint8 buffer, and a file's text for
 # the block is one gather of segments of it. A float's cell is three
@@ -389,6 +401,7 @@ def _write_rows(array: np.ndarray, names: tuple[str, ...], files) -> None:
             out = stack.enter_context(open(path, "wb"))
             out.write(f"{header}\n".encode())
             outs.append((out, block))
+        np.empty(_SCRATCH_BYTES, np.uint8)  # freed at once: see _SCRATCH_BYTES
         for start in range(0, len(array), WRITE_BLOCK):
             rows = array[start : start + WRITE_BLOCK, : len(names)]
             values = np.empty((len(rows), len(names) + 1))
@@ -413,25 +426,28 @@ def read_detection_log(path: str | Path) -> np.ndarray:
     records in any order, blank lines skipped, one of each expert for every
     frame from 0 to the last. Raises DetectionLogError naming the file.
 
-    The file is streamed, its lines split exactly as str.splitlines splits
-    its whole text. A log that cannot be read so, for any reason, is read
-    a second time as one text, which raises its error in the order the
+    A regular file is streamed, its lines split exactly as str.splitlines
+    splits its whole text. A log that cannot be read so, for any reason, is
+    read a second time as one text, which raises its error in the order the
     checks have always run: an unreadable or undecodable file, the header,
-    then its records."""
+    then its records. Any other file, a pipe say, can be read only once and
+    has no size to bound its records by, and is read as one text at once."""
     try:
-        with open(path) as f:
-            lines = _lines(f)
-            if next(lines, "").strip() == LOG_HEADER:
-                log = _read_columns(filter(str.strip, lines))
-                if log is not None:
-                    return log
+        if stat.S_ISREG((info := os.stat(path)).st_mode):
+            with open(path) as f:
+                lines = _lines(f)
+                if next(lines, "").strip() == LOG_HEADER:
+                    log = _read_columns(filter(str.strip, lines), info.st_size)
+                    if log is not None:
+                        return log
     except (OSError, UnicodeDecodeError):
         pass
     lines = read_text(path, "detection log", DetectionLogError).splitlines()
     try:
         if not lines or lines[0].strip() != LOG_HEADER:
             raise DetectionLogError("line 1: missing or malformed header")
-        log = _read_columns(filter(str.strip, lines[1:]))  # as streamed, unless the file changed
+        # as streamed, unless the file changed
+        log = _read_columns(filter(str.strip, lines[1:]), sum(map(len, lines)))
         return _refuse(lines[1:]) if log is None else log
     except DetectionLogError as exc:
         raise DetectionLogError(f"{path}: {exc}") from None
@@ -446,11 +462,13 @@ def _lines(f):
     return chain.from_iterable(map(str.splitlines, f))
 
 
-def _read_columns(records: Iterator[str]) -> np.ndarray | None:
+def _read_columns(records: Iterator[str], size: int) -> np.ndarray | None:
     """The log of records in any order, read WRITE_BLOCK frames at a time, column by column,
     into rows by (frame, expert); None if a rule fails or a row is filled twice or never.
-    Each block's rows are kept, with their keys, until the last block gives the count."""
-    blocks = []
+    Each block is scattered into the log as it comes, and the log grown in place to the last
+    frame seen. size, the characters in the records or more, bounds that growth: a record
+    takes at least 17 (8 fields of one or more, 3 for its expert, and 7 commas)."""
+    log, filled, count = np.empty((0, LOG_STRIDE)), np.zeros(0, bool), 0
     while block := list(islice(records, 2 * WRITE_BLOCK)):
         if set(map(str.count, block, repeat(","))) != {7}:
             return None
@@ -471,18 +489,19 @@ def _read_columns(records: Iterator[str]) -> np.ndarray | None:
             return None
         # record (frame, expert)'s row is 2 * frame + expert; past 2**62 that
         # wraps negative, where no row is
+        key = frame * 2 + expert
+        if key.min() < 0 or key.max() >= size // 17:
+            return None
+        if key.max() >= len(filled):  # no view of either outlives its statement
+            frames = key.max() // 2 + 1
+            log.resize((frames, LOG_STRIDE), refcheck=False)
+            filled.resize(2 * frames, refcheck=False)
         rows = np.where(present, [*values, present], 0.0).T  # not * flag: -5.0 * 0 is -0.0
-        blocks.append((frame * 2 + expert, rows))
-    keys = np.concatenate([np.empty(0, np.int64), *(key for key, _ in blocks)])
-    n = len(keys) // 2
-    if not np.array_equal(np.sort(keys), np.arange(2 * n)):
-        return None
-    del keys
-    log = np.empty((n, LOG_STRIDE))
-    cells = log.reshape(2 * n, LOG_FIELDS)
-    for key, rows in blocks:
-        cells[key] = rows
-    return log
+        log.reshape(-1, LOG_FIELDS)[key] = rows
+        filled[key] = True
+        count += len(key)
+    # count records, each in one of len(filled) rows: every row once iff all are filled
+    return log if count == len(filled) and filled.all() else None
 
 
 def _parse_record(line: str, lineno: int) -> tuple[int, ExpertId]:

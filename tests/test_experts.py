@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import threading
 from decimal import Context, Decimal, localcontext
 from functools import partial
 from pathlib import Path
@@ -650,17 +652,19 @@ def test_oracle_agrees_on_a_campaign_log(tmp_path):
         ([(4, 0, str(10**20))], "error"),
         ([(5, 0, str(2**63))], "error"),
         ([(4, 0, str(10**20)), (5, 0, str(10**20)), (5, 1, "FAR")], "error"),
+        ([(4, 0, str(10**15))], "error"),
+        ([(5, 0, str(2**62))], "error"),
     ],
     ids=[
         "frame", "expert", "present-flag", "frame-past-int64", "frame-2**63",
-        "duplicate-past-int64",
+        "duplicate-past-int64", "frame-past-the-log-s-size", "frame-2**62",
     ],
 )
 def test_non_canonical_spelling_reads_as_the_oracle_does(tmp_path, edits, outcome):
     # the writer's layout but for the spelling of a field or a few (line,
     # field index, spelling): the column reader must accept it, or reject it
     # with the error the oracle gives, where a frame past int64 is a number
-    # like any other
+    # like any other, and one past what the log's size can hold grows no array
     path = tmp_path / "log.csv"
     write_detection_log(TestDetectionLog().make_log(), path)
     lines = path.read_text().splitlines()
@@ -805,6 +809,32 @@ def test_any_order_needs_no_line_reader(tmp_path, monkeypatch, seed):
     monkeypatch.setattr(reporting, "_parse_record", refuse)
     log = read_detection_log(path)
     assert log.tobytes() == np.ascontiguousarray(run.frames[:, :LOG_STRIDE]).tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("broken", [False, True], ids=["valid", "refused"])
+def test_a_log_through_a_pipe_reads_as_the_file_does(tmp_path, broken):
+    # a pipe can be read once and has no size, so it is read as one text:
+    # a valid log reads to the file's bytes, and a refused one names the
+    # line the file's error names, not a header the first read consumed
+    run = campaign_trial()
+    path, pipe = tmp_path / "log.csv", tmp_path / "log.fifo"
+    write_detection_log(run.frames, path)
+    if broken:
+        lines = path.read_text().splitlines()
+        lines[600] += ",0"
+        path.write_text("\n".join(lines) + "\n")
+    os.mkfifo(pipe)
+    writer = threading.Thread(target=lambda: pipe.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        got = read_outcome(read_detection_log, pipe)
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    want = read_outcome(read_detection_log, path)
+    assert got == want
+    assert got[0] == ("error" if broken else "log")
 
 
 def test_shared_positions_write_the_same_bytes(tmp_path):

@@ -83,6 +83,30 @@ def test_golden_digests_hold_on_other_simd_paths(tmp_path, setting):
     assert digests(tmp_path) == golden_digests()
 
 
+# `padland run --workers 2` in a child that first sets the pool's start method
+START_METHOD_RUN = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from padland.cli import main
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("method", ["forkserver", "spawn"])
+def test_golden_digests_hold_under_every_start_method(tmp_path, method):
+    # fork, the default on Linux before Python 3.14, runs in the tests above;
+    # a worker started any other way imports numpy and padland afresh, and
+    # must write the same bytes
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    config = ROOT / "configs" / "default.json"
+    argv = ["run", "--config", str(config), "--out", str(tmp_path), "--workers", "2"]
+    subprocess.run(
+        [sys.executable, "-c", START_METHOD_RUN, method, *argv],
+        env=env, capture_output=True, check=True, timeout=300,
+    )
+    assert digests(tmp_path) == golden_digests()
+
+
 def test_writing_outputs_leaves_results_unchanged(tmp_path):
     config = TrialConfig(seed=3, n_trials=2)
     written = run_campaign(Scenario(), config)
