@@ -2,7 +2,8 @@
 and visual-servo descent, with a randomized paired trial campaign and
 nonparametric evaluation of touchdown error."""
 
-from .config import CampaignSpec, ConfigError, build_campaign, default_config, load_config
+from .config import CampaignSpec, ConfigError, build_campaign, config_doc, default_config
+from .config import load_config
 from .dynamics import DynamicsParams, step
 from .experts import (
     Detection,

@@ -50,35 +50,39 @@ class CampaignSpec:
         check_campaign(self.scenario, self.trials, self.modes)
 
 
-def _profile_doc(profile: ExpertProfile, pad_side: float) -> dict:
-    doc = asdict(profile)
-    offset = doc.pop("distractor_offset_pads")
-    doc["distractor_offset_m"] = [offset[0] * pad_side, offset[1] * pad_side]
-    return doc
-
-
-def default_config() -> dict:
-    """The default configuration document: the dataclass defaults in field
-    order, with build_campaign's two conversions reversed."""
-    spec = CampaignSpec()
+def config_doc(spec: CampaignSpec) -> dict:
+    """The document build_campaign reads as spec: each section's fields by
+    name, and the three keys that are not fields, which only this writes.
+    For a spec read from a document, build_campaign(config_doc(spec)) ==
+    spec; config_doc(build_campaign(doc)) can move doc's gains.z_ref or an
+    offset by one ulp (z_ref 0.31 to 0.30999999999999994 by default), or an
+    offset near the largest float to infinity. A spec built in Python whose
+    area_ref or pad offset no document gives may not come back equal."""
     scenario = spec.scenario
     camera, pad = scenario.camera, scenario.helipad
+
+    def expert(profile: ExpertProfile) -> dict:
+        doc = asdict(profile)
+        x, y = doc.pop("distractor_offset_pads")
+        return {**doc, "distractor_offset_m": [x * pad.side_length, y * pad.side_length]}
+
     gains = asdict(scenario.gains)
-    area_ref = gains.pop("area_ref")
-    gains["z_ref"] = altitude_for_area_ref(area_ref, camera.focal_length, pad.side_length)
+    z_ref = altitude_for_area_ref(gains.pop("area_ref"), camera.focal_length, pad.side_length)
     doc = {
         "camera": asdict(camera),
         "helipad": {"center": [pad.x, pad.y], "side_length": pad.side_length},
-        "experts": {
-            "far": _profile_doc(scenario.far_profile, pad.side_length),
-            "near": _profile_doc(scenario.near_profile, pad.side_length),
-        },
+        "experts": {"far": expert(scenario.far_profile), "near": expert(scenario.near_profile)},
         "gate": {"window_size": scenario.window_size, "coast_limit": scenario.coast_limit},
-        "gains": gains,
+        "gains": {**gains, "z_ref": z_ref},
         "dynamics": asdict(scenario.dynamics),
         "trials": {**asdict(spec.trials), "modes": [m.value for m in spec.modes]},
     }
     return json.loads(json.dumps(doc))  # tuples become lists, as in a loaded file
+
+
+def default_config() -> dict:
+    """The default configuration document, config_doc(CampaignSpec())."""
+    return config_doc(CampaignSpec())
 
 
 def _get(doc: dict, path: str, expected=None):

@@ -5,16 +5,27 @@ import random
 import re
 import subprocess
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padland import cli, config
 from padland.cli import main
-from padland.config import CampaignSpec, ConfigError, build_campaign, default_config, load_config
+from padland.config import (
+    CampaignSpec,
+    ConfigError,
+    build_campaign,
+    config_doc,
+    default_config,
+    load_config,
+)
+from padland.experts import default_far_profile
 from padland.harness import LOG_FIELDS, LOG_STRIDE, Mode, Scenario, TrialConfig
+from padland.servo import ControllerGains
 
 ROOT = Path(__file__).resolve().parents[1]
 INSIDE = "210.0,230.5,24.0,24.0,0.81,1"  # a present detection inside the default image
@@ -98,6 +109,7 @@ class TestConfig:
 
     def test_default_config_matches_dataclass_defaults(self):
         assert build_campaign(default_config()) == CampaignSpec(Scenario(), TrialConfig(), tuple(Mode))
+        assert config_doc(CampaignSpec()) == default_config()
 
     def test_distractor_offset_converted_to_pad_units(self):
         spec = build_campaign(default_config())
@@ -170,6 +182,113 @@ class TestConfig:
             with pytest.raises(ConfigError) as caught:
                 build_campaign(doc)
             assert str(caught.value).startswith(f"{key}: "), (label, str(caught.value))
+
+
+def number(low: float, high: float):
+    """A JSON number in [low, high]: mostly a float, sometimes an int."""
+    return st.floats(low, high) | st.integers(math.ceil(low), math.floor(high))
+
+
+def pair(low: float, high: float, ordered: bool = False):
+    items = st.lists(number(low, high), min_size=2, max_size=2)
+    return items.map(sorted) if ordered else items
+
+
+@st.composite
+def config_docs(draw) -> dict:
+    """A valid config document with every key drawn at random; the rules
+    between keys (check_campaign, commit_altitude) hold by construction."""
+    commit = draw(st.floats(0.5, 50.0))
+    altitudes = draw(st.lists(st.floats(commit + 1.0, 500.0), min_size=1, max_size=5))
+    k_z = draw(st.floats(0.01, 10.0))
+    # dt * k_z stays below 1/20 of the shortest descent
+    dt = draw(st.floats(1e-4, 0.99)) * (min(altitudes) - commit) / 20 / k_z
+
+    def expert() -> dict:
+        slope = st.floats(0.01, 50.0) | st.floats(-50.0, -0.01)
+        return {
+            "s_center": draw(number(-100.0, 200.0)),
+            "s_slope": draw(slope),
+            "sigma_center_base": draw(number(0.0, 20.0)),
+            "sigma_center_scale": draw(number(0.0, 1.0)),
+            "sigma_size_frac": draw(number(0.0, 1.0)),
+            "distractor_prob": draw(number(0.0, 1.0)),
+            "distractor_offset_m": draw(pair(-1e6, 1e6)),
+        }
+
+    modes = draw(st.permutations([m.value for m in Mode]))
+    return {
+        "camera": {
+            "image_width": draw(number(1.0, 5000.0)),
+            "image_height": draw(number(1.0, 5000.0)),
+            "focal_length": draw(number(1.0, 5000.0)),
+        },
+        "helipad": {"center": draw(pair(-1e4, 1e4)), "side_length": draw(number(0.1, 100.0))},
+        "experts": {"far": expert(), "near": expert()},
+        "gate": {
+            "window_size": draw(st.integers(1, 100)),
+            "coast_limit": draw(st.integers(0, 1000)),
+        },
+        "gains": {
+            "k_xy": draw(number(1e-4, 10.0)),
+            "k_z": k_z,
+            "v_lat_max": draw(number(0.01, 50.0)),
+            "align_threshold": draw(number(0.01, 500.0)),
+            "z_ref": draw(st.floats(0.01, commit * 0.99)),
+        },
+        "dynamics": {"dt": dt, "tau": draw(number(0.0, 5.0))},
+        "trials": {
+            "x_range": draw(pair(-1e4, 1e4, ordered=True)),
+            "y_range": draw(pair(-1e4, 1e4, ordered=True)),
+            "altitude_set": altitudes,
+            "seed": draw(st.integers(0, 2**63 - 1)),
+            "n_trials": draw(st.integers(1, 1000)),
+            "max_steps": draw(st.integers(1, 20_000)),
+            "commit_altitude": commit,
+            "modes": modes[: draw(st.integers(1, len(modes)))],
+        },
+    }
+
+
+class TestConfigDoc:
+    """config_doc(spec) is the document build_campaign reads as spec."""
+
+    @given(config_docs())
+    @example(default_config())
+    @settings(max_examples=500, deadline=None)
+    def test_spec_read_from_a_document_survives_its_document(self, doc):
+        spec = build_campaign(doc)
+        written = config_doc(spec)
+        assert build_campaign(written) == spec
+        # so a second round writes the same document, byte for byte
+        assert json.dumps(config_doc(build_campaign(written))) == json.dumps(written)
+
+    def test_first_round_can_move_a_converted_key_by_one_ulp(self):
+        doc = default_config()
+        doc["gains"]["z_ref"] = 0.31
+        doc["experts"]["far"]["distractor_offset_m"] = [0.9, 0.0]
+        spec = build_campaign(doc)
+        written = config_doc(spec)
+        assert written["gains"]["z_ref"] == math.nextafter(0.31, 0.0) == 0.30999999999999994
+        offset = written["experts"]["far"]["distractor_offset_m"]
+        assert offset == [math.nextafter(0.9, 0.0), 0.0]
+        assert build_campaign(written) == spec
+
+    def test_offset_near_the_largest_float_comes_back_infinite(self):
+        doc = default_config()
+        doc["experts"]["far"]["distractor_offset_m"] = [sys.float_info.max, 0.0]
+        written = config_doc(build_campaign(doc))
+        assert written["experts"]["far"]["distractor_offset_m"] == [math.inf, 0.0]
+        with pytest.raises(ConfigError, match=r"^experts\.far\.distractor_offset_m: "):
+            build_campaign(written)
+
+    def test_spec_built_in_python_need_not_survive_its_document(self):
+        # no z_ref gives area_ref 200000.5, and no offset in meters 0.1 pads
+        far = replace(default_far_profile(), distractor_offset_pads=(0.1, 0.0))
+        spec = CampaignSpec(Scenario(gains=ControllerGains(area_ref=200000.5), far_profile=far))
+        back = build_campaign(config_doc(spec)).scenario
+        assert back.gains.area_ref == 200000.50000000003
+        assert back.far_profile.distractor_offset_pads == (0.10000000000000002, 0.0)
 
 
 class TestCliRun:

@@ -188,6 +188,28 @@ def test_config_builds_parameter_objects_only_through_section():
     }
 
 
+# the config keys that are not fields of a parameter class
+NON_FIELD_KEYS = {"center", "z_ref", "distractor_offset_m"}
+
+
+def test_only_config_doc_writes_the_keys_that_are_not_fields():
+    # config_doc is the one writer of a config document, so a key it writes
+    # (a dict literal's key or a subscript stored to) is converted in one place
+    writers = set()
+    for module in MODULES:
+        for top in ast.parse((SRC / f"{module}.py").read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Dict):
+                    keys = node.keys
+                elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                    keys = [node.slice]
+                else:
+                    continue
+                if any(isinstance(k, ast.Constant) and k.value in NON_FIELD_KEYS for k in keys):
+                    writers.add((module, getattr(top, "name", None)))
+    assert writers == {("config", "config_doc")}
+
+
 def test_no_module_names_an_expert_id():
     # an expert is the slot it fills (far_profile, det_far, FAR's log fields
     # first): no profile or detection carries its name a second time
@@ -300,3 +322,13 @@ def test_a_rule_on_one_field_is_its_annotation():
     scenario = posts["Scenario"]
     assert [ast.unparse(n) for n in scenario.body] == ["check_fields(self)"]
     assert "GateState" not in {getattr(n, "id", None) for n in ast.walk(scenario)}
+
+
+def test_version_has_one_source():
+    # pyproject reads the version from padland.__version__ and repeats no number
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    project = tomllib.loads((SRC.parents[1] / "pyproject.toml").read_text())
+    assert "version" not in project["project"]
+    assert project["project"]["dynamic"] == ["version"]
+    dynamic = project["tool"]["setuptools"]["dynamic"]
+    assert dynamic["version"] == {"attr": "padland.__version__"}
