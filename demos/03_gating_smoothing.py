@@ -34,14 +34,14 @@ print(f"outcome: {r.termination_reason.value} after {r.steps} steps, "
 print(f"expert usage: FAR {r.expert_usage['FAR']} frames, NEAR {r.expert_usage['NEAR']} frames")
 print()
 
-# where did the handoff happen? one array per record column
+# where did the handoff happen? one array per record column; step k is row k
 col = dict(zip(RECORD_COLUMNS, run.frames.T))
 selected = [SELECTION_LABELS[int(c)] for c in col["selected"].tolist()]
 switches = []
 prev = None
-for step, z, sel in zip(col["step"].tolist(), col["z"].tolist(), selected):
+for step, (z, sel) in enumerate(zip(col["z"].tolist(), selected)):
     if sel and sel != prev:
-        switches.append((int(step), z, sel))
+        switches.append((step, z, sel))
         prev = sel
 print("selection changes (step, altitude, expert):")
 for step, z, sel in switches[:12]:

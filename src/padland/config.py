@@ -85,7 +85,7 @@ def default_config() -> dict:
     return config_doc(CampaignSpec())
 
 
-def _get(doc: dict, path: str, expected=None):
+def _get(doc: dict, path: str):
     node = doc
     parts = path.split(".")
     for depth, part in enumerate(parts):
@@ -95,8 +95,6 @@ def _get(doc: dict, path: str, expected=None):
         if part not in node:
             raise ConfigError(f"missing key: {path}")
         node = node[part]
-    if expected is not None and not isinstance(node, expected):
-        raise ConfigError(f"{path}: expected {expected}, got {type(node).__name__}")
     return node
 
 
@@ -194,7 +192,10 @@ def build_campaign(doc: dict) -> CampaignSpec:
         dynamics=dynamics,
     )
     trials = _section(doc, "trials", TrialConfig)
-    modes = tuple(_member(Mode, "trials.modes", name) for name in _get(doc, "trials.modes", list))
+    names = _get(doc, "trials.modes")
+    if not isinstance(names, list):
+        raise ConfigError(f"trials.modes: expected a JSON array, got {type(names).__name__}")
+    modes = tuple(_member(Mode, "trials.modes", name) for name in names)
     return _checked("", CampaignSpec, scenario=scenario, trials=trials, modes=modes)
 
 

@@ -74,8 +74,8 @@ class TerminationReason(Enum):
 
 
 # a campaign holds every trial's frames until they are written: ~0.7 MB
-# per trial over three modes by default, at most MAX_STEPS frames of 216 B
-# (21.6 MB) per trial and mode, and at most MAX_FRAME_BYTES (64 GiB) over
+# per trial over three modes by default, at most MAX_STEPS frames of 208 B
+# (20.8 MB) per trial and mode, and at most MAX_FRAME_BYTES (64 GiB) over
 # n_trials trials of every mode
 MAX_TRIALS = 10_000
 MAX_STEPS = 100_000
@@ -167,21 +167,22 @@ TRAJECTORY_HEADER = (
 )
 TRAJECTORY_COLUMNS = tuple(TRAJECTORY_HEADER.split(","))
 # one frame's record: the detection log's fields (u, v, w, h, confidence,
-# present of FAR, then of NEAR), then the trajectory's own columns in
-# TRAJECTORY_HEADER order. A detection log's array is the first LOG_STRIDE
-# columns: one row per frame (reporting owns the file format).
+# present of FAR, then of NEAR), then the trajectory's own columns but
+# `step` in TRAJECTORY_HEADER order. Frame k is row k of a record array and
+# of a detection log's array (its first LOG_STRIDE columns), so no layout
+# stores k: each CSV's first column (`step`, `frame`) is its row number.
 _LOG_COLUMNS = tuple(
     "u_far,v_far,w_far,h_far,confidence_far,far_present,"
     "u_near,v_near,w_near,h_near,confidence_near,near_present".split(",")
 )
 LOG_STRIDE = len(_LOG_COLUMNS)  # FAR's fields, then NEAR's
 LOG_FIELDS = LOG_STRIDE // 2  # u, v, w, h, confidence, present of one expert
-RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS if c not in _LOG_COLUMNS)
+RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS[1:] if c not in _LOG_COLUMNS)
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTED = RECORD_COLUMNS.index("selected")
 REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
-REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(","))
+REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(",")[1:])
 _BLANKS = (float("nan"),) * 8  # perceive's cells without a smoothed box
 _HOLD = VelocityCommand(0.0, 0.0, 0.0)
 # one frame's row as packed float64s: each loop appends one per frame to a bytearray
@@ -194,7 +195,7 @@ class TrialRun:
     """A finished trial plus its per-frame records.
 
     `frames` is a (steps, len(RECORD_COLUMNS)) float64 view of the bytearray
-    run_trial packs one row per frame, in RECORD_COLUMNS order (a run
+    run_trial packs row k for frame k, in RECORD_COLUMNS order (a run
     computed in a pool worker arrives viewing the buffer it was unpickled
     from instead): the first LOG_STRIDE columns are the detection log,
     blank cells (no smoothed box) are NaN and `selected` holds a code into
@@ -278,8 +279,9 @@ def run_trial(
     far_rows = noise_rows(rng_far) if run_far else repeat(None)
     near_rows = noise_rows(rng_near) if run_near else repeat(None)
 
-    # the frame numbers come first, so zip draws no noise row past the last frame
-    for k, noise_far, noise_near in zip(range(config.max_steps), far_rows, near_rows):
+    # each frame's time comes first, so zip draws no noise row past the last frame
+    times = (k * dt for k in range(config.max_steps))
+    for t, noise_far, noise_near in zip(times, far_rows, near_rows):
         truth = project_helipad(state, pad, cam)
         if truth is None:
             det_far = det_near = ABSENT
@@ -305,7 +307,7 @@ def run_trial(
         vx, vy, vz = cmd
         rows += pack(
             u_f, v_f, w_f, h_f, c_f, p_f, u_n, v_n, w_n, h_n, c_n, p_n,
-            k, k * dt, state.x, state.y, state.z, code,
+            t, state.x, state.y, state.z, code,
             u_hat, v_hat, e_x, e_y, area, e_z, vx, vy, vz,
         )
 
@@ -361,8 +363,8 @@ def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detecti
 
 def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Feed a (frames, LOG_STRIDE) detection log through a fresh gate and
-    the servo error computation, with no dynamics; returns one row of
-    REPLAY_COLUMNS per frame, blank cells (no smoothed box) as NaN.
+    the servo error computation, with no dynamics; returns row k of
+    REPLAY_COLUMNS for frame k, blank cells (no smoothed box) as NaN.
 
     Raises DetectionLogError naming the first present box, in frame order
     and FAR before NEAR, that does not lie inside the camera image:
@@ -380,10 +382,10 @@ def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
         )
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
     rows = bytearray()  # one packed row per frame, in REPLAY_COLUMNS order
-    for frame, row in enumerate(map(np.ndarray.tolist, log[:, :LOG_STRIDE])):
+    for row in map(np.ndarray.tolist, log[:, :LOG_STRIDE]):
         far, near = _detection(row[:LOG_FIELDS]), _detection(row[LOG_FIELDS:])
         code, lost, cells, _ = perceive(far, near, gate, cam, gains)
-        rows += _REPLAY_ROW.pack(frame, code, lost, *cells)
+        rows += _REPLAY_ROW.pack(code, lost, *cells)
     return np.frombuffer(rows).reshape(-1, len(REPLAY_COLUMNS))
 
 

@@ -48,7 +48,6 @@ from .harness import (
     REPLAY_COLUMNS,
     REPLAY_HEADER,
     SELECTION_LABELS,
-    TRAJECTORY_COLUMNS,
     TRAJECTORY_HEADER,
     CampaignResult,
     DetectionLogError,
@@ -62,7 +61,7 @@ from .stats import ModeComparison, PairedComparison, compare_modes, format_compa
 # written as `repr`'s bytes, and a blankable float's NaN is an empty cell
 _FLOAT, _BLANK, _INT, _LABEL = range(4)
 _KINDS = {
-    **dict.fromkeys(("step", "frame", "far_present", "near_present", "tracking_lost"), _INT),
+    **dict.fromkeys(("far_present", "near_present", "tracking_lost"), _INT),
     **dict.fromkeys(("u_hat", "v_hat", "w_hat", "h_hat", "e_x", "e_y", "A", "e_z"), _BLANK),
     "selected": _LABEL,
 }
@@ -335,11 +334,11 @@ def _layout(items: list, kinds: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray
     return np.array(segments, np.intp), np.array(extra, np.int32)
 
 
-def _table(names: tuple[str, ...], columns: tuple[str, ...]):
-    """The block writer of a CSV of the named columns, in that order, of a
-    block whose columns are names: one line per row of a block."""
-    items = [x for name in columns for x in (names.index(name), ",")]
-    layout = _layout(items[:-1] + ["\n"], _kinds(names))
+def _table(names: tuple[str, ...], header: str):
+    """The block writer of a CSV with header, of a block whose columns are
+    names: a line per row, its number, then the header's other columns."""
+    items = [x for name in header.split(",")[1:] for x in (",", names.index(name))]
+    layout = _layout([len(names), *items, "\n"], _kinds(names))
     return lambda cells: cells.text(layout)
 
 
@@ -392,8 +391,8 @@ def _write_rows(array: np.ndarray, names: tuple[str, ...], files) -> None:
     """Write each of files, a (path, header, block writer) triple, from the
     first len(names) columns of array: open each file once and write its
     header, then spell WRITE_BLOCK rows at a time, each cell once by its
-    column's name, plus each row's number as a last column, and write each
-    file's text for them, which its block writer returns."""
+    column's name, plus each row's number (every file's first column) last,
+    and write each file's text for them, which its block writer returns."""
     kinds = _kinds(names)
     with ExitStack() as stack:
         outs = []
@@ -550,22 +549,18 @@ def write_trial_csvs(frames: np.ndarray, trajectory_path: str | Path, log_path: 
     each cell of a block once for both files (floats as `repr`'s bytes:
     round-trippable and byte-stable across identical runs; NaN blanks as
     empty cells; `selected` as its label)."""
-    _write_rows(
-        frames,
-        RECORD_COLUMNS,
-        [
-            (trajectory_path, TRAJECTORY_HEADER, _table(RECORD_COLUMNS, TRAJECTORY_COLUMNS)),
-            (log_path, LOG_HEADER, _log(RECORD_COLUMNS)),
-        ],
-    )
+    _write_rows(frames, RECORD_COLUMNS, [
+        (trajectory_path, TRAJECTORY_HEADER, _table(RECORD_COLUMNS, TRAJECTORY_HEADER)),
+        (log_path, LOG_HEADER, _log(RECORD_COLUMNS)),
+    ])
 
 
 def write_replay_csv(records: np.ndarray, path: str | Path) -> None:
     """Write a (frames, REPLAY_COLUMNS) float array as the replay CSV:
-    `frame` and `tracking_lost` as integers, `selected` as its label in
-    SELECTION_LABELS, NaN as an empty cell, every other float as `repr`'s
-    bytes."""
-    table = _table(REPLAY_COLUMNS, REPLAY_COLUMNS)
+    `frame`, the row number, and `tracking_lost` as integers, `selected` as
+    its label in SELECTION_LABELS, NaN as an empty cell, every other float
+    as `repr`'s bytes."""
+    table = _table(REPLAY_COLUMNS, REPLAY_HEADER)
     _write_rows(records, REPLAY_COLUMNS, [(path, REPLAY_HEADER, table)])
 
 

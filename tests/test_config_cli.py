@@ -402,6 +402,17 @@ class TestCliRun:
             assert err.startswith("error: trials: expected a JSON object, got list")
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize("modes, kind", [("dual", "str"), ({"dual": 1}, "dict")])
+    def test_modes_that_are_not_an_array_are_named(self, tmp_path, config_path, capsys, modes, kind):
+        # named as a section that is not an object is: by its JSON type, not a Python class
+        doc = default_config()
+        doc["trials"]["modes"] = modes
+        config_path.write_text(json.dumps(doc))
+        expected = f"error: trials.modes: expected a JSON array, got {kind}\n"
+        for argv in (["validate-config"], ["run", "--out", str(tmp_path / "o")]):
+            assert self.run_cli(*argv, "--config", str(config_path)) == 2
+            assert capsys.readouterr().err == expected
+
     def test_missing_config_is_error(self, tmp_path, capsys):
         code = self.run_cli("run", "--config", str(tmp_path / "no.json"), "--out", str(tmp_path / "o"))
         assert code != 0
@@ -496,8 +507,8 @@ class TestCliValidate:
 
     @pytest.mark.parametrize("max_steps", [6_000, 100_000])
     def test_worst_case_frame_memory_named(self, tmp_path, capsys, max_steps):
-        # 10,000 trials of three modes may hold 39 GB of frames at 6,000
-        # steps, within the bound, and 648 GB at 100,000, past it
+        # 10,000 trials of three modes may hold 37 GB of frames at 6,000
+        # steps, within the bound, and 624 GB at 100,000, past it
         doc = default_config()
         doc["trials"].update(n_trials=10_000, max_steps=max_steps)
         path = tmp_path / "big.json"
@@ -509,7 +520,7 @@ class TestCliValidate:
         else:
             assert code == 2
             assert err.startswith("error: trials.max_steps: ")
-            assert err.endswith(", 648000000000 B)\n")
+            assert err.endswith(", 624000000000 B)\n")
 
     def test_distractor_offset_overflowing_pad_units_named(self, tmp_path, capsys):
         # 1e308 m over a 0.5 m pad side is inf pad sides; the config key is

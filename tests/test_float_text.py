@@ -29,14 +29,15 @@ assert REPLAY_COLUMNS[-FLOATS:] == ("u_hat", "v_hat", "w_hat", "h_hat", "e_x", "
 def replay_text(path: Path, values: np.ndarray) -> tuple[str, str]:
     """The replay CSV write_replay_csv writes with values in its float
     columns, FLOATS to a row, the last row padded with 0.0; and the same
-    file spelled with repr."""
+    file spelled with repr, each row's `frame` its number."""
     floats = np.zeros(-(-len(values) // FLOATS) * FLOATS)
     floats[: len(values)] = values
     rows = np.zeros((len(floats) // FLOATS, len(REPLAY_COLUMNS)))
     rows[:, -FLOATS:] = floats.reshape(-1, FLOATS)
     write_replay_csv(rows, path)
     cells = list(map(repr, floats.tolist()))
-    lines = ["0,,0," + ",".join(cells[i : i + FLOATS]) + "\n" for i in range(0, len(cells), FLOATS)]
+    starts = range(0, len(cells), FLOATS)
+    lines = [f"{k},,0," + ",".join(cells[i : i + FLOATS]) + "\n" for k, i in enumerate(starts)]
     return path.read_text(), REPLAY_HEADER + "\n" + "".join(lines)
 
 

@@ -229,12 +229,16 @@ class TestRunTrial:
         run = run_trial(
             VehicleState(-86.0, 75.0, 70.0), Mode.DUAL, IDEAL, TrialConfig(), *rngs()
         )
-        assert run.frames.shape == (run.result.steps, len(RECORD_COLUMNS))
-        assert run.frames[:, COL["step"]].tolist() == list(range(run.result.steps))
+        # frame k is row k: no column holds k, and its time is k * dt
+        steps, dt = run.result.steps, IDEAL.dynamics.dt
+        assert run.frames.shape == (steps, len(RECORD_COLUMNS))
+        assert run.frames[:, COL["t"]].tolist() == [k * dt for k in range(steps)]
 
     def test_record_columns_name_each_value_once(self):
         assert len(set(RECORD_COLUMNS)) == len(RECORD_COLUMNS)
-        assert set(TRAJECTORY_COLUMNS) <= set(RECORD_COLUMNS)
+        # every trajectory column but the first, `step`, which is the row number
+        assert TRAJECTORY_COLUMNS[0] == "step" and "step" not in RECORD_COLUMNS
+        assert set(TRAJECTORY_COLUMNS[1:]) <= set(RECORD_COLUMNS)
         # the detection log's fields lead, FAR's then NEAR's, in log order
         fields = ("u", "v", "w", "h", "confidence")
         assert RECORD_COLUMNS[:LOG_STRIDE] == tuple(
@@ -242,7 +246,7 @@ class TestRunTrial:
             + [f"{f}_near" for f in fields] + ["near_present"]
         )
         # then every trajectory column the log does not hold, in header order
-        own = [c for c in TRAJECTORY_COLUMNS if c not in RECORD_COLUMNS[:LOG_STRIDE]]
+        own = [c for c in TRAJECTORY_COLUMNS[1:] if c not in RECORD_COLUMNS[:LOG_STRIDE]]
         assert list(RECORD_COLUMNS[LOG_STRIDE:]) == own
 
     def test_records_hold_each_frames_detections(self):
@@ -313,7 +317,7 @@ class TestPerceive:
         code, lost, cells, cmd = perceive(Detection(box, 0.9), ABSENT, GateState(), cam, gains)
         err = compute_errors(box, cam, gains)  # a window of one box is that box
         assert (code, lost) == (1.0, False)
-        assert cells == (*box, *err) and len(cells) == len(REPLAY_COLUMNS) - 3
+        assert cells == (*box, *err) and len(cells) == len(REPLAY_COLUMNS) - 2
         assert cmd == compute_command(err, gains)
 
 
@@ -339,8 +343,7 @@ class TestReplayLog:
         replay = replay_log(run.frames[:, :LOG_STRIDE], scenario)
         col = {name: replay[:, i] for i, name in enumerate(REPLAY_COLUMNS)}
         steps = run.result.steps
-        assert replay.shape == (steps, len(REPLAY_COLUMNS))
-        assert col["frame"].tolist() == list(range(steps))
+        assert replay.shape == (steps, len(REPLAY_COLUMNS))  # frame k is row k
         for name in ("selected", "u_hat", "v_hat", "e_x", "e_y", "A", "e_z"):
             assert col[name].tobytes() == run.frames[:, COL[name]].tobytes(), name
         # the trajectory has no w_hat, h_hat; its A is their product
@@ -734,13 +737,13 @@ class TestConfigValidation:
 
     def test_worst_case_frame_memory_bounded(self):
         # each bound alone passes, but not their product: MAX_TRIALS trials of
-        # every mode may hold MAX_FRAME_BYTES of 216 B frames, 10,604 steps each
+        # every mode may hold MAX_FRAME_BYTES of 208 B frames, 11,012 steps each
         n = harness.MAX_TRIALS
         fits = harness.MAX_FRAME_BYTES // (n * len(Mode) * len(RECORD_COLUMNS) * 8)
-        assert fits == 10_604 and TrialConfig(n_trials=n, max_steps=fits).max_steps == fits
-        with pytest.raises(ValueError, match=r"^max_steps: .* \(got 10000 \* 3 \* 10605 frames, "):
+        assert fits == 11_012 and TrialConfig(n_trials=n, max_steps=fits).max_steps == fits
+        with pytest.raises(ValueError, match=r"^max_steps: .* \(got 10000 \* 3 \* 11013 frames, "):
             TrialConfig(n_trials=n, max_steps=fits + 1)
-        with pytest.raises(ValueError, match=r"648000000000 B\)$"):
+        with pytest.raises(ValueError, match=r"624000000000 B\)$"):
             TrialConfig(n_trials=n, max_steps=harness.MAX_STEPS)
 
     def test_scenario_gate_invariants(self):

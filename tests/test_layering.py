@@ -243,6 +243,59 @@ def test_trial_and_replay_pack_each_frame_in_one_loop():
         assert len(loops) == 1, name  # a comprehension's `for` is not a statement
 
 
+def loop_counters(target: ast.AST, iterable: ast.AST) -> set[str]:
+    """The names a `for target in iterable` binds to a counter: the items of
+    a `range`, iterated or zipped, and the index of an `enumerate`."""
+
+    def called(name: str) -> bool:
+        return isinstance(iterable, ast.Call) and getattr(iterable.func, "id", None) == name
+
+    def names(node: ast.AST) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    if called("range"):
+        return names(target)
+    if called("enumerate") and isinstance(target, ast.Tuple):
+        index, item = target.elts
+        return names(index) | loop_counters(item, iterable.args[0])
+    if called("zip") and isinstance(target, ast.Tuple):
+        return set().union(*map(loop_counters, target.elts, iterable.args))
+    return set()
+
+
+def test_no_layout_stores_a_frame_number():
+    # frame k is row k of every record, log and replay array, and reporting
+    # writes each CSV's first column (`step` or `frame`) as the row's number:
+    # no layout holds that column, and neither frame loop packs its counter
+    from padland.harness import RECORD_COLUMNS, REPLAY_COLUMNS, REPLAY_HEADER, TRAJECTORY_HEADER
+    from padland.reporting import LOG_HEADER
+
+    numbers = {header.split(",")[0] for header in (TRAJECTORY_HEADER, REPLAY_HEADER, LOG_HEADER)}
+    assert numbers == {"step", "frame"}
+    assert not numbers & {*RECORD_COLUMNS, *REPLAY_COLUMNS}
+    assert REPLAY_COLUMNS == tuple(REPLAY_HEADER.split(",")[1:])
+
+    def counters(source: str) -> set[str]:
+        loop = ast.parse(source).body[0]
+        return loop_counters(loop.target, loop.iter)
+
+    # the reader finds counters at all
+    assert counters("for k, (a, b) in zip(range(n), c): pass") == {"k"}
+    assert counters("for k, (i, a) in zip(c, enumerate(d)): pass") == {"i"}
+    assert counters("for t, a in zip((k * dt for k in range(n)), c): pass") == set()
+    tree = ast.parse((SRC / "harness.py").read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("run_trial", "replay_log"):
+        (loop,) = [n for n in ast.walk(functions[name]) if isinstance(n, ast.For)]
+        (pack,) = [
+            n for n in ast.walk(loop) if isinstance(n, ast.Call)
+            and "pack" in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+        ]
+        packed = {n.id for arg in pack.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+        assert "code" in packed, name  # the reader finds the pack call's arguments at all
+        assert not packed & loop_counters(loop.target, loop.iter), name
+
+
 def test_perceive_is_the_one_home_of_the_no_box_rule():
     # perceive returns a frame's eight cells, one shared all-NaN tuple when
     # there is no smoothed box, so neither loop works out for itself what

@@ -10,18 +10,20 @@ import numpy as np
 import pytest
 
 from padland.cli import main
+from padland.geometry import VehicleState
 from padland.harness import (
     LOG_STRIDE,
     RECORD_COLUMNS,
     REPLAY_COLUMNS,
     REPLAY_HEADER,
-    TRAJECTORY_COLUMNS,
     TRAJECTORY_HEADER,
     Mode,
     Scenario,
     TerminationReason,
     TrialConfig,
+    replay_log,
     run_campaign,
+    run_trial,
 )
 from padland.reporting import (
     LOG_HEADER,
@@ -202,7 +204,7 @@ def _synthetic_rows(n: int, names: tuple[str, ...]) -> np.ndarray:
     rng = np.random.default_rng(n)
     k = np.arange(n)
     cols = {name: rng.uniform(-500.0, 500.0, n) for name in dict.fromkeys(RECORD_COLUMNS + names)}
-    cols.update(step=k, frame=k, selected=k % 3, tracking_lost=k % 7 == 6)
+    cols.update(selected=k % 3, tracking_lost=k % 7 == 6)
     square = k % 4 != 3  # as clamp_box leaves every box it does not clip
     if "h_hat" in names:
         cols["h_hat"] = np.where(square, cols["w_hat"], cols["h_hat"])
@@ -220,17 +222,20 @@ def _synthetic_rows(n: int, names: tuple[str, ...]) -> np.ndarray:
 
 def _cell(name: str, x: float) -> str:
     """One cell as the CSVs spell it, formatted on its own."""
-    if name in ("step", "frame", "far_present", "near_present", "tracking_lost"):
+    if name in ("far_present", "near_present", "tracking_lost"):
         return str(int(x))
     if name == "selected":
         return ("", "FAR", "NEAR")[int(x)]
     return "" if name in _BLANK_NAMES and math.isnan(x) else repr(x)
 
 
-def _oracle_table(header: str, rows: np.ndarray, names, columns) -> str:
+def _oracle_table(header: str, rows: np.ndarray, names) -> str:
+    """The CSV of rows, whose columns are names: row k's line is k, then
+    the header's other columns by name."""
     lines = [header]
-    for row in rows.tolist():
-        lines.append(",".join(_cell(name, row[names.index(name)]) for name in columns))
+    for k, row in enumerate(rows.tolist()):
+        cells = [_cell(name, row[names.index(name)]) for name in header.split(",")[1:]]
+        lines.append(",".join([str(k), *cells]))
     return "\n".join(lines) + "\n"
 
 
@@ -250,7 +255,7 @@ def test_block_writers_match_a_row_by_row_formatter(tmp_path, n):
     frames = _synthetic_rows(n, RECORD_COLUMNS)
     write_trial_csvs(frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
     write_detection_log(frames, tmp_path / "own_log.csv")
-    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS, TRAJECTORY_COLUMNS)
+    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS)
     assert (tmp_path / "trajectory.csv").read_text() == trajectory
     assert (tmp_path / "log.csv").read_text() == _oracle_log(frames)
     assert (tmp_path / "own_log.csv").read_text() == _oracle_log(frames)
@@ -259,8 +264,30 @@ def test_block_writers_match_a_row_by_row_formatter(tmp_path, n):
 
     replay = _synthetic_rows(n, REPLAY_COLUMNS)
     write_replay_csv(replay, tmp_path / "replay.csv")
-    expected = _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, REPLAY_COLUMNS)
+    expected = _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS)
     assert (tmp_path / "replay.csv").read_text() == expected
+
+
+def test_a_slice_of_frames_is_numbered_from_its_first_row(tmp_path):
+    # frame k is row k of the array written: a slice's trajectory `step`,
+    # detection log `frame` and replay `frame` all count from 0, beside the
+    # whole run's other cells for those frames
+    scenario = Scenario()
+    rngs = np.random.default_rng(1), np.random.default_rng(2)
+    run = run_trial(VehicleState(-86.0, 80.0, 90.0), Mode.DUAL, scenario, TrialConfig(), *rngs)
+    replay = replay_log(run.frames[:, :LOG_STRIDE], scenario)
+    write_trial_csvs(run.frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
+    write_trial_csvs(run.frames[5:8], tmp_path / "trajectory_5.csv", tmp_path / "log_5.csv")
+    write_replay_csv(replay, tmp_path / "replay.csv")
+    write_replay_csv(replay[5:8], tmp_path / "replay_5.csv")
+
+    def lines(name: str) -> list[list[str]]:  # after the header, split at the first ","
+        return [line.split(",", 1) for line in (tmp_path / name).read_text().splitlines()[1:]]
+
+    for name, per_frame in (("trajectory", 1), ("log", 2), ("replay", 1)):  # a log has 2 records
+        whole, part = lines(f"{name}.csv"), lines(f"{name}_5.csv")
+        assert [number for number, _ in part] == [str(k) for k in range(3) for _ in range(per_frame)]
+        assert [rest for _, rest in part] == [rest for _, rest in whole[5 * per_frame : 8 * per_frame]]
 
 
 def test_a_height_is_spelled_from_its_own_double(tmp_path):
@@ -282,8 +309,8 @@ def test_a_height_is_spelled_from_its_own_double(tmp_path):
     replay[:, REPLAY_COLUMNS.index("h_hat")] = heights
     write_replay_csv(replay, tmp_path / "replay.csv")
     text = (tmp_path / "replay.csv").read_text()
-    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, REPLAY_COLUMNS)
-    i = REPLAY_COLUMNS.index("w_hat")
+    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS)
+    i = REPLAY_HEADER.split(",").index("w_hat")
     cells = [line.split(",")[i : i + 2] for line in text.splitlines()[1:]]
     assert cells == [["24.5", "24.5"], ["30.0", "12.25"], ["0.0", "-0.0"], ["-0.0", "0.0"]]
 
@@ -295,9 +322,8 @@ def test_odd_cells_of_every_kind_match_a_row_by_row_formatter(tmp_path):
     # NaN blanks, negative zeros and negative integers, in one block of
     # every column kind
     replay = _synthetic_rows(6, REPLAY_COLUMNS)
-    replay[:, REPLAY_COLUMNS.index("frame")] = [3.0, 1e17, -2.0, 2.7, -0.5, 9999999999999999.0]
     replay[:, REPLAY_COLUMNS.index("selected")] = [0.0, 1.0, 2.0, 1.5, -1.0, -0.0]
-    replay[:, REPLAY_COLUMNS.index("tracking_lost")] = [0.0, 1.0, 1e16, -1.0, 0.0, 1.0]
+    replay[:, REPLAY_COLUMNS.index("tracking_lost")] = [1e16, 1e17, -1.0, 2.7, -0.5, 9999999999999999.0]
     replay[:, REPLAY_COLUMNS.index("u_hat") :] = [
         [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, -1e-4],
         [2.0**-1022, 1.5e300, 0.0001, 123.0, -0.0, math.nan, math.nan, 1e22],
@@ -306,20 +332,19 @@ def test_odd_cells_of_every_kind_match_a_row_by_row_formatter(tmp_path):
     ]
     write_replay_csv(replay, tmp_path / "replay.csv")
     text = (tmp_path / "replay.csv").read_text()
-    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, REPLAY_COLUMNS)
+    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS)
     assert text.splitlines()[1:4] == [
-        "3,,0,,inf,-inf,-0.0,5e-324,1e+16,1e-05,-0.0001",
-        "100000000000000000,FAR,1,2.2250738585072014e-308,1.5e+300,0.0001,123.0,-0.0,,,1e+22",
-        "-2,NEAR,10000000000000000,1.0,-2.5,1000000000000000.0,9999999999999998.0,0.1,"
-        "0.3333333333333333,-1e-300,",
+        "0,,10000000000000000,,inf,-inf,-0.0,5e-324,1e+16,1e-05,-0.0001",
+        "1,FAR,100000000000000000,2.2250738585072014e-308,1.5e+300,0.0001,123.0,-0.0,,,1e+22",
+        "2,NEAR,-1,1.0,-2.5,1000000000000000.0,9999999999999998.0,0.1,0.3333333333333333,-1e-300,",
     ]
 
     frames = _synthetic_rows(6, RECORD_COLUMNS)
     frames[:, RECORD_COLUMNS.index("far_present")] = 1.0
     frames[:, RECORD_COLUMNS.index("u_far")] = [math.inf, -0.0, 1e-7, 5e-324, 1e16, -123.25]
     frames[:, RECORD_COLUMNS.index("t")] = [math.nan, 1e300, -1e-300, 0.05, 0.0, -0.0]
-    frames[:, RECORD_COLUMNS.index("step")] = [0.0, -3.0, 1e20, 5.9, 12.0, 7.0]
+    frames[:, RECORD_COLUMNS.index("near_present")] = [0.0, -3.0, 1e20, 5.9, 12.0, 7.0]
     write_trial_csvs(frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
-    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS, TRAJECTORY_COLUMNS)
+    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS)
     assert (tmp_path / "trajectory.csv").read_text() == trajectory
     assert (tmp_path / "log.csv").read_text() == _oracle_log(frames)
