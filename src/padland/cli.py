@@ -48,7 +48,7 @@ def cmd_run(args) -> int:
         n_workers=args.workers,
     )
     write_campaign_outputs(campaign, out)
-    print((out / "comparison.txt").read_text(), end="")
+    print((out / "comparison.txt").read_text(encoding="utf-8"), end="")
     print(f"outputs written to {out}")
     return 0
 
@@ -84,7 +84,7 @@ def cmd_validate_config(args) -> int:
 
 def cmd_init_config(args) -> int:
     path = Path(args.out)
-    path.write_text(json.dumps(default_config(), indent=2) + "\n")
+    path.write_text(json.dumps(default_config(), indent=2) + "\n", encoding="utf-8")
     print(f"default config written to {path}")
     return 0
 

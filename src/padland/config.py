@@ -204,7 +204,7 @@ def read_text(path: str | Path, what: str, error: type[ValueError] = ConfigError
     when it is missing, a directory or not text."""
     p = Path(path)
     try:
-        return p.read_text()
+        return p.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise error(f"{what} not found: {p}") from None
     except IsADirectoryError:

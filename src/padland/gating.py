@@ -105,11 +105,8 @@ def select_expert(
     elif box_far is None:
         far_won = False
     else:
-        # l1_center_distance of each, inlined: this runs once per frame
-        cx = cam.cx
-        cy = cam.cy
-        d_far = abs(box_far.u - cx) + abs(box_far.v - cy)
-        d_near = abs(box_near.u - cx) + abs(box_near.v - cy)
+        d_far = l1_center_distance(box_far, cam)
+        d_near = l1_center_distance(box_near, cam)
         if d_far < d_near:
             far_won = True
         elif d_near < d_far:

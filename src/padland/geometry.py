@@ -247,15 +247,13 @@ def project_helipad(
 ) -> BoundingBox | None:
     """Ground-truth image box of the pad as seen from `state`.
 
-    u = c_x + f * (x_pad - x_vehicle) / z, same for v; w = h = f * D / z,
-    clipped to the frame via clamp_box. Returns None when the footprint is
-    entirely out of view (no detector could report it).
+    u = c_x + f * (x_pad - x_vehicle) / z, same for v; w = h =
+    apparent_width, clipped to the frame via clamp_box. Returns None when
+    the footprint is entirely out of view (no detector could report it).
     """
+    side = apparent_width(state, pad, cam)  # raises first when z <= 0
     z = state.z
-    if z <= 0:
-        raise ValueError(f"camera at or below ground (z = {z})")
     f = cam.focal_length
     u = cam.cx + f * (pad.x - state.x) / z
     v = cam.cy + f * (pad.y - state.y) / z
-    side = f * pad.side_length / z
     return clamp_box(tuple.__new__(BoundingBox, (u, v, side, side)), cam)

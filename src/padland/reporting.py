@@ -433,7 +433,7 @@ def read_detection_log(path: str | Path) -> np.ndarray:
     has no size to bound its records by, and is read as one text at once."""
     try:
         if stat.S_ISREG((info := os.stat(path)).st_mode):
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 lines = _lines(f)
                 if next(lines, "").strip() == LOG_HEADER:
                     log = _read_columns(filter(str.strip, lines), info.st_size)
@@ -646,9 +646,11 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
     comparison = compare_modes({m: campaign.results(m) for m in campaign.runs})
     summary = campaign_summary(campaign, comparison)
     (out / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n"
+        json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    (out / "comparison.txt").write_text(format_comparison_table(comparison) + "\n")
+    (out / "comparison.txt").write_text(
+        format_comparison_table(comparison) + "\n", encoding="utf-8"
+    )
     return summary
 
 

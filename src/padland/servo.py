@@ -77,9 +77,10 @@ class VelocityCommand(NamedTuple):
 
 def compute_errors(box: BoundingBox, cam: CameraModel, gains: ControllerGains) -> ErrorSignals:
     """Image-plane alignment errors and the area-based descent error."""
-    u, v, w, h = box
-    area = w * h
-    return tuple.__new__(ErrorSignals, (cam.cx - u, cam.cy - v, area, gains.area_ref - area))
+    area = box.area
+    return tuple.__new__(
+        ErrorSignals, (cam.cx - box.u, cam.cy - box.v, area, gains.area_ref - area)
+    )
 
 
 def compute_command(err: ErrorSignals, gains: ControllerGains) -> VelocityCommand:

@@ -111,6 +111,12 @@ class TestConfig:
         assert build_campaign(default_config()) == CampaignSpec(Scenario(), TrialConfig(), tuple(Mode))
         assert config_doc(CampaignSpec()) == default_config()
 
+    def test_whole_float_read_as_an_int(self):
+        doc = default_config()
+        doc["trials"]["n_trials"] = 4.0
+        n_trials = build_campaign(doc).trials.n_trials
+        assert n_trials == 4 and type(n_trials) is int
+
     def test_distractor_offset_converted_to_pad_units(self):
         spec = build_campaign(default_config())
         assert spec.scenario.far_profile.distractor_offset_pads[0] == pytest.approx(25.0 / 12.0)
@@ -933,11 +939,37 @@ class TestCliInitConfig:
 
 class TestModuleEntryPoint:
     @staticmethod
-    def padland(*argv):
+    def padland(*argv, **env):
         return subprocess.run(
-            [sys.executable, "-m", "padland", *argv], cwd=ROOT, capture_output=True, text=True,
-            timeout=60, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+            [sys.executable, "-m", "padland", *argv], cwd=ROOT, capture_output=True,
+            encoding="utf-8", timeout=60,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src"), **env},
         )
+
+    @pytest.mark.parametrize("command", ["validate-config", "replay"])
+    def test_inputs_are_read_as_utf8_in_any_locale(self, tmp_path, command):
+        # in the C locale, with neither its coercion nor UTF-8 mode, Python's
+        # default encoding is ASCII; stderr is kept UTF-8 to read the message
+        c_locale = dict(
+            LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0", PYTHONIOENCODING="utf-8"
+        )
+        config = tmp_path / "config.json"
+        doc = {**default_config(), "xé": 1} if command == "validate-config" else default_config()
+        config.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        log = tmp_path / "log.csv"
+        log.write_bytes(
+            f"frame,expert,u,v,w,h,confidence,present\n0,FAR,{INSIDE}\n0,NÉAR,{INSIDE}\n".encode()
+        )
+        argv = {
+            "validate-config": ["validate-config", "--config", str(config)],
+            "replay": [
+                "replay", "--log", str(log), "--config", str(config), "--out", str(tmp_path / "o")
+            ],
+        }[command]
+        done = self.padland(*argv, **c_locale)
+        assert done.returncode == 2
+        named = {"validate-config": "unknown key: xé\n", "replay": f"{log}: line 3: "}[command]
+        assert done.stderr.startswith("error: ") and named in done.stderr, done.stderr
 
     def test_python_dash_m_runs_the_cli(self, tmp_path):
         done = self.padland("validate-config", "--config", "configs/default.json")

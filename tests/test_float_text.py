@@ -14,6 +14,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,19 @@ def replay_text(path: Path, values: np.ndarray) -> tuple[str, str]:
     return path.read_text(), REPLAY_HEADER + "\n" + "".join(lines)
 
 
+def assert_same_text(text: str, expected: str) -> None:
+    """text == expected, or fail naming the first line that differs. A bare
+    == on megabytes of text has pytest diff them with difflib, which takes
+    longer than the run's faulthandler_timeout."""
+    if text == expected:
+        return
+    got, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+    k = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    got_k = got[k] if k < len(got) else "end of file"
+    want_k = want[k] if k < len(want) else "end of file"
+    pytest.fail(f"line {k + 1}: written {got_k!r}, repr gives {want_k!r}", pytrace=False)
+
+
 def test_every_notation_edge_is_written_as_repr(tmp_path):
     powers = np.ldexp(1.0, np.arange(-1074, 1024))
     tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
@@ -53,7 +67,7 @@ def test_every_notation_edge_is_written_as_repr(tmp_path):
         tens, np.nextafter(tens, 0.0), np.nextafter(tens, math.inf), tens * 0.5,
     ])
     text, expected = replay_text(tmp_path / "replay.csv", values[np.isfinite(values)])
-    assert text == expected
+    assert_same_text(text, expected)
 
 
 def seeded_doubles(seed: int, n: int, low: int, high: int) -> np.ndarray:
@@ -71,7 +85,7 @@ def test_a_million_seeded_doubles_are_written_as_repr(tmp_path):
     # scientific notation, on either side
     values = seeded_doubles(2018, 1_000_000, -15, 54)
     text, expected = replay_text(tmp_path / "replay.csv", values)
-    assert text == expected
+    assert_same_text(text, expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -80,7 +94,7 @@ def test_any_finite_double_is_written_as_repr(tmp_path_factory, patterns):
     values = np.array(patterns, np.uint64).view(np.float64)
     path = tmp_path_factory.getbasetemp() / "bits.csv"
     text, expected = replay_text(path, values[np.isfinite(values)])
-    assert text == expected
+    assert_same_text(text, expected)
 
 
 @settings(max_examples=100, deadline=None)

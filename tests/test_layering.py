@@ -34,10 +34,10 @@ def imports(module: str) -> dict[str, set[str]]:
     return found
 
 
-def calls(module: str) -> set[str]:
-    """The names that module calls, as `f(...)` or `x.f(...)`."""
+def calls(tree: ast.AST) -> set[str]:
+    """The names that tree calls, as `f(...)` or `x.f(...)`."""
     found = set()
-    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             found.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None))
@@ -84,7 +84,7 @@ FILE_WRITERS = {"write_text", "write_bytes", "mkdir", "open"}
 def test_only_reporting_and_cli_write_files(module):
     # reporting writes every output format and cli the files its subcommands
     # name; every other module only computes, reading through config.read_text
-    assert not calls(module) & FILE_WRITERS
+    assert not calls(ast.parse((SRC / f"{module}.py").read_text())) & FILE_WRITERS
 
 
 # the classes whose fields geometry.check_fields checks, by module
@@ -385,3 +385,37 @@ def test_version_has_one_source():
     assert project["project"]["dynamic"] == ["version"]
     dynamic = project["tool"]["setuptools"]["dynamic"]
     assert dynamic["version"] == {"attr": "padland.__version__"}
+
+
+def function(module: str, name: str) -> ast.FunctionDef:
+    """The top-level function name of module's source."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
+def test_each_frame_path_formula_has_one_home():
+    # the gate's L1 distance, the pad's apparent width f * D / z and a box's
+    # area each have one function, which the frame path calls, not a copy
+    def read(node: ast.AST) -> set[str]:
+        """The names and attributes node reads."""
+        return {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+        }
+
+    gate = function("gating", "select_expert")
+    assert {"box_far", "box_near", "last_selected"} <= read(gate)  # the reader finds reads at all
+    assert "l1_center_distance" in calls(gate)
+    assert not read(gate) & {"cx", "cy"}
+    project = function("geometry", "project_helipad")
+    assert "apparent_width" in calls(project)
+    assert "side_length" not in read(project)
+    errors = function("servo", "compute_errors")
+    assert "area" in read(errors)
+    products = [
+        ast.unparse(n) for n in ast.walk(errors)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+        and read(n) & {"box", "u", "v", "w", "h"}  # the box, or a field unpacked from it
+    ]
+    assert products == []

@@ -59,6 +59,10 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([], [])
 
+    def test_unpaired_lists_raise(self):
+        with pytest.raises(ValueError, match="must be paired"):
+            summarize([1.0, 3.0], [True])
+
 
 class TestWilcoxonExamples:
     def test_three_positive_differences(self):
@@ -268,6 +272,10 @@ class TestCompareModes:
                     Mode.FAR_ONLY: [make_result(0, 1.0), make_result(1, 2.0)],
                 }
             )
+
+    def test_no_modes_rejected(self):
+        with pytest.raises(ValueError, match="no results to compare"):
+            compare_modes({})
 
     def test_unpaired_initial_states_rejected(self):
         with pytest.raises(ValueError, match="unpaired"):
