@@ -2,10 +2,11 @@
 
 The detection log stores every raw expert output. replay_log feeds it
 back through a fresh gate and the same per-frame step the trial ran
-(harness.perceive), so it reproduces the original selections, smoothed
-box centers and servo errors bit for bit. This is the path for running
-the gating and servo error computation over real recorded detector
-outputs instead of the synthetic models.
+(harness.perceive), so it reproduces the original selections and
+smoothed boxes bit for bit, and with them the servo errors that the
+trajectory and replay CSVs derive from each box. This is the path for
+running the gating and servo error computation over real recorded
+detector outputs instead of the synthetic models.
 """
 
 import tempfile
@@ -43,7 +44,7 @@ with tempfile.TemporaryDirectory() as tmp:
     replayed = replay_log(read_detection_log(log_path), scenario)
 
 # compared as bytes, so the NaN blanks of untracked frames match too
-compared = ("selected", "u_hat", "v_hat", "e_x", "e_y", "A", "e_z")
+compared = ("selected", "u_hat", "v_hat", "w_hat", "h_hat")
 identical = all(
     replayed[:, REPLAY_COLUMNS.index(name)].tobytes()
     == run.frames[:, RECORD_COLUMNS.index(name)].tobytes()

@@ -62,7 +62,7 @@ def cmd_replay(args) -> int:
         replayed = replay_log(log, scenario)
     except DetectionLogError as exc:  # name the log, as read_detection_log's errors do
         raise DetectionLogError(f"{args.log}: {exc}") from None
-    write_replay_csv(replayed, out_path)
+    write_replay_csv(replayed, scenario, out_path)
     print(f"replayed {len(log)} frames -> {out_path}")
     return 0
 

@@ -16,7 +16,7 @@ import sys
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -73,9 +73,9 @@ class TerminationReason(Enum):
     TIMEOUT = "timeout"
 
 
-# a campaign holds every trial's frames until they are written: ~0.7 MB
-# per trial over three modes by default, at most MAX_STEPS frames of 208 B
-# (20.8 MB) per trial and mode, and at most MAX_FRAME_BYTES (64 GiB) over
+# a campaign holds every trial's frames until they are written: ~0.6 MB
+# per trial over three modes by default, at most MAX_STEPS frames of 184 B
+# (18.4 MB) per trial and mode, and at most MAX_FRAME_BYTES (64 GiB) over
 # n_trials trials of every mode
 MAX_TRIALS = 10_000
 MAX_STEPS = 100_000
@@ -166,24 +166,31 @@ TRAJECTORY_HEADER = (
     "selected,u_hat,v_hat,e_x,e_y,A,e_z,vx_cmd,vy_cmd,vz_cmd"
 )
 TRAJECTORY_COLUMNS = tuple(TRAJECTORY_HEADER.split(","))
-# one frame's record: the detection log's fields (u, v, w, h, confidence,
-# present of FAR, then of NEAR), then the trajectory's own columns but
-# `step` in TRAJECTORY_HEADER order. Frame k is row k of a record array and
-# of a detection log's array (its first LOG_STRIDE columns), so no layout
-# stores k: each CSV's first column (`step`, `frame`) is its row number.
+# Frame k is row k of a record array and of a detection log's array (its
+# first LOG_STRIDE columns), so no layout stores k: each CSV's first column
+# (`step`, `frame`) is its row number. Nor does a layout store what follows
+# from the rest: the writers derive `t`, the row number times dynamics.dt,
+# and the servo errors, servo.compute_errors of the smoothed box.
+DERIVED_COLUMNS = ("t", "e_x", "e_y", "A", "e_z")  # `t`, then ErrorSignals' fields in order
 _LOG_COLUMNS = tuple(
     "u_far,v_far,w_far,h_far,confidence_far,far_present,"
     "u_near,v_near,w_near,h_near,confidence_near,near_present".split(",")
 )
 LOG_STRIDE = len(_LOG_COLUMNS)  # FAR's fields, then NEAR's
 LOG_FIELDS = LOG_STRIDE // 2  # u, v, w, h, confidence, present of one expert
-RECORD_COLUMNS = _LOG_COLUMNS + tuple(c for c in TRAJECTORY_COLUMNS[1:] if c not in _LOG_COLUMNS)
+BOX_COLUMNS = ("u_hat", "v_hat", "w_hat", "h_hat")  # the smoothed box, as BoundingBox
+# one frame's record: the detection log's fields (u, v, w, h, confidence,
+# present of FAR, then of NEAR), the position, `selected`, the smoothed box
+# and the command
+RECORD_COLUMNS = (
+    *_LOG_COLUMNS, "x", "y", "z", "selected", *BOX_COLUMNS, "vx_cmd", "vy_cmd", "vz_cmd"
+)
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTED = RECORD_COLUMNS.index("selected")
 REPLAY_HEADER = "frame,selected,tracking_lost,u_hat,v_hat,w_hat,h_hat,e_x,e_y,A,e_z"
-REPLAY_COLUMNS = tuple(REPLAY_HEADER.split(",")[1:])
-_BLANKS = (float("nan"),) * 8  # perceive's cells without a smoothed box
+REPLAY_COLUMNS = ("selected", "tracking_lost", *BOX_COLUMNS)
+_BLANKS = (float("nan"),) * len(BOX_COLUMNS)  # perceive's cells without a smoothed box
 _HOLD = VelocityCommand(0.0, 0.0, 0.0)
 # one frame's row as packed float64s: each loop appends one per frame to a bytearray
 _RECORD_ROW = struct.Struct(f"{len(RECORD_COLUMNS)}d")
@@ -195,12 +202,14 @@ class TrialRun:
     """A finished trial plus its per-frame records.
 
     `frames` is a (steps, len(RECORD_COLUMNS)) float64 view of the bytearray
-    run_trial packs row k for frame k, in RECORD_COLUMNS order (a run
-    computed in a pool worker arrives viewing the buffer it was unpickled
-    from instead): the first LOG_STRIDE columns are the detection log,
-    blank cells (no smoothed box) are NaN and `selected` holds a code into
-    SELECTION_LABELS. Runs compare by identity; compare records with
-    `.tobytes()`, since NaN blanks never compare equal.
+    run_trial packs row k for frame k, in RECORD_COLUMNS order, 184 B a
+    frame (a run computed in a pool worker arrives viewing the buffer it
+    was unpickled from instead): the first LOG_STRIDE columns are the
+    detection log, the smoothed box's cells are NaN (blank) on a frame
+    without one and `selected` holds a code into SELECTION_LABELS. It holds
+    no DERIVED_COLUMNS: the writers derive `t` and the servo errors (see
+    reporting.write_trial_csvs). Runs compare by identity; compare records
+    with `.tobytes()`, since NaN blanks never compare equal.
     """
 
     result: TrialResult
@@ -229,16 +238,16 @@ def perceive(
     gains: ControllerGains,
 ) -> tuple[float, bool, tuple[float, ...], VelocityCommand]:
     """Gate, smooth and servo one frame, mutating gate: the `selected` code
-    into SELECTION_LABELS, tracking lost, the frame's eight cells and the
-    command. The cells are the smoothed box's u, v, w, h, then the servo
-    errors e_x, e_y, A, e_z, as replay records them; without a smoothed
-    box they are all NaN (blank) and the command holds."""
+    into SELECTION_LABELS, tracking lost, the frame's four cells and the
+    command. The cells are the smoothed box's u, v, w, h (BOX_COLUMNS);
+    without a smoothed box they are all NaN (blank) and the command holds.
+    The servo errors the command is computed from are not returned: a
+    writer derives them from the cells again."""
     sb, selected, lost = select_expert(det_far, det_near, gate, cam)
     code = 0.0 if selected is None else 1.0 if selected is _FAR else 2.0
     if sb is None:
         return code, lost, _BLANKS, _HOLD
-    err = compute_errors(sb, cam, gains)
-    return code, lost, sb + err, compute_command(err, gains)
+    return code, lost, sb, compute_command(compute_errors(sb, cam, gains), gains)
 
 
 def run_trial(
@@ -264,7 +273,6 @@ def run_trial(
     near_profile = scenario.near_profile
     gains = scenario.gains
     dynamics = scenario.dynamics
-    dt = dynamics.dt
     commit_altitude = config.commit_altitude
     gate = GateState(window_size=scenario.window_size, coast_limit=scenario.coast_limit)
 
@@ -279,9 +287,7 @@ def run_trial(
     far_rows = noise_rows(rng_far) if run_far else repeat(None)
     near_rows = noise_rows(rng_near) if run_near else repeat(None)
 
-    # each frame's time comes first, so zip draws no noise row past the last frame
-    times = (k * dt for k in range(config.max_steps))
-    for t, noise_far, noise_near in zip(times, far_rows, near_rows):
+    for noise_far, noise_near in islice(zip(far_rows, near_rows), config.max_steps):
         truth = project_helipad(state, pad, cam)
         if truth is None:
             det_far = det_near = ABSENT
@@ -303,12 +309,11 @@ def run_trial(
             (u_n, v_n, w_n, h_n), c_n = det_near
             p_n = 1.0
         code, lost, cells, cmd = perceive(det_far, det_near, gate, cam, gains)
-        u_hat, v_hat, _, _, e_x, e_y, area, e_z = cells
+        u_hat, v_hat, w_hat, h_hat = cells
         vx, vy, vz = cmd
         rows += pack(
             u_f, v_f, w_f, h_f, c_f, p_f, u_n, v_n, w_n, h_n, c_n, p_n,
-            t, state.x, state.y, state.z, code,
-            u_hat, v_hat, e_x, e_y, area, e_z, vx, vy, vz,
+            state.x, state.y, state.z, code, u_hat, v_hat, w_hat, h_hat, vx, vy, vz,
         )
 
         if lost:
@@ -363,8 +368,9 @@ def replay_detect(log: np.ndarray, frame_index: int) -> tuple[Detection, Detecti
 
 def replay_log(log: np.ndarray, scenario: Scenario) -> np.ndarray:
     """Feed a (frames, LOG_STRIDE) detection log through a fresh gate and
-    the servo error computation, with no dynamics; returns row k of
-    REPLAY_COLUMNS for frame k, blank cells (no smoothed box) as NaN.
+    perceive, with no dynamics; returns row k of REPLAY_COLUMNS for frame
+    k, the smoothed box's cells NaN (blank) without one. It holds no servo
+    errors: reporting.write_replay_csv derives them from the box.
 
     Raises DetectionLogError naming the first present box, in frame order
     and FAR before NEAR, that does not lie inside the camera image:
@@ -395,6 +401,7 @@ class CampaignResult:
     n_trials: int
     initial_states: list[VehicleState]
     runs: dict[Mode, list[TrialRun]]
+    scenario: Scenario  # the one every trial ran: the writers derive cells from it
     # the process pool that ran the trials, if any: kept open so that
     # writing the outputs runs on the same workers (see map), and shut
     # down when the campaign is dropped
@@ -421,7 +428,7 @@ class CampaignResult:
 # result and feeder threads need the GIL for each 64 KB pipe read or write
 # of a call's arguments or result. At the default 5 ms switch interval each
 # one waits that long behind this process's computing, and the worker at the
-# other end of the pipe blocks meanwhile; a 230 KB TrialRun takes four reads.
+# other end of the pipe blocks meanwhile; a 200 KB TrialRun takes four reads.
 _SHARED_SWITCH_INTERVAL = 1e-4
 
 
@@ -564,5 +571,6 @@ def run_campaign(
     for mode, idx, run in finished:
         runs[mode][idx] = run
     return CampaignResult(
-        seed=config.seed, n_trials=n, initial_states=initials, runs=runs, _pool=pool
+        seed=config.seed, n_trials=n, initial_states=initials, runs=runs, scenario=scenario,
+        _pool=pool,
     )

@@ -14,7 +14,9 @@ block, in numpy, and are laid out by repr's rules, the rare float repr
 writes in scientific notation is left to repr, and each file's text for
 the block is one gather of the cells' bytes and the constants between
 them. So a trial of any length holds one block of text at a time, and
-the writers add no byte that depends on the CPU numpy runs on. A
+the writers add no byte that depends on the CPU numpy runs on. The cells
+no record stores (harness.DERIVED_COLUMNS) are derived for each block
+from the cells it does (_derive). A
 detection log is streamed back, its records in any order, WRITE_BLOCK
 frames at a time, column by column, into one array; only a log that
 breaks a rule is read again as one text and walked line by line, to name
@@ -41,7 +43,10 @@ import numpy as np
 
 from .config import ConfigError, _object, _Repeated, read_text
 from .experts import ExpertId
+from .geometry import BoundingBox
 from .harness import (
+    BOX_COLUMNS,
+    DERIVED_COLUMNS,
     LOG_FIELDS,
     LOG_STRIDE,
     RECORD_COLUMNS,
@@ -52,9 +57,11 @@ from .harness import (
     CampaignResult,
     DetectionLogError,
     Mode,
+    Scenario,
     TerminationReason,
     TrialResult,
 )
+from .servo import compute_errors
 from .stats import ModeComparison, PairedComparison, compare_modes, format_comparison_table
 
 # how a column of a CSV is spelled, by name: every other column is a float
@@ -387,13 +394,33 @@ def _log(names: tuple[str, ...]):
     return block
 
 
-def _write_rows(array: np.ndarray, names: tuple[str, ...], files) -> None:
-    """Write each of files, a (path, header, block writer) triple, from the
-    first len(names) columns of array: open each file once and write its
+def _derive(rows: np.ndarray, columns: tuple[str, ...], numbers: np.ndarray,
+            scenario: Scenario) -> dict[str, np.ndarray]:
+    """The cells no layout stores, by their names in DERIVED_COLUMNS, of a
+    block of rows whose columns are columns and whose row numbers are
+    numbers: `t`, each number times dynamics.dt, and the servo errors,
+    servo.compute_errors of the smoothed box's columns as arrays (NaN, a
+    blank cell, where a row has no box). An overflow to inf is silent, as
+    it is in the scalar compute_errors."""
+    box = BoundingBox(*(rows[:, columns.index(name)] for name in BOX_COLUMNS))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = compute_errors(box, scenario.camera, scenario.gains)
+    return dict(zip(DERIVED_COLUMNS, (numbers * scenario.dynamics.dt, *errors)))
+
+
+def _write_rows(array: np.ndarray, columns: tuple[str, ...], names: tuple[str, ...], files,
+                scenario: Scenario | None = None) -> None:
+    """Write each of files, a (path, header, block writer) triple, from
+    array, whose columns are columns: open each file once and write its
     header, then spell WRITE_BLOCK rows at a time, each cell once by its
-    column's name, plus each row's number (every file's first column) last,
-    and write each file's text for them, which its block writer returns."""
+    column's name in names, plus each row's number (every file's first
+    column) last, and write each file's text for them, which its block
+    writer returns. A name that is not one of columns is derived for each
+    block from its rows and scenario (_derive)."""
     kinds = _kinds(names)
+    stored = [j for j, name in enumerate(names) if name in columns]
+    taken = [columns.index(names[j]) for j in stored]
+    derived = [j for j, name in enumerate(names) if name not in columns]
     with ExitStack() as stack:
         outs = []
         for path, header, block in files:
@@ -402,10 +429,15 @@ def _write_rows(array: np.ndarray, names: tuple[str, ...], files) -> None:
             outs.append((out, block))
         np.empty(_SCRATCH_BYTES, np.uint8)  # freed at once: see _SCRATCH_BYTES
         for start in range(0, len(array), WRITE_BLOCK):
-            rows = array[start : start + WRITE_BLOCK, : len(names)]
+            rows = array[start : start + WRITE_BLOCK]
+            numbers = np.arange(start, start + len(rows))
             values = np.empty((len(rows), len(names) + 1))
-            values[:, :-1] = rows
-            values[:, -1] = np.arange(start, start + len(rows))
+            values[:, stored] = rows[:, taken]
+            if derived:
+                found = _derive(rows, columns, numbers, scenario)
+                for j in derived:
+                    values[:, j] = found[names[j]]
+            values[:, -1] = numbers
             cells = _Cells(values, kinds)
             for out, block in outs:
                 out.writelines(block(cells))
@@ -417,7 +449,7 @@ def write_detection_log(frames: np.ndarray, path: str | Path) -> None:
     array as a detection log (floats as `repr`'s bytes, so a write/read
     round trip is value-exact)."""
     names = RECORD_COLUMNS[:LOG_STRIDE]
-    _write_rows(frames, names, [(path, LOG_HEADER, _log(names))])
+    _write_rows(frames, RECORD_COLUMNS, names, [(path, LOG_HEADER, _log(names))])
 
 
 def read_detection_log(path: str | Path) -> np.ndarray:
@@ -543,25 +575,38 @@ def _refuse(records: list[str]) -> NoReturn:
     raise DetectionLogError(f"frame {frame}: no {expert.value} record")
 
 
-def write_trial_csvs(frames: np.ndarray, trajectory_path: str | Path, log_path: str | Path) -> None:
+# the columns of a block of a trial's two CSVs: the detection log's fields,
+# then the trajectory's own columns but `step`
+_TRIAL_BLOCK = RECORD_COLUMNS[:LOG_STRIDE] + tuple(
+    c for c in TRAJECTORY_HEADER.split(",")[1:] if c not in RECORD_COLUMNS[:LOG_STRIDE]
+)
+
+
+def write_trial_csvs(frames: np.ndarray, scenario: Scenario, trajectory_path: str | Path,
+                     log_path: str | Path) -> None:
     """Write one trial's trajectory CSV and detection log from its
-    (frames, RECORD_COLUMNS) array, WRITE_BLOCK rows at a time, spelling
-    each cell of a block once for both files (floats as `repr`'s bytes:
-    round-trippable and byte-stable across identical runs; NaN blanks as
-    empty cells; `selected` as its label)."""
-    _write_rows(frames, RECORD_COLUMNS, [
-        (trajectory_path, TRAJECTORY_HEADER, _table(RECORD_COLUMNS, TRAJECTORY_HEADER)),
-        (log_path, LOG_HEADER, _log(RECORD_COLUMNS)),
-    ])
+    (frames, RECORD_COLUMNS) array and the scenario it ran, WRITE_BLOCK
+    rows at a time, spelling each cell of a block once for both files
+    (floats as `repr`'s bytes: round-trippable and byte-stable across
+    identical runs; NaN blanks as empty cells; `selected` as its label).
+    `t` is the row number times dynamics.dt, so it starts at 0 in any
+    array, as `step` does, and e_x, e_y, A and e_z are
+    servo.compute_errors of the row's smoothed box."""
+    _write_rows(frames, RECORD_COLUMNS, _TRIAL_BLOCK, [
+        (trajectory_path, TRAJECTORY_HEADER, _table(_TRIAL_BLOCK, TRAJECTORY_HEADER)),
+        (log_path, LOG_HEADER, _log(_TRIAL_BLOCK)),
+    ], scenario)
 
 
-def write_replay_csv(records: np.ndarray, path: str | Path) -> None:
-    """Write a (frames, REPLAY_COLUMNS) float array as the replay CSV:
-    `frame`, the row number, and `tracking_lost` as integers, `selected` as
-    its label in SELECTION_LABELS, NaN as an empty cell, every other float
-    as `repr`'s bytes."""
-    table = _table(REPLAY_COLUMNS, REPLAY_HEADER)
-    _write_rows(records, REPLAY_COLUMNS, [(path, REPLAY_HEADER, table)])
+def write_replay_csv(records: np.ndarray, scenario: Scenario, path: str | Path) -> None:
+    """Write a (frames, REPLAY_COLUMNS) float array, replayed with scenario,
+    as the replay CSV: `frame`, the row number, and `tracking_lost` as
+    integers, `selected` as its label in SELECTION_LABELS, NaN as an empty
+    cell, every other float as `repr`'s bytes; e_x, e_y, A and e_z are
+    servo.compute_errors of the row's smoothed box."""
+    names = tuple(REPLAY_HEADER.split(",")[1:])
+    table = _table(names, REPLAY_HEADER)
+    _write_rows(records, REPLAY_COLUMNS, names, [(path, REPLAY_HEADER, table)], scenario)
 
 
 def _log_name(trial_id: int, mode: Mode) -> str:
@@ -639,6 +684,7 @@ def write_campaign_outputs(campaign: CampaignResult, out_dir: str | Path) -> dic
     campaign.map(
         write_trial_csvs,
         [frames for frames, _ in runs],
+        repeat(campaign.scenario),
         [traj_dir / name for _, name in runs],
         [det_dir / name for _, name in runs],
     )

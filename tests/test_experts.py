@@ -840,11 +840,12 @@ def test_a_log_through_a_pipe_reads_as_the_file_does(tmp_path, broken):
 def test_shared_positions_write_the_same_bytes(tmp_path):
     # write_trial_csvs formats each column once for both files; its log must
     # be byte for byte the one write_detection_log writes alone
+    scenario = harness.Scenario()
     run = harness.run_trial(
-        VehicleState(-30.0, 20.0, 90.0), harness.Mode.NEAR_ONLY, harness.Scenario(),
+        VehicleState(-30.0, 20.0, 90.0), harness.Mode.NEAR_ONLY, scenario,
         harness.TrialConfig(max_steps=300), *[np.random.default_rng(s) for s in (3, 4)],
     )
-    write_trial_csvs(run.frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
+    write_trial_csvs(run.frames, scenario, tmp_path / "trajectory.csv", tmp_path / "log.csv")
     write_detection_log(run.frames, tmp_path / "own_log.csv")
     assert (tmp_path / "log.csv").read_bytes() == (tmp_path / "own_log.csv").read_bytes()
 

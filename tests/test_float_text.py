@@ -18,27 +18,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padland.harness import REPLAY_COLUMNS, REPLAY_HEADER
+from padland.geometry import BoundingBox
+from padland.harness import BOX_COLUMNS, REPLAY_COLUMNS, REPLAY_HEADER, Scenario
 from padland.reporting import _shortest, write_replay_csv
+from padland.servo import compute_errors
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
-FLOATS = 8  # u_hat to e_z, the replay CSV's float columns
-assert REPLAY_COLUMNS[-FLOATS:] == ("u_hat", "v_hat", "w_hat", "h_hat", "e_x", "e_y", "A", "e_z")
+FLOATS = 4  # u_hat to h_hat, the replay CSV's stored float columns
+assert REPLAY_COLUMNS[-FLOATS:] == BOX_COLUMNS == ("u_hat", "v_hat", "w_hat", "h_hat")
+SCENARIO = Scenario()
 
 
 def replay_text(path: Path, values: np.ndarray) -> tuple[str, str]:
-    """The replay CSV write_replay_csv writes with values in its float
-    columns, FLOATS to a row, the last row padded with 0.0; and the same
-    file spelled with repr, each row's `frame` its number."""
+    """The replay CSV write_replay_csv writes with values in its smoothed
+    box's columns, FLOATS to a row, the last row padded with 0.0; and the
+    same file spelled with repr, each row's `frame` its number and its
+    e_x, e_y, A and e_z the scalar compute_errors of its box."""
     floats = np.zeros(-(-len(values) // FLOATS) * FLOATS)
     floats[: len(values)] = values
     rows = np.zeros((len(floats) // FLOATS, len(REPLAY_COLUMNS)))
     rows[:, -FLOATS:] = floats.reshape(-1, FLOATS)
-    write_replay_csv(rows, path)
-    cells = list(map(repr, floats.tolist()))
-    starts = range(0, len(cells), FLOATS)
-    lines = [f"{k},,0," + ",".join(cells[i : i + FLOATS]) + "\n" for k, i in enumerate(starts)]
+    write_replay_csv(rows, SCENARIO, path)
+    cam, gains = SCENARIO.camera, SCENARIO.gains
+    lines = [
+        f"{k},,0," + ",".join(map(repr, (*box, *compute_errors(BoundingBox(*box), cam, gains))))
+        + "\n"
+        for k, box in enumerate(floats.reshape(-1, FLOATS).tolist())
+    ]
     return path.read_text(), REPLAY_HEADER + "\n" + "".join(lines)
 
 

@@ -29,6 +29,8 @@ from padland.experts import (
 from padland.gating import GateState
 from padland.geometry import BoundingBox, CameraModel, HelipadSpec, VehicleState, apparent_width
 from padland.harness import (
+    BOX_COLUMNS,
+    DERIVED_COLUMNS,
     LOG_FIELDS,
     LOG_STRIDE,
     RECORD_COLUMNS,
@@ -56,6 +58,14 @@ from padland.servo import (
 )
 
 COL = {name: i for i, name in enumerate(RECORD_COLUMNS)}
+
+
+def servo_errors(frames: np.ndarray, scenario: Scenario):
+    """The e_x, e_y, A and e_z columns the writers derive from a record's
+    smoothed box (NaN without one)."""
+    box = BoundingBox(*(frames[:, COL[name]] for name in BOX_COLUMNS))
+    return compute_errors(box, scenario.camera, scenario.gains)
+
 
 IDEAL = Scenario(
     far_profile=ExpertProfile.ideal(),
@@ -229,24 +239,27 @@ class TestRunTrial:
         run = run_trial(
             VehicleState(-86.0, 75.0, 70.0), Mode.DUAL, IDEAL, TrialConfig(), *rngs()
         )
-        # frame k is row k: no column holds k, and its time is k * dt
-        steps, dt = run.result.steps, IDEAL.dynamics.dt
-        assert run.frames.shape == (steps, len(RECORD_COLUMNS))
-        assert run.frames[:, COL["t"]].tolist() == [k * dt for k in range(steps)]
+        # frame k is row k: no column holds k, nor its time k * dt
+        assert run.frames.shape == (run.result.steps, len(RECORD_COLUMNS))
+        assert "t" not in COL
 
     def test_record_columns_name_each_value_once(self):
         assert len(set(RECORD_COLUMNS)) == len(RECORD_COLUMNS)
         # every trajectory column but the first, `step`, which is the row number
         assert TRAJECTORY_COLUMNS[0] == "step" and "step" not in RECORD_COLUMNS
-        assert set(TRAJECTORY_COLUMNS[1:]) <= set(RECORD_COLUMNS)
+        # but the cells the writers derive
+        assert set(TRAJECTORY_COLUMNS[1:]) - set(RECORD_COLUMNS) == set(DERIVED_COLUMNS)
         # the detection log's fields lead, FAR's then NEAR's, in log order
         fields = ("u", "v", "w", "h", "confidence")
         assert RECORD_COLUMNS[:LOG_STRIDE] == tuple(
             [f"{f}_far" for f in fields] + ["far_present"]
             + [f"{f}_near" for f in fields] + ["near_present"]
         )
-        # then every trajectory column the log does not hold, in header order
-        own = [c for c in TRAJECTORY_COLUMNS[1:] if c not in RECORD_COLUMNS[:LOG_STRIDE]]
+        # then every stored trajectory column the log does not hold, in
+        # header order, with the smoothed box's w and h after its u and v
+        own = [c for c in TRAJECTORY_COLUMNS[1:] if c in RECORD_COLUMNS[LOG_STRIDE:]]
+        box = own.index("v_hat") + 1
+        own[box:box] = ["w_hat", "h_hat"]
         assert list(RECORD_COLUMNS[LOG_STRIDE:]) == own
 
     def test_records_hold_each_frames_detections(self):
@@ -269,7 +282,7 @@ class TestRunTrial:
             VehicleState(-86.0, 80.0, 90.0), Mode.DUAL, Scenario(), TrialConfig(), *rngs(3)
         )
         blob = pickle.dumps(run)
-        assert len(blob) <= 230 * run.result.steps
+        assert len(blob) <= 200 * run.result.steps
         back = pickle.loads(blob)
         assert back.result == run.result
         assert back.frames.shape == run.frames.shape
@@ -281,8 +294,7 @@ class TestRunTrial:
             VehicleState(-80.0 - 20.0 / math.sqrt(2), 75.0 - 20.0 / math.sqrt(2), 70.0),
             Mode.FAR_ONLY, IDEAL, TrialConfig(), *rngs(),
         )
-        e_x = run.frames[:, COL["e_x"]]
-        e_y = run.frames[:, COL["e_y"]]
+        e_x, e_y, _, _ = servo_errors(run.frames, IDEAL)
         tracked = ~np.isnan(e_x)
         e_mag = [math.hypot(x, y) for x, y in zip(e_x[tracked].tolist(), e_y[tracked].tolist())]
         after_warmup = e_mag[5:]
@@ -296,7 +308,7 @@ class TestRunTrial:
         run = run_trial(
             VehicleState(-80.0, 75.0, 70.0), Mode.NEAR_ONLY, IDEAL, TrialConfig(), *rngs()
         )
-        e_z = run.frames[:, COL["e_z"]]
+        e_z = servo_errors(run.frames, IDEAL).e_z
         e_z = e_z[~np.isnan(e_z)].tolist()
         assert all(b <= a + 1e-9 for a, b in zip(e_z, e_z[1:]))
         assert e_z[-1] < e_z[0]
@@ -307,18 +319,19 @@ class TestPerceive:
         gate = GateState()
         code, lost, cells, cmd = perceive(ABSENT, ABSENT, gate, CameraModel(), ControllerGains())
         assert (code, lost, tuple(cmd)) == (0.0, False, (0.0, 0.0, 0.0))
-        assert len(cells) == 8 and all(map(math.isnan, cells))
+        assert len(cells) == len(BOX_COLUMNS) and all(map(math.isnan, cells))
         assert gate.coast_counter == 1
 
     def test_a_box_gives_its_cells_and_its_command(self):
-        # the cells are the smoothed box, then its servo errors, in REPLAY_COLUMNS order
+        # the cells are the smoothed box, in REPLAY_COLUMNS order; its servo
+        # errors are not among them
         cam, gains = CameraModel(), ControllerGains()
         box = BoundingBox(210.0, 230.5, 24.0, 24.0)
         code, lost, cells, cmd = perceive(Detection(box, 0.9), ABSENT, GateState(), cam, gains)
-        err = compute_errors(box, cam, gains)  # a window of one box is that box
         assert (code, lost) == (1.0, False)
-        assert cells == (*box, *err) and len(cells) == len(REPLAY_COLUMNS) - 2
-        assert cmd == compute_command(err, gains)
+        assert cells == box and len(cells) == len(REPLAY_COLUMNS) - 2
+        # a window of one box is that box
+        assert cmd == compute_command(compute_errors(box, cam, gains), gains)
 
 
 class TestReplayLog:
@@ -344,10 +357,8 @@ class TestReplayLog:
         col = {name: replay[:, i] for i, name in enumerate(REPLAY_COLUMNS)}
         steps = run.result.steps
         assert replay.shape == (steps, len(REPLAY_COLUMNS))  # frame k is row k
-        for name in ("selected", "u_hat", "v_hat", "e_x", "e_y", "A", "e_z"):
+        for name in ("selected", *BOX_COLUMNS):
             assert col[name].tobytes() == run.frames[:, COL[name]].tobytes(), name
-        # the trajectory has no w_hat, h_hat; its A is their product
-        assert np.array_equal(col["w_hat"] * col["h_hat"], col["A"], equal_nan=True)
         lost = np.zeros(steps)
         if run.result.termination_reason is TerminationReason.TRACKING_LOST:
             lost[-1] = 1.0
@@ -737,13 +748,13 @@ class TestConfigValidation:
 
     def test_worst_case_frame_memory_bounded(self):
         # each bound alone passes, but not their product: MAX_TRIALS trials of
-        # every mode may hold MAX_FRAME_BYTES of 208 B frames, 11,012 steps each
+        # every mode may hold MAX_FRAME_BYTES of 184 B frames, 12,449 steps each
         n = harness.MAX_TRIALS
         fits = harness.MAX_FRAME_BYTES // (n * len(Mode) * len(RECORD_COLUMNS) * 8)
-        assert fits == 11_012 and TrialConfig(n_trials=n, max_steps=fits).max_steps == fits
-        with pytest.raises(ValueError, match=r"^max_steps: .* \(got 10000 \* 3 \* 11013 frames, "):
+        assert fits == 12_449 and TrialConfig(n_trials=n, max_steps=fits).max_steps == fits
+        with pytest.raises(ValueError, match=r"^max_steps: .* \(got 10000 \* 3 \* 12450 frames, "):
             TrialConfig(n_trials=n, max_steps=fits + 1)
-        with pytest.raises(ValueError, match=r"624000000000 B\)$"):
+        with pytest.raises(ValueError, match=r"552000000000 B\)$"):
             TrialConfig(n_trials=n, max_steps=harness.MAX_STEPS)
 
     def test_scenario_gate_invariants(self):

@@ -267,13 +267,20 @@ def test_no_layout_stores_a_frame_number():
     # frame k is row k of every record, log and replay array, and reporting
     # writes each CSV's first column (`step` or `frame`) as the row's number:
     # no layout holds that column, and neither frame loop packs its counter
-    from padland.harness import RECORD_COLUMNS, REPLAY_COLUMNS, REPLAY_HEADER, TRAJECTORY_HEADER
+    from padland.harness import (
+        DERIVED_COLUMNS,
+        RECORD_COLUMNS,
+        REPLAY_COLUMNS,
+        REPLAY_HEADER,
+        TRAJECTORY_HEADER,
+    )
     from padland.reporting import LOG_HEADER
 
     numbers = {header.split(",")[0] for header in (TRAJECTORY_HEADER, REPLAY_HEADER, LOG_HEADER)}
     assert numbers == {"step", "frame"}
     assert not numbers & {*RECORD_COLUMNS, *REPLAY_COLUMNS}
-    assert REPLAY_COLUMNS == tuple(REPLAY_HEADER.split(",")[1:])
+    stored = tuple(c for c in REPLAY_HEADER.split(",")[1:] if c not in DERIVED_COLUMNS)
+    assert REPLAY_COLUMNS == stored
 
     def counters(source: str) -> set[str]:
         loop = ast.parse(source).body[0]
@@ -296,8 +303,36 @@ def test_no_layout_stores_a_frame_number():
         assert not packed & loop_counters(loop.target, loop.iter), name
 
 
+# what follows from a stored cell: `t` is the row number times
+# dynamics.dt, and e_x, e_y, A and e_z are servo.compute_errors of the
+# smoothed box
+DERIVED = {"t", "e_x", "e_y", "A", "e_z"}
+
+
+def test_no_layout_stores_a_derived_cell():
+    # the writers derive these cells block by block, and reporting gets the
+    # servo cells only from compute_errors: it reads none of the camera's
+    # principal point or the gains' reference area itself, and reads no
+    # box's area, width or height (so it cannot multiply them), so the
+    # formulas keep their one home in servo
+    from padland.harness import RECORD_COLUMNS, REPLAY_COLUMNS, REPLAY_HEADER, TRAJECTORY_HEADER
+
+    written = {*TRAJECTORY_HEADER.split(","), *REPLAY_HEADER.split(",")}
+    assert DERIVED <= written  # the CSVs still hold them
+    assert not DERIVED & {*RECORD_COLUMNS, *REPLAY_COLUMNS}
+    tree = ast.parse((SRC / "reporting.py").read_text())
+    attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert {"camera", "gains"} <= attributes  # the reader finds attributes at all
+    assert not attributes & {"cx", "cy", "area_ref", "area", "w", "h"}
+    called = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "compute_errors"
+    ]
+    assert len(called) == 1
+
+
 def test_perceive_is_the_one_home_of_the_no_box_rule():
-    # perceive returns a frame's eight cells, one shared all-NaN tuple when
+    # perceive returns a frame's four cells, one shared all-NaN tuple when
     # there is no smoothed box, so neither loop works out for itself what
     # such a frame records: _BLANKS is read only in perceive, and no loop
     # tests a name it unpacks from perceive's result against None

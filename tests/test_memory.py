@@ -70,7 +70,7 @@ def paths(tmp_path_factory):
 @pytest.fixture(scope="module")
 def long_trial(paths):
     # a short trial and write first, so lazy set-up falls outside the traces
-    write_trial_csvs(hovering_trial(300).frames, *paths)
+    write_trial_csvs(hovering_trial(300).frames, HOVER, *paths)
     run, peak = traced_peak(hovering_trial, STEPS)
     assert run.result.termination_reason is TerminationReason.TIMEOUT
     assert run.result.steps == STEPS
@@ -91,7 +91,7 @@ def test_write_trial_csvs_holds_one_block_of_strings(long_trial, paths):
     # which peaks near 1.12 MB, where one gather of the whole block peaked
     # near 1.58 MB
     run, _ = long_trial
-    _, peak = traced_peak(write_trial_csvs, run.frames, *paths)
+    _, peak = traced_peak(write_trial_csvs, run.frames, HOVER, *paths)
     assert peak < 1_350_000
 
 
@@ -164,8 +164,8 @@ def test_replay_log_holds_about_its_output(long_log):
 def test_write_replay_csv_holds_one_block(long_log, tmp_path):
     replay = replay_log(read_detection_log(long_log), HOVER)
     path = tmp_path / "replay.csv"
-    write_replay_csv(replay[:300], path)  # lazy set-up outside the trace
-    _, peak = traced_peak(write_replay_csv, replay, path)
+    write_replay_csv(replay[:300], HOVER, path)  # lazy set-up outside the trace
+    _, peak = traced_peak(write_replay_csv, replay, HOVER, path)
     assert len(replay) == STEPS
     assert peak < 2_000_000
 
@@ -185,9 +185,9 @@ rngs = [np.random.default_rng(seed) for seed in (1, 2)]
 config = TrialConfig(max_steps=int(sys.argv[2]))
 frames = run_trial(VehicleState(-85.0, 80.0, 70.0), Mode.DUAL, scenario, config, *rngs).frames
 paths = [f"{sys.argv[1]}/trajectory.csv", f"{sys.argv[1]}/log.csv"]
-write_trial_csvs(frames, *paths)
+write_trial_csvs(frames, scenario, *paths)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-write_trial_csvs(frames, *paths)
+write_trial_csvs(frames, scenario, *paths)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from padland.cli import main
-from padland.geometry import VehicleState
+from padland.geometry import BoundingBox, VehicleState
 from padland.harness import (
+    BOX_COLUMNS,
+    DERIVED_COLUMNS,
     LOG_STRIDE,
     RECORD_COLUMNS,
     REPLAY_COLUMNS,
@@ -35,12 +37,18 @@ from padland.reporting import (
     write_replay_csv,
     write_trial_csvs,
 )
+from padland.servo import compute_errors
 
 ROOT = Path(__file__).resolve().parents[1]
 # SHA-256 of every file `padland run` writes for configs/default.json, in
 # `sha256sum -c` format (run it from inside an output directory). A change
 # that alters output bytes on purpose updates this file and says so.
 GOLDEN = Path(__file__).with_name("golden_default.sha256")
+# the same for `padland run --trials 100 --seed 7` on configs/default.json:
+# a hundred trials reach cases that the default ten do not (touchdown_error
+# through math.hypot in place of np.hypot kept the ten-trial tree, and
+# changed one value in 300 at a hundred trials)
+GOLDEN_100 = Path(__file__).with_name("golden_100x3_seed7.sha256")
 
 
 def digests(out: Path) -> dict[str, str]:
@@ -52,8 +60,8 @@ def digests(out: Path) -> dict[str, str]:
     }
 
 
-def golden_digests() -> dict[str, str]:
-    lines = GOLDEN.read_text().splitlines()
+def golden_digests(golden: Path = GOLDEN) -> dict[str, str]:
+    lines = golden.read_text().splitlines()
     return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
 
 
@@ -61,6 +69,13 @@ def test_default_campaign_outputs_match_golden_digests(tmp_path):
     config = ROOT / "configs" / "default.json"
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
     assert digests(tmp_path) == golden_digests()
+
+
+def test_hundred_trial_campaign_outputs_match_golden_digests(tmp_path):
+    config = ROOT / "configs" / "default.json"
+    argv = ["run", "--config", str(config), "--out", str(tmp_path), "--trials", "100", "--seed", "7"]
+    assert main(argv) == 0
+    assert digests(tmp_path) == golden_digests(GOLDEN_100)
 
 
 @pytest.mark.parametrize(
@@ -229,13 +244,18 @@ def _cell(name: str, x: float) -> str:
     return "" if name in _BLANK_NAMES and math.isnan(x) else repr(x)
 
 
-def _oracle_table(header: str, rows: np.ndarray, names) -> str:
-    """The CSV of rows, whose columns are names: row k's line is k, then
-    the header's other columns by name."""
+def _oracle_table(header: str, rows: np.ndarray, names, scenario: Scenario) -> str:
+    """The CSV of rows, whose columns are names, written with scenario:
+    row k's line is k, then the header's other columns by name; its `t` is
+    k * dynamics.dt, and its e_x, e_y, A and e_z the scalar compute_errors
+    of its smoothed box (NaN, so blank, where the box's cells are)."""
     lines = [header]
     for k, row in enumerate(rows.tolist()):
-        cells = [_cell(name, row[names.index(name)]) for name in header.split(",")[1:]]
-        lines.append(",".join([str(k), *cells]))
+        cell = dict(zip(names, row))
+        box = BoundingBox(*(cell[name] for name in BOX_COLUMNS))
+        cell["t"] = k * scenario.dynamics.dt
+        cell.update(zip(DERIVED_COLUMNS[1:], compute_errors(box, scenario.camera, scenario.gains)))
+        lines.append(",".join([str(k), *(_cell(name, cell[name]) for name in header.split(",")[1:])]))
     return "\n".join(lines) + "\n"
 
 
@@ -252,10 +272,11 @@ def _oracle_log(rows: np.ndarray) -> str:
 
 @pytest.mark.parametrize("n", BOUNDARY_ROWS)
 def test_block_writers_match_a_row_by_row_formatter(tmp_path, n):
+    scenario = Scenario()
     frames = _synthetic_rows(n, RECORD_COLUMNS)
-    write_trial_csvs(frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
+    write_trial_csvs(frames, scenario, tmp_path / "trajectory.csv", tmp_path / "log.csv")
     write_detection_log(frames, tmp_path / "own_log.csv")
-    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS)
+    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS, scenario)
     assert (tmp_path / "trajectory.csv").read_text() == trajectory
     assert (tmp_path / "log.csv").read_text() == _oracle_log(frames)
     assert (tmp_path / "own_log.csv").read_text() == _oracle_log(frames)
@@ -263,31 +284,37 @@ def test_block_writers_match_a_row_by_row_formatter(tmp_path, n):
     assert log.tobytes() == np.ascontiguousarray(frames[:, :LOG_STRIDE]).tobytes()
 
     replay = _synthetic_rows(n, REPLAY_COLUMNS)
-    write_replay_csv(replay, tmp_path / "replay.csv")
-    expected = _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS)
+    write_replay_csv(replay, scenario, tmp_path / "replay.csv")
+    expected = _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, scenario)
     assert (tmp_path / "replay.csv").read_text() == expected
 
 
 def test_a_slice_of_frames_is_numbered_from_its_first_row(tmp_path):
-    # frame k is row k of the array written: a slice's trajectory `step`,
-    # detection log `frame` and replay `frame` all count from 0, beside the
-    # whole run's other cells for those frames
+    # frame k is row k of the array written: a slice's trajectory `step`
+    # and `t`, detection log `frame` and replay `frame` all count from 0,
+    # beside the whole run's other cells for those frames
     scenario = Scenario()
     rngs = np.random.default_rng(1), np.random.default_rng(2)
     run = run_trial(VehicleState(-86.0, 80.0, 90.0), Mode.DUAL, scenario, TrialConfig(), *rngs)
     replay = replay_log(run.frames[:, :LOG_STRIDE], scenario)
-    write_trial_csvs(run.frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
-    write_trial_csvs(run.frames[5:8], tmp_path / "trajectory_5.csv", tmp_path / "log_5.csv")
-    write_replay_csv(replay, tmp_path / "replay.csv")
-    write_replay_csv(replay[5:8], tmp_path / "replay_5.csv")
+    write_trial_csvs(run.frames, scenario, tmp_path / "trajectory.csv", tmp_path / "log.csv")
+    write_trial_csvs(run.frames[5:8], scenario, tmp_path / "trajectory_5.csv", tmp_path / "log_5.csv")
+    write_replay_csv(replay, scenario, tmp_path / "replay.csv")
+    write_replay_csv(replay[5:8], scenario, tmp_path / "replay_5.csv")
 
-    def lines(name: str) -> list[list[str]]:  # after the header, split at the first ","
-        return [line.split(",", 1) for line in (tmp_path / name).read_text().splitlines()[1:]]
+    def lines(name: str, numbers: int) -> list[list[str]]:
+        """The lines after the header, split after the first numbers cells."""
+        return [line.split(",", numbers) for line in (tmp_path / name).read_text().splitlines()[1:]]
 
-    for name, per_frame in (("trajectory", 1), ("log", 2), ("replay", 1)):  # a log has 2 records
-        whole, part = lines(f"{name}.csv"), lines(f"{name}_5.csv")
-        assert [number for number, _ in part] == [str(k) for k in range(3) for _ in range(per_frame)]
-        assert [rest for _, rest in part] == [rest for _, rest in whole[5 * per_frame : 8 * per_frame]]
+    # the trajectory's first two cells are `step` and `t`; a log has 2 records a frame
+    for name, numbers, per_frame in (("trajectory", 2, 1), ("log", 1, 2), ("replay", 1, 1)):
+        whole, part = lines(f"{name}.csv", numbers), lines(f"{name}_5.csv", numbers)
+        assert [cells[0] for cells in part] == [str(k) for k in range(3) for _ in range(per_frame)]
+        assert [cells[numbers] for cells in part] == [
+            cells[numbers] for cells in whole[5 * per_frame : 8 * per_frame]
+        ]
+    dt = scenario.dynamics.dt
+    assert [cells[1] for cells in lines("trajectory_5.csv", 2)] == [repr(k * dt) for k in range(3)]
 
 
 def test_a_height_is_spelled_from_its_own_double(tmp_path):
@@ -307,12 +334,28 @@ def test_a_height_is_spelled_from_its_own_double(tmp_path):
     replay = _synthetic_rows(4, REPLAY_COLUMNS)
     replay[:, REPLAY_COLUMNS.index("w_hat")] = widths
     replay[:, REPLAY_COLUMNS.index("h_hat")] = heights
-    write_replay_csv(replay, tmp_path / "replay.csv")
+    write_replay_csv(replay, Scenario(), tmp_path / "replay.csv")
     text = (tmp_path / "replay.csv").read_text()
-    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS)
+    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, Scenario())
     i = REPLAY_HEADER.split(",").index("w_hat")
     cells = [line.split(",")[i : i + 2] for line in text.splitlines()[1:]]
     assert cells == [["24.5", "24.5"], ["30.0", "12.25"], ["0.0", "-0.0"], ["-0.0", "0.0"]]
+
+
+# the replay CSV's lines after its header in the test below
+REPLAY_ODD_LINES = [
+    "0,,10000000000000000,,inf,-inf,-0.0,,-inf,,",
+    "1,FAR,100000000000000000,5e-324,1e+16,1e-05,-0.0001,224.0,-9999999999999776.0,-1e-09,"
+    "200704.000000001",
+    "2,NEAR,-1,2.2250738585072014e-308,1.5e+300,0.0001,123.0,224.0,-1.5e+300,0.0123,200703.9877",
+    "3,FAR,2,-0.0,,,1e+22,224.0,,,",
+    "4,NEAR,0,1.0,-2.5,1000000000000000.0,9999999999999998.0,223.0,226.5,9.999999999999999e+30,"
+    "-9.999999999999999e+30",
+    "5,,10000000000000000,0.1,0.3333333333333333,-1e-300,,223.9,223.66666666666666,,",
+    "6,,0,,,,,,,,",
+    "7,FAR,1,,,,,,,,",
+    "8,NEAR,0,,,,,,,,",
+]
 
 
 def test_odd_cells_of_every_kind_match_a_row_by_row_formatter(tmp_path):
@@ -320,31 +363,34 @@ def test_odd_cells_of_every_kind_match_a_row_by_row_formatter(tmp_path):
     # subnormals, infinities, NaN outside the blankable columns, integers
     # of 16 digits or more, labels from codes other than 0, 1 and 2) beside
     # NaN blanks, negative zeros and negative integers, in one block of
-    # every column kind
-    replay = _synthetic_rows(6, REPLAY_COLUMNS)
-    replay[:, REPLAY_COLUMNS.index("selected")] = [0.0, 1.0, 2.0, 1.5, -1.0, -0.0]
-    replay[:, REPLAY_COLUMNS.index("tracking_lost")] = [1e16, 1e17, -1.0, 2.7, -0.5, 9999999999999999.0]
+    # every column kind. The smoothed box's cells hold the odd floats, and
+    # the servo errors derived from them are odd too (inf, NaN from
+    # inf * 0, a sum that loses the subnormal)
+    replay = _synthetic_rows(9, REPLAY_COLUMNS)
+    replay[:, REPLAY_COLUMNS.index("selected")] = [0.0, 1.0, 2.0, 1.5, -1.0, -0.0, 0.0, 1.0, 2.0]
+    replay[:, REPLAY_COLUMNS.index("tracking_lost")] = [
+        1e16, 1e17, -1.0, 2.7, -0.5, 9999999999999999.0, 0.0, 1.0, 0.0
+    ]
     replay[:, REPLAY_COLUMNS.index("u_hat") :] = [
-        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, 1e-5, -1e-4],
-        [2.0**-1022, 1.5e300, 0.0001, 123.0, -0.0, math.nan, math.nan, 1e22],
-        [1.0, -2.5, 1e15, 9999999999999998.0, 0.1, 1 / 3, -1e-300, math.nan],
-        *[[math.nan] * 8] * 3,
+        [math.nan, math.inf, -math.inf, -0.0],
+        [5e-324, 1e16, 1e-5, -1e-4],
+        [2.0**-1022, 1.5e300, 0.0001, 123.0],
+        [-0.0, math.nan, math.nan, 1e22],
+        [1.0, -2.5, 1e15, 9999999999999998.0],
+        [0.1, 1 / 3, -1e-300, math.nan],
+        *[[math.nan] * 4] * 3,
     ]
-    write_replay_csv(replay, tmp_path / "replay.csv")
+    write_replay_csv(replay, Scenario(), tmp_path / "replay.csv")
     text = (tmp_path / "replay.csv").read_text()
-    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS)
-    assert text.splitlines()[1:4] == [
-        "0,,10000000000000000,,inf,-inf,-0.0,5e-324,1e+16,1e-05,-0.0001",
-        "1,FAR,100000000000000000,2.2250738585072014e-308,1.5e+300,0.0001,123.0,-0.0,,,1e+22",
-        "2,NEAR,-1,1.0,-2.5,1000000000000000.0,9999999999999998.0,0.1,0.3333333333333333,-1e-300,",
-    ]
+    assert text == _oracle_table(REPLAY_HEADER, replay, REPLAY_COLUMNS, Scenario())
+    assert text.splitlines()[1:10] == REPLAY_ODD_LINES
 
     frames = _synthetic_rows(6, RECORD_COLUMNS)
     frames[:, RECORD_COLUMNS.index("far_present")] = 1.0
     frames[:, RECORD_COLUMNS.index("u_far")] = [math.inf, -0.0, 1e-7, 5e-324, 1e16, -123.25]
-    frames[:, RECORD_COLUMNS.index("t")] = [math.nan, 1e300, -1e-300, 0.05, 0.0, -0.0]
+    frames[:, RECORD_COLUMNS.index("x")] = [math.nan, 1e300, -1e-300, 0.05, 0.0, -0.0]
     frames[:, RECORD_COLUMNS.index("near_present")] = [0.0, -3.0, 1e20, 5.9, 12.0, 7.0]
-    write_trial_csvs(frames, tmp_path / "trajectory.csv", tmp_path / "log.csv")
-    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS)
+    write_trial_csvs(frames, Scenario(), tmp_path / "trajectory.csv", tmp_path / "log.csv")
+    trajectory = _oracle_table(TRAJECTORY_HEADER, frames, RECORD_COLUMNS, Scenario())
     assert (tmp_path / "trajectory.csv").read_text() == trajectory
     assert (tmp_path / "log.csv").read_text() == _oracle_log(frames)
