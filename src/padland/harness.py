@@ -73,9 +73,9 @@ class TerminationReason(Enum):
     TIMEOUT = "timeout"
 
 
-# a campaign holds every trial's frames until they are written: ~0.6 MB
-# per trial over three modes by default, at most MAX_STEPS frames of 184 B
-# (18.4 MB) per trial and mode, and at most MAX_FRAME_BYTES (64 GiB) over
+# a campaign holds every trial's frames until they are written: ~0.5 MB
+# per trial over three modes by default, at most MAX_STEPS frames of 160 B
+# (16 MB) per trial and mode, and at most MAX_FRAME_BYTES (64 GiB) over
 # n_trials trials of every mode
 MAX_TRIALS = 10_000
 MAX_STEPS = 100_000
@@ -170,8 +170,10 @@ TRAJECTORY_COLUMNS = tuple(TRAJECTORY_HEADER.split(","))
 # first LOG_STRIDE columns), so no layout stores k: each CSV's first column
 # (`step`, `frame`) is its row number. Nor does a layout store what follows
 # from the rest: the writers derive `t`, the row number times dynamics.dt,
-# and the servo errors, servo.compute_errors of the smoothed box.
-DERIVED_COLUMNS = ("t", "e_x", "e_y", "A", "e_z")  # `t`, then ErrorSignals' fields in order
+# the servo errors, servo.compute_errors of the smoothed box, and the
+# command, servo.compute_command of those errors (_HOLD without a box).
+# `t`, then ErrorSignals' fields, then VelocityCommand's, in order
+DERIVED_COLUMNS = ("t", "e_x", "e_y", "A", "e_z", "vx_cmd", "vy_cmd", "vz_cmd")
 _LOG_COLUMNS = tuple(
     "u_far,v_far,w_far,h_far,confidence_far,far_present,"
     "u_near,v_near,w_near,h_near,confidence_near,near_present".split(",")
@@ -180,11 +182,8 @@ LOG_STRIDE = len(_LOG_COLUMNS)  # FAR's fields, then NEAR's
 LOG_FIELDS = LOG_STRIDE // 2  # u, v, w, h, confidence, present of one expert
 BOX_COLUMNS = ("u_hat", "v_hat", "w_hat", "h_hat")  # the smoothed box, as BoundingBox
 # one frame's record: the detection log's fields (u, v, w, h, confidence,
-# present of FAR, then of NEAR), the position, `selected`, the smoothed box
-# and the command
-RECORD_COLUMNS = (
-    *_LOG_COLUMNS, "x", "y", "z", "selected", *BOX_COLUMNS, "vx_cmd", "vy_cmd", "vz_cmd"
-)
+# present of FAR, then of NEAR), the position, `selected` and the smoothed box
+RECORD_COLUMNS = (*_LOG_COLUMNS, "x", "y", "z", "selected", *BOX_COLUMNS)
 # code of the `selected` column: index into SELECTION_LABELS
 SELECTION_LABELS = ("", ExpertId.FAR.value, ExpertId.NEAR.value)
 _SELECTED = RECORD_COLUMNS.index("selected")
@@ -202,14 +201,14 @@ class TrialRun:
     """A finished trial plus its per-frame records.
 
     `frames` is a (steps, len(RECORD_COLUMNS)) float64 view of the bytearray
-    run_trial packs row k for frame k, in RECORD_COLUMNS order, 184 B a
+    run_trial packs row k for frame k, in RECORD_COLUMNS order, 160 B a
     frame (a run computed in a pool worker arrives viewing the buffer it
     was unpickled from instead): the first LOG_STRIDE columns are the
     detection log, the smoothed box's cells are NaN (blank) on a frame
     without one and `selected` holds a code into SELECTION_LABELS. It holds
-    no DERIVED_COLUMNS: the writers derive `t` and the servo errors (see
-    reporting.write_trial_csvs). Runs compare by identity; compare records
-    with `.tobytes()`, since NaN blanks never compare equal.
+    no DERIVED_COLUMNS: the writers derive `t`, the servo errors and the
+    command (see reporting.write_trial_csvs). Runs compare by identity;
+    compare records with `.tobytes()`, since NaN blanks never compare equal.
     """
 
     result: TrialResult
@@ -241,8 +240,9 @@ def perceive(
     into SELECTION_LABELS, tracking lost, the frame's four cells and the
     command. The cells are the smoothed box's u, v, w, h (BOX_COLUMNS);
     without a smoothed box they are all NaN (blank) and the command holds.
-    The servo errors the command is computed from are not returned: a
-    writer derives them from the cells again."""
+    The command is for dynamics alone: no record stores it, or the servo
+    errors it is computed from, and a writer derives both from the cells
+    again."""
     sb, selected, lost = select_expert(det_far, det_near, gate, cam)
     code = 0.0 if selected is None else 1.0 if selected is _FAR else 2.0
     if sb is None:
@@ -310,10 +310,9 @@ def run_trial(
             p_n = 1.0
         code, lost, cells, cmd = perceive(det_far, det_near, gate, cam, gains)
         u_hat, v_hat, w_hat, h_hat = cells
-        vx, vy, vz = cmd
         rows += pack(
             u_f, v_f, w_f, h_f, c_f, p_f, u_n, v_n, w_n, h_n, c_n, p_n,
-            state.x, state.y, state.z, code, u_hat, v_hat, w_hat, h_hat, vx, vy, vz,
+            state.x, state.y, state.z, code, u_hat, v_hat, w_hat, h_hat,
         )
 
         if lost:
@@ -428,7 +427,7 @@ class CampaignResult:
 # result and feeder threads need the GIL for each 64 KB pipe read or write
 # of a call's arguments or result. At the default 5 ms switch interval each
 # one waits that long behind this process's computing, and the worker at the
-# other end of the pipe blocks meanwhile; a 200 KB TrialRun takes four reads.
+# other end of the pipe blocks meanwhile; a 187 KB TrialRun takes three reads.
 _SHARED_SWITCH_INTERVAL = 1e-4
 
 

@@ -60,8 +60,9 @@ from .harness import (
     Scenario,
     TerminationReason,
     TrialResult,
+    _HOLD,
 )
-from .servo import compute_errors
+from .servo import ErrorSignals, compute_command, compute_errors
 from .stats import ModeComparison, PairedComparison, compare_modes, format_comparison_table
 
 # how a column of a CSV is spelled, by name: every other column is a float
@@ -395,17 +396,27 @@ def _log(names: tuple[str, ...]):
 
 
 def _derive(rows: np.ndarray, columns: tuple[str, ...], numbers: np.ndarray,
-            scenario: Scenario) -> dict[str, np.ndarray]:
+            scenario: Scenario, names: tuple[str, ...]) -> dict[str, np.ndarray]:
     """The cells no layout stores, by their names in DERIVED_COLUMNS, of a
     block of rows whose columns are columns and whose row numbers are
-    numbers: `t`, each number times dynamics.dt, and the servo errors,
+    numbers: `t`, each number times dynamics.dt; the servo errors,
     servo.compute_errors of the smoothed box's columns as arrays (NaN, a
-    blank cell, where a row has no box). An overflow to inf is silent, as
-    it is in the scalar compute_errors."""
+    blank cell, where a row has no box); and, only if names, the columns
+    written, hold it, the command: servo.compute_command of each row's
+    errors, or harness._HOLD, as perceive returns it, where a row has no
+    box. An overflow to inf is silent, as it is in the scalar
+    compute_errors and compute_command."""
     box = BoundingBox(*(rows[:, columns.index(name)] for name in BOX_COLUMNS))
     with np.errstate(over="ignore", invalid="ignore"):
         errors = compute_errors(box, scenario.camera, scenario.gains)
-    return dict(zip(DERIVED_COLUMNS, (numbers * scenario.dynamics.dt, *errors)))
+    derived = [numbers * scenario.dynamics.dt, *errors]
+    if "vx_cmd" in names:
+        per_row = map(ErrorSignals._make, zip(*(e.tolist() for e in errors)))
+        commands = map(compute_command, per_row, repeat(scenario.gains))
+        command = np.fromiter(chain.from_iterable(commands), float, 3 * len(rows)).reshape(-1, 3)
+        held = np.isnan(box.u)[:, None]  # no box: all its cells are blank
+        derived.extend(np.where(held, _HOLD, command).T)
+    return dict(zip(DERIVED_COLUMNS, derived))
 
 
 def _write_rows(array: np.ndarray, columns: tuple[str, ...], names: tuple[str, ...], files,
@@ -434,7 +445,7 @@ def _write_rows(array: np.ndarray, columns: tuple[str, ...], names: tuple[str, .
             values = np.empty((len(rows), len(names) + 1))
             values[:, stored] = rows[:, taken]
             if derived:
-                found = _derive(rows, columns, numbers, scenario)
+                found = _derive(rows, columns, numbers, scenario, names)
                 for j in derived:
                     values[:, j] = found[names[j]]
             values[:, -1] = numbers
@@ -590,8 +601,9 @@ def write_trial_csvs(frames: np.ndarray, scenario: Scenario, trajectory_path: st
     (floats as `repr`'s bytes: round-trippable and byte-stable across
     identical runs; NaN blanks as empty cells; `selected` as its label).
     `t` is the row number times dynamics.dt, so it starts at 0 in any
-    array, as `step` does, and e_x, e_y, A and e_z are
-    servo.compute_errors of the row's smoothed box."""
+    array, as `step` does, e_x, e_y, A and e_z are servo.compute_errors of
+    the row's smoothed box, and vx_cmd, vy_cmd and vz_cmd compute_command
+    of those, or 0.0 without a box."""
     _write_rows(frames, RECORD_COLUMNS, _TRIAL_BLOCK, [
         (trajectory_path, TRAJECTORY_HEADER, _table(_TRIAL_BLOCK, TRAJECTORY_HEADER)),
         (log_path, LOG_HEADER, _log(_TRIAL_BLOCK)),

@@ -1,6 +1,9 @@
-"""The verdict of tools/ab_pairs.py on synthetic pairs of one metric."""
+"""The verdict of tools/ab_pairs.py on synthetic pairs of one metric, its
+case parsing, and one real pair of its `padland run` case."""
 
+import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ spec = importlib.util.spec_from_file_location("ab_pairs", TOOL)
 ab_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab_pairs)
 verdict = ab_pairs.verdict
+METRICS = {m["name"]: m for m in json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())["end_to_end"]}
 
 PARENT = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]  # IQR about 0.04
 
@@ -83,3 +87,55 @@ def test_a_wide_spread_is_resolved_when_every_change_run_beats_every_parent_run(
     assert result["verdict"] == "within bound"
     overlapping = verdict([(p, 0.59 if p > 0.6 else 0.61) for p in wide], "lower", 0.25)
     assert overlapping["verdict"] == "unresolved"
+
+
+def test_cases_parse_as_a_workload_or_a_padland_run():
+    assert ab_pairs.parse_case("campaign_parallel:42") == ("campaign_parallel", 42)
+    assert ab_pairs.parse_case("run:7:100:1") == ("run", 7, 100, 1)
+    assert ab_pairs.parse_case("run:0:2:2") == ("run", 0, 2, 2)
+    for bad in ("run:7:100", "run:7:100:1:2", "run:7:0:1", "run:7:10:0", "run:x:10:1",
+                "run:-1:10:1", "campaign_default", "campaign_default:"):
+        with pytest.raises(argparse.ArgumentTypeError, match="expected"):
+            ab_pairs.parse_case(bad)
+
+
+def run_pairs(rss: list[tuple[float, float]], same: bool = True) -> list[dict]:
+    """Pairs of a run case with the given (parent, change) peak RSS, equal
+    wall times and the same outputs unless same is false."""
+    return [
+        {"first": "parent" if i % 2 == 0 else "change",
+         "parent": {"metrics": {"wall_s": 1.0, "peak_rss_mb": old}, "sha256": "a"},
+         "change": {"metrics": {"wall_s": 1.0, "peak_rss_mb": new},
+                    "sha256": "a" if same or i else "b"}}
+        for i, (old, new) in enumerate(rss)
+    ]
+
+
+def test_a_run_case_reads_wall_time_and_peak_rss_with_the_benchmark_s_bounds():
+    case = ab_pairs.summarize_runs(run_pairs([(98.0, 90.0)] * 10), 7, 100, 1, METRICS)
+    assert case["same_output"] is True
+    assert set(case["metrics"]) == {"wall_s", "peak_rss_mb"}
+    assert case["metrics"]["peak_rss_mb"]["verdict"] == "gain"
+    assert case["metrics"]["peak_rss_mb"]["bound"] == METRICS["peak_rss_mb"]["bound"]
+    assert case["metrics"]["wall_s"]["verdict"] == "within bound"
+    worse = ab_pairs.summarize_runs(run_pairs([(90.0, 100.0)] * 10), 7, 100, 1, METRICS)
+    assert worse["metrics"]["peak_rss_mb"]["verdict"] == "regression"  # 11 % past a 0.1 bound
+
+
+def test_a_run_case_whose_trees_wrote_different_outputs_makes_no_gain():
+    case = ab_pairs.summarize_runs(run_pairs([(98.0, 90.0)] * 10, same=False), 7, 100, 1, METRICS)
+    assert case["same_output"] is False
+    assert case["metrics"]["peak_rss_mb"]["verdict"] == "void"
+
+
+def test_one_padland_run_pair_serial_and_with_a_worker(tmp_path):
+    # a campaign's outputs do not depend on its workers, so a serial run and
+    # one with a worker make a pair whose outputs match
+    root = TOOL.parents[1]
+    runs = [ab_pairs.padland_run(root, 42, 2, workers, tmp_path / "out") for workers in (1, 2)]
+    assert list(tmp_path.iterdir()) == []  # each run's outputs and peak are removed after
+    for run in runs:
+        assert 0.0 < run["metrics"]["wall_s"] and 10.0 < run["metrics"]["peak_rss_mb"] < 1000.0
+    case = ab_pairs.summarize_runs([{"parent": runs[0], "change": runs[1]}], 42, 2, 2, METRICS)
+    assert case["same_output"] is True
+    assert case["metrics"]["peak_rss_mb"]["verdict"] != "gain"  # one pair makes no gain

@@ -513,8 +513,8 @@ class TestCliValidate:
 
     @pytest.mark.parametrize("max_steps", [6_000, 100_000])
     def test_worst_case_frame_memory_named(self, tmp_path, capsys, max_steps):
-        # 10,000 trials of three modes may hold 33 GB of frames at 6,000
-        # steps, within the bound, and 552 GB at 100,000, past it
+        # 10,000 trials of three modes may hold 28.8 GB of frames at 6,000
+        # steps, within the bound, and 480 GB at 100,000, past it
         doc = default_config()
         doc["trials"].update(n_trials=10_000, max_steps=max_steps)
         path = tmp_path / "big.json"
@@ -526,7 +526,7 @@ class TestCliValidate:
         else:
             assert code == 2
             assert err.startswith("error: trials.max_steps: ")
-            assert err.endswith(", 552000000000 B)\n")
+            assert err.endswith(", 480000000000 B)\n")
 
     def test_distractor_offset_overflowing_pad_units_named(self, tmp_path, capsys):
         # 1e308 m over a 0.5 m pad side is inf pad sides; the config key is

@@ -1,9 +1,10 @@
 """The cells no record stores are exact where they are written. A
-trajectory's `t` is its row number times dynamics.dt, and the e_x, e_y, A
-and e_z of a trajectory or replay row are servo.compute_errors of that
-row's smoothed box, blank without one: the writers derive them block by
-block from arrays, and every cell must read back as the scalar formula,
-one frame at a time, gives it."""
+trajectory's `t` is its row number times dynamics.dt, the e_x, e_y, A and
+e_z of a trajectory or replay row are servo.compute_errors of that row's
+smoothed box, blank without one, and a trajectory's vx_cmd, vy_cmd and
+vz_cmd are servo.compute_command of those errors, held without a box: the
+writers derive them block by block from arrays, and every cell must read
+back as the scalar formula, one frame at a time, gives it."""
 
 import math
 import tempfile
@@ -14,13 +15,16 @@ from hypothesis import strategies as st
 
 from padland.config import build_campaign, default_config
 from padland.geometry import BoundingBox
-from padland.harness import BOX_COLUMNS, DERIVED_COLUMNS, RECORD_COLUMNS, replay_log, run_campaign
+from padland.harness import (
+    _HOLD, BOX_COLUMNS, DERIVED_COLUMNS, RECORD_COLUMNS, replay_log, run_campaign,
+)
 from padland.reporting import read_detection_log, write_campaign_outputs, write_replay_csv
-from padland.servo import compute_errors
+from padland.servo import compute_command, compute_errors
 
 from test_config_cli import config_docs
 
-SERVO = DERIVED_COLUMNS[1:]  # e_x, e_y, A, e_z
+SERVO = DERIVED_COLUMNS[1:5]  # e_x, e_y, A, e_z
+COMMAND = DERIVED_COLUMNS[5:]  # vx_cmd, vy_cmd, vz_cmd
 BOX = [RECORD_COLUMNS.index(name) for name in BOX_COLUMNS]
 
 
@@ -37,6 +41,24 @@ def spelled(x: float) -> str:
 def servo_cells(box: BoundingBox, scenario) -> list[str]:
     """The e_x, e_y, A and e_z cells of a row with box, from the scalar formula."""
     return list(map(spelled, compute_errors(box, scenario.camera, scenario.gains)))
+
+
+def command_cells(box: BoundingBox, scenario) -> list[str]:
+    """The vx_cmd, vy_cmd and vz_cmd cells of a row with box, as perceive
+    computes the command: _HOLD where the box is blank."""
+    gains = scenario.gains
+    if math.isnan(box.u):
+        return list(map(repr, _HOLD))
+    return list(map(repr, compute_command(compute_errors(box, scenario.camera, gains), gains)))
+
+
+def tiny_align_threshold() -> dict:
+    """The default config whose descent waits for an alignment error of at
+    most 1e-300 pixels, where hypot and the squared rule part (2e-300 is
+    above it, but its square is 0)."""
+    doc = default_config()
+    doc["gains"]["align_threshold"] = 1e-300
+    return doc
 
 
 def over_the_pad(doc: dict, x: tuple[float, float], y: tuple[float, float]) -> dict:
@@ -64,6 +86,10 @@ fractions = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
 @example(doc=default_config(), x=(-0.5, 0.5), y=(-0.5, 0.5))
 # from 70 m the pad's box starts clipped at the image's left edge: not square
 @example(doc=default_config(), x=(0.94, 0.94), y=(0.0, 0.0))
+@example(doc=tiny_align_threshold(), x=(0.0, 0.0), y=(0.0, 0.0))
+# from 70 m the pad is out of view, so each frame holds the command until
+# tracking is lost; from 80 m it is seen
+@example(doc=default_config(), x=(1.2, 1.2), y=(0.0, 0.0))
 def test_derived_cells_read_back_as_the_scalar_formula(doc, x, y):
     spec = build_campaign(over_the_pad(doc, x, y))
     scenario, dt = spec.scenario, spec.scenario.dynamics.dt
@@ -80,6 +106,7 @@ def test_derived_cells_read_back_as_the_scalar_formula(doc, x, y):
                     assert row["t"] == repr(k * dt), (name, k)
                     box = BoundingBox(*(frame[j] for j in BOX))
                     assert [row[c] for c in SERVO] == servo_cells(box, scenario), (name, k)
+                    assert [row[c] for c in COMMAND] == command_cells(box, scenario), (name, k)
 
                 replayed = replay_log(read_detection_log(out / "detections" / name), scenario)
                 write_replay_csv(replayed, scenario, out / "replay.csv")

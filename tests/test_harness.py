@@ -282,7 +282,7 @@ class TestRunTrial:
             VehicleState(-86.0, 80.0, 90.0), Mode.DUAL, Scenario(), TrialConfig(), *rngs(3)
         )
         blob = pickle.dumps(run)
-        assert len(blob) <= 200 * run.result.steps
+        assert len(blob) <= 170 * run.result.steps
         back = pickle.loads(blob)
         assert back.result == run.result
         assert back.frames.shape == run.frames.shape
@@ -748,13 +748,13 @@ class TestConfigValidation:
 
     def test_worst_case_frame_memory_bounded(self):
         # each bound alone passes, but not their product: MAX_TRIALS trials of
-        # every mode may hold MAX_FRAME_BYTES of 184 B frames, 12,449 steps each
+        # every mode may hold MAX_FRAME_BYTES of 160 B frames, 14,316 steps each
         n = harness.MAX_TRIALS
         fits = harness.MAX_FRAME_BYTES // (n * len(Mode) * len(RECORD_COLUMNS) * 8)
-        assert fits == 12_449 and TrialConfig(n_trials=n, max_steps=fits).max_steps == fits
-        with pytest.raises(ValueError, match=r"^max_steps: .* \(got 10000 \* 3 \* 12450 frames, "):
+        assert fits == 14_316 and TrialConfig(n_trials=n, max_steps=fits).max_steps == fits
+        with pytest.raises(ValueError, match=r"^max_steps: .* \(got 10000 \* 3 \* 14317 frames, "):
             TrialConfig(n_trials=n, max_steps=fits + 1)
-        with pytest.raises(ValueError, match=r"552000000000 B\)$"):
+        with pytest.raises(ValueError, match=r"480000000000 B\)$"):
             TrialConfig(n_trials=n, max_steps=harness.MAX_STEPS)
 
     def test_scenario_gate_invariants(self):

@@ -304,17 +304,18 @@ def test_no_layout_stores_a_frame_number():
 
 
 # what follows from a stored cell: `t` is the row number times
-# dynamics.dt, and e_x, e_y, A and e_z are servo.compute_errors of the
-# smoothed box
-DERIVED = {"t", "e_x", "e_y", "A", "e_z"}
+# dynamics.dt, e_x, e_y, A and e_z are servo.compute_errors of the smoothed
+# box, and vx_cmd, vy_cmd and vz_cmd servo.compute_command of those
+DERIVED = {"t", "e_x", "e_y", "A", "e_z", "vx_cmd", "vy_cmd", "vz_cmd"}
 
 
 def test_no_layout_stores_a_derived_cell():
     # the writers derive these cells block by block, and reporting gets the
-    # servo cells only from compute_errors: it reads none of the camera's
-    # principal point or the gains' reference area itself, and reads no
-    # box's area, width or height (so it cannot multiply them), so the
-    # formulas keep their one home in servo
+    # servo cells only from compute_errors and the command only from
+    # compute_command, each named once: it reads none of the camera's
+    # principal point or the gains' fields itself, reads no box's area,
+    # width or height (so it cannot multiply them) and names no hypot, so
+    # the formulas keep their one home in servo
     from padland.harness import RECORD_COLUMNS, REPLAY_COLUMNS, REPLAY_HEADER, TRAJECTORY_HEADER
 
     written = {*TRAJECTORY_HEADER.split(","), *REPLAY_HEADER.split(",")}
@@ -323,28 +324,30 @@ def test_no_layout_stores_a_derived_cell():
     tree = ast.parse((SRC / "reporting.py").read_text())
     attributes = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert {"camera", "gains"} <= attributes  # the reader finds attributes at all
-    assert not attributes & {"cx", "cy", "area_ref", "area", "w", "h"}
-    called = [
-        n for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "compute_errors"
-    ]
-    assert len(called) == 1
+    assert not attributes & {"cx", "cy", "area", "w", "h"}
+    assert not attributes & {"area_ref", "k_xy", "k_z", "v_lat_max", "align_threshold"}
+    named = [n.id for n in ast.walk(tree) if isinstance(n, ast.Name)]
+    assert "hypot" not in {*attributes, *named}
+    assert named.count("compute_errors") == named.count("compute_command") == 1
 
 
 def test_perceive_is_the_one_home_of_the_no_box_rule():
     # perceive returns a frame's four cells, one shared all-NaN tuple when
     # there is no smoothed box, so neither loop works out for itself what
-    # such a frame records: _BLANKS is read only in perceive, and no loop
-    # tests a name it unpacks from perceive's result against None
+    # such a frame records: _BLANKS and _HOLD, the command it holds, are
+    # read only in perceive (the writers, which derive the command, take
+    # _HOLD from harness), and no loop tests a name it unpacks from
+    # perceive's result against None
     tree = ast.parse((SRC / "harness.py").read_text())
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    readers = {
-        name
-        for name, function in functions.items()
-        for node in ast.walk(function)
-        if isinstance(node, ast.Name) and node.id == "_BLANKS"
-    }
-    assert readers == {"perceive"}
+    for rule in ("_BLANKS", "_HOLD"):
+        readers = {
+            name
+            for name, function in functions.items()
+            for node in ast.walk(function)
+            if isinstance(node, ast.Name) and node.id == rule
+        }
+        assert readers == {"perceive"}, rule
     assert "_REPLAY_BLANKS" not in top_level_names(tree)
     for name in ("run_trial", "replay_log"):
         unpacked = {

@@ -23,6 +23,7 @@ from padland.harness import (
     Scenario,
     TerminationReason,
     TrialConfig,
+    _HOLD,
     replay_log,
     run_campaign,
     run_trial,
@@ -37,7 +38,7 @@ from padland.reporting import (
     write_replay_csv,
     write_trial_csvs,
 )
-from padland.servo import compute_errors
+from padland.servo import compute_command, compute_errors
 
 ROOT = Path(__file__).resolve().parents[1]
 # SHA-256 of every file `padland run` writes for configs/default.json, in
@@ -247,14 +248,17 @@ def _cell(name: str, x: float) -> str:
 def _oracle_table(header: str, rows: np.ndarray, names, scenario: Scenario) -> str:
     """The CSV of rows, whose columns are names, written with scenario:
     row k's line is k, then the header's other columns by name; its `t` is
-    k * dynamics.dt, and its e_x, e_y, A and e_z the scalar compute_errors
-    of its smoothed box (NaN, so blank, where the box's cells are)."""
+    k * dynamics.dt, its e_x, e_y, A and e_z the scalar compute_errors of
+    its smoothed box (NaN, so blank, where the box's cells are), and its
+    command compute_command of those (_HOLD where the box's cells are NaN)."""
     lines = [header]
     for k, row in enumerate(rows.tolist()):
         cell = dict(zip(names, row))
         box = BoundingBox(*(cell[name] for name in BOX_COLUMNS))
+        errors = compute_errors(box, scenario.camera, scenario.gains)
+        command = _HOLD if math.isnan(box.u) else compute_command(errors, scenario.gains)
         cell["t"] = k * scenario.dynamics.dt
-        cell.update(zip(DERIVED_COLUMNS[1:], compute_errors(box, scenario.camera, scenario.gains)))
+        cell.update(zip(DERIVED_COLUMNS[1:], (*errors, *command)))
         lines.append(",".join([str(k), *(_cell(name, cell[name]) for name in header.split(",")[1:])]))
     return "\n".join(lines) + "\n"
 

@@ -2,20 +2,34 @@
 """Alternating benchmark pairs of a parent commit and the working tree.
 
     python3 tools/ab_pairs.py --parent REV --case campaign_default:42 \\
-        [--case WORKLOAD:SEED ...] --out BENCH_name.json
+        [--case WORKLOAD:SEED ...] [--case run:SEED:TRIALS:WORKERS ...] \\
+        --out BENCH_name.json
 
 REV is extracted with ``git archive`` into a temporary directory, so
-nothing is written under ``.git``. For each case, ``bench/run_bench.py
---workload WORKLOAD --seed SEED --seconds RUN_SECONDS --trace 0`` runs once
-in each tree per pair, ten pairs, with ``run_seconds`` read from
-``BENCHMARK.json``: the parent first in odd pairs (the first, third, ...)
-and the working tree first in even ones. Each tree runs its own benchmark
-on its own sources and writes only under its own ``.bench_out/``.
+nothing is written under ``.git``. Each case runs once in each tree per
+pair, ten pairs: the parent first in odd pairs (the first, third, ...) and
+the working tree first in even ones. Each tree runs its own sources.
+
+- ``WORKLOAD:SEED``: ``bench/run_bench.py --workload WORKLOAD --seed SEED
+  --seconds RUN_SECONDS --trace 0``, with ``run_seconds`` read from
+  ``BENCHMARK.json``, writing only under the tree's own ``.bench_out/``.
+- ``run:SEED:TRIALS:WORKERS``: ``python -m padland run`` itself, on the
+  tree's ``configs/default.json`` with ``--seed SEED --trials TRIALS
+  --workers WORKERS``, writing into a temporary directory. A run records
+  its wall time and its peak RSS as ``bench/run_bench.py`` takes it: the
+  main process's own ``ru_maxrss`` (``RUSAGE_SELF``, which it reports as
+  it exits, as ``bench/child.py`` does) plus each descendant's ``VmHWM``,
+  polled by run_bench's ``WorkerMemory``; and the SHA-256 over every
+  output file, which must match between the trees (``same_output``). As
+  in run_bench, the run has its own process group, killed after it
+  exits, or at run_bench's ``CHILD_TIMEOUT_S``. The wall time is not
+  scaled to the CPU's speed, as the benchmark's times are.
 
 The output holds the two commits (the working tree as its HEAD and, if
 it differs, the SHA-256 of ``git diff HEAD --binary``, so stage new
-files first), the environment, every pair's
-end-to-end metrics with ``correct`` and ``failed``, each side's median
+files first), the environment, every pair's end-to-end metrics (a
+``run`` case's are ``wall_s`` and ``peak_rss_mb``) with ``correct`` and
+``failed`` (a ``run`` case's digest), each side's median
 and quartiles (``spread`` of ``bench/record.py``), the pairs each side won
 (ties count for neither) and a verdict per metric, with ``better`` and
 ``bound`` read from ``BENCHMARK.json``:
@@ -24,7 +38,8 @@ and quartiles (``spread`` of ``bench/record.py``), the pairs each side won
   median is better than the parent's by more than the parent's
   interquartile range;
 - ``void``: that would be a gain, but the working tree failed more
-  operations than the parent or a run of it was not correct;
+  operations than the parent or a run of it was not correct (for a
+  ``run`` case: the two trees wrote different outputs);
 - ``regression``: its median is worse than the parent's by more than
   ``bound`` times the parent's median;
 - ``unresolved``: none of these, the parent's interquartile range is wider
@@ -45,19 +60,28 @@ import json
 import os
 import platform
 import subprocess
+import shutil
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # per case; fewer never make a gain
 GAIN_SHARE = 0.9  # of the pairs, that the change must win to claim a gain
+RUN_METRICS = ("wall_s", "peak_rss_mb")  # of a ``run`` case
 
-_spec = importlib.util.spec_from_file_location("bench_record", ROOT / "bench" / "record.py")
-_record = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_record)
-quartiles = _record.spread  # median, q1 and q3 as the benchmark takes them
+
+def _load(name: str, file: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "bench" / file)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+quartiles = _load("bench_record", "record.py").spread  # median, q1 and q3 as the benchmark takes them
+_run_bench = _load("bench_run_bench", "run_bench.py")  # its memory poll, process kill and digest
 
 
 def verdict(pairs: list[tuple[float, float]], better: str, bound: float,
@@ -134,17 +158,81 @@ def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def run_case(trees: dict[str, Path], workload: str, seed: int, seconds: float,
-             metrics: dict) -> dict:
+# `python -m padland`, as -m runs it, then the process's own peak RSS in
+# kB written to the file named by the first argument
+_PADLAND = """import resource, runpy, sys
+peak = sys.argv.pop(1)
+try:
+    runpy.run_module("padland", run_name="__main__", alter_sys=True)
+finally:
+    with open(peak, "w") as f:
+        f.write(str(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss))
+"""
+
+
+def padland_run(tree: Path, seed: int, trials: int, workers: int, out: Path) -> dict:
+    """One ``python -m padland run`` of tree's sources and default config
+    into out, which it removes after: the wall time, the peak RSS (see the
+    module docstring) and the SHA-256 over every output file."""
+    peak = out.with_name(f"{out.name}.peak_kb")
+    cmd = [sys.executable, "-c", _PADLAND, str(peak), "run", "--config",
+           str(tree / "configs" / "default.json"), "--out", str(out), "--seed", str(seed),
+           "--trials", str(trials), "--workers", str(workers)]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, cwd=tree, env=env, stdin=subprocess.DEVNULL,
+                                stdout=subprocess.DEVNULL, stderr=err, start_new_session=True)
+        memory = _run_bench.WorkerMemory(proc.pid)
+        try:
+            code = proc.wait(timeout=_run_bench.CHILD_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            code = None
+        finally:
+            wall_s = time.perf_counter() - t0
+            worker_kb = memory.stop()
+            _run_bench._kill_group(proc)  # stray workers, or the whole group on timeout
+            proc.wait()
+        if code != 0:
+            err.seek(0)
+            sys.exit(f"{tree}: padland {' '.join(cmd[4:])} failed (exit {code}):\n"
+                     f"{err.read()[-3000:].decode(errors='replace')}")
+    own_kb = int(peak.read_text())
+    peak.unlink()
+    digest = _run_bench.tree_digest(out)["sha256"]
+    shutil.rmtree(out)
+    return {"metrics": {"wall_s": wall_s, "peak_rss_mb": (own_kb + worker_kb) / 1024},
+            "sha256": digest}
+
+
+def run_pairs(trees: dict[str, Path], name: str, measure) -> list[dict]:
+    """PAIRS pairs of measure(tree), the parent first in odd pairs."""
     pairs = []
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"first": order[0]}
         for side in order:
-            pair[side] = bench(trees[side], workload, seed, seconds)
-            print(f"{workload} seed {seed} pair {i + 1}/{PAIRS} {side}: "
+            pair[side] = measure(trees[side])
+            print(f"{name} pair {i + 1}/{PAIRS} {side}: "
                   f"wall_s {pair[side]['metrics'].get('wall_s')}", file=sys.stderr)
         pairs.append(pair)
+    return pairs
+
+
+def compare(pairs: list[dict], metrics: dict, sound: bool) -> dict:
+    """The verdict of each of metrics, by name, over pairs."""
+    compared = {}
+    for name, spec in metrics.items():
+        values = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs]
+        compared[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+                          **verdict(values, spec["better"], spec["bound"], sound)}
+    return compared
+
+
+def run_case(trees: dict[str, Path], workload: str, seed: int, seconds: float,
+             metrics: dict) -> dict:
+    pairs = run_pairs(trees, f"{workload} seed {seed}",
+                      lambda tree: bench(tree, workload, seed, seconds))
     sides = {
         side: {
             "attempted": sum(p[side]["attempted"] for p in pairs),
@@ -156,16 +244,37 @@ def run_case(trees: dict[str, Path], workload: str, seed: int, seconds: float,
     }
     sound = (sides["change"]["all_correct"]
              and sides["change"]["failed"] <= sides["parent"]["failed"])
-    compared = {}
-    for name, spec in metrics.items():
-        values = [(p["parent"]["metrics"][name], p["change"]["metrics"][name]) for p in pairs]
-        compared[name] = {"unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
-                          **verdict(values, spec["better"], spec["bound"], sound)}
-    return {"workload": workload, "seed": seed, "metrics": compared, "sides": sides,
-            "pairs": pairs}
+    return {"workload": workload, "seed": seed, "metrics": compare(pairs, metrics, sound),
+            "sides": sides, "pairs": pairs}
 
 
-def parse_case(text: str) -> tuple[str, int]:
+def run_command_case(trees: dict[str, Path], seed: int, trials: int, workers: int,
+                     metrics: dict) -> dict:
+    with tempfile.TemporaryDirectory(prefix="ab_run_") as tmp:
+        pairs = run_pairs(trees, f"run:{seed}:{trials}:{workers}",
+                          lambda tree: padland_run(tree, seed, trials, workers, Path(tmp) / "out"))
+    return summarize_runs(pairs, seed, trials, workers, metrics)
+
+
+def summarize_runs(pairs: list[dict], seed: int, trials: int, workers: int,
+                   metrics: dict) -> dict:
+    """A ``run`` case from its pairs: a gain is void unless every pair's
+    two trees wrote the same outputs."""
+    same = all(p["parent"]["sha256"] == p["change"]["sha256"] for p in pairs)
+    compared = compare(pairs, {name: metrics[name] for name in RUN_METRICS}, same)
+    return {"workload": "run", "seed": seed, "trials": trials, "workers": workers,
+            "same_output": same, "metrics": compared, "pairs": pairs}
+
+
+def parse_case(text: str) -> tuple:
+    """("run", SEED, TRIALS, WORKERS) from run:SEED:TRIALS:WORKERS, else
+    (WORKLOAD, SEED) from WORKLOAD:SEED."""
+    if text.startswith("run:"):
+        fields = text.split(":")[1:]
+        if len(fields) != 3 or not all(f.isdigit() for f in fields) or min(map(int, fields[1:])) < 1:
+            raise argparse.ArgumentTypeError(
+                f"expected run:SEED:TRIALS:WORKERS, TRIALS and WORKERS >= 1, got {text!r}")
+        return ("run", *map(int, fields))
     workload, _, seed = text.rpartition(":")
     if not workload or not seed.isdigit():
         raise argparse.ArgumentTypeError(f"expected WORKLOAD:SEED, got {text!r}")
@@ -176,7 +285,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="the commit to compare against")
     parser.add_argument("--case", type=parse_case, action="append", required=True,
-                        help="WORKLOAD:SEED, once per case")
+                        help="WORKLOAD:SEED or run:SEED:TRIALS:WORKERS, once per case")
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -191,7 +300,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         parent = extract(args.parent, Path(tmp))
         trees = {"parent": Path(tmp) / "tree", "change": ROOT}
-        cases = [run_case(trees, workload, seed, seconds, metrics) for workload, seed in args.case]
+        cases = [
+            run_command_case(trees, *case[1:], metrics) if case[0] == "run"
+            else run_case(trees, *case, seconds, metrics)
+            for case in args.case
+        ]
 
     doc = {
         "command": ["tools/ab_pairs.py", *(argv if argv is not None else sys.argv[1:])],
@@ -200,14 +313,20 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "libc": " ".join(platform.libc_ver()),
             "cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-            "bench": cases[0]["pairs"][0]["change"]["env"],
+            "python": platform.python_version(),
+            "bench": next((c["pairs"][0]["change"]["env"] for c in cases if c["workload"] != "run"),
+                          None),
         },
         "settings": {"pairs": PAIRS, "seconds": seconds, "trace": 0},
         "cases": cases,
     }
     args.out.write_text(json.dumps(doc, indent=2) + "\n")
     for case in cases:
-        print(f"{case['workload']} seed {case['seed']}:")
+        if case["workload"] == "run":
+            print(f"run:{case['seed']}:{case['trials']}:{case['workers']}, "
+                  f"same output: {case['same_output']}:")
+        else:
+            print(f"{case['workload']} seed {case['seed']}:")
         for name, m in case["metrics"].items():
             print(f"  {name:<14} {m['parent']['median']:>10.4g} -> {m['change']['median']:<10.4g}"
                   f" wins {m['change_wins']}/{PAIRS}  {m['verdict']}")
